@@ -151,6 +151,11 @@ class FrontStorage {
 struct FrontGroup {
   int count = 0;
   int smax = 0, umax = 0;
+  /// Figure-14 hybrid: fronts [0, lead) run their Schur GEMM as one batch
+  /// (extents lead_smax, lead_umax); each front from `lead` on runs it as
+  /// its own batch-1 launch. Every other stage batches all `count` fronts.
+  int lead = 0;
+  int lead_smax = 0, lead_umax = 0;
   Precision prec = Precision::kF64;
   std::vector<int> ids;
   gpusim::DeviceBuffer<double*> f, f12, f21, f22;
@@ -170,9 +175,10 @@ struct FrontGroup {
   FrontGroup(gpusim::Device& dev, const SymbolicAnalysis& sym,
              const std::vector<int>& group_ids, const FrontStorage& storage,
              const std::vector<std::size_t>& ipiv_offset, int* ipiv_storage,
-             Precision group_prec)
+             Precision group_prec, int looped_gemms)
       : prec(group_prec), ids(group_ids) {
     count = static_cast<int>(ids.size());
+    lead = count - looped_gemms;
     const auto n = static_cast<std::size_t>(count);
     // Descriptor allocations tagged by the batch's front-size class (under
     // the engine's level=N scope). Only the active precision's pointer
@@ -228,6 +234,10 @@ struct FrontGroup {
       info[k] = 0;
       smax = std::max(smax, s);
       umax = std::max(umax, fr.u());
+      if (static_cast<int>(k) < lead) {
+        lead_smax = std::max(lead_smax, s);
+        lead_umax = std::max(lead_umax, fr.u());
+      }
     }
   }
 };
@@ -789,12 +799,23 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
           const_cast<T const* const*>(gf), g.ld.data(), 0, 0,
           gf21, g.ld.data(), 0, 0, g.uvec.data(), g.svec.data(),
           g.count);
-      batch::irr_gemm<T>(
-          dev, stream, la::Trans::No, la::Trans::No, g.umax, g.umax, g.smax,
-          T(-1), const_cast<T const* const*>(gf21), g.ld.data(),
-          0, 0, const_cast<T const* const*>(gf12), g.ld.data(),
-          0, 0, T(1), gf22, g.ld.data(), 0, 0, g.uvec.data(),
-          g.uvec.data(), g.svec.data(), g.count);
+      // Schur update F22 -= F21 F12 of fronts [k, k + count) as one
+      // batch. Per-front results do not depend on the batch (irrGEMM tiles
+      // every front from its own origin), so splitting it is bitwise free.
+      auto schur = [&](int k, int count, int umax, int smax) {
+        batch::irr_gemm<T>(
+            dev, stream, la::Trans::No, la::Trans::No, umax, umax, smax,
+            T(-1), const_cast<T const* const*>(gf21 + k), g.ld.data() + k,
+            0, 0, const_cast<T const* const*>(gf12 + k), g.ld.data() + k,
+            0, 0, T(1), gf22 + k, g.ld.data() + k, 0, 0, g.uvec.data() + k,
+            g.uvec.data() + k, g.svec.data() + k, count);
+      };
+      schur(0, g.lead, g.lead_umax, g.lead_smax);
+      for (int k = g.lead; k < g.count; ++k) {
+        const Front& fr = sym.fronts[static_cast<std::size_t>(
+            g.ids[static_cast<std::size_t>(k)])];
+        schur(k, 1, fr.u(), fr.s());
+      }
     }
     // Post-elimination extremum: gmax / anorm is the per-front growth.
     if (opts.pivot_tau > 0)
@@ -821,14 +842,18 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
     factor_group_on(g, stream, lu_opts);
   };
 
-  auto make_group = [&](const std::vector<int>& ids) -> FrontGroup& {
+  // `looped_gemms`: trailing fronts of `ids` whose Schur GEMM runs as a
+  // dedicated launch (see FrontGroup::lead).
+  auto make_group = [&](const std::vector<int>& ids,
+                        int looped_gemms = 0) -> FrontGroup& {
     const Precision gp =
         ids.empty()
             ? Precision::kF64
             : level_prec_[static_cast<std::size_t>(
                   sym.fronts[static_cast<std::size_t>(ids[0])].level)];
     groups.push_back(std::make_unique<FrontGroup>(
-        dev, sym, ids, storage, ipiv_offset_, ipiv_storage_.data(), gp));
+        dev, sym, ids, storage, ipiv_offset_, ipiv_storage_.data(), gp,
+        looped_gemms));
     return *groups.back();
   };
 
@@ -1041,6 +1066,21 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   // ---- the schedules ---------------------------------------------------
   switch (opts.engine) {
     case Engine::kBatched: {
+      // Figure-14 hybrid: a part's fronts above the threshold go last, and
+      // only their Schur GEMM leaves the batch (FrontGroup::lead). Which
+      // fronts share a batch does not depend on the threshold, so neither
+      // do the factor bits.
+      auto factor_part = [&](std::vector<int> part, int s) {
+        const auto looped = std::stable_partition(
+            part.begin(), part.end(), [&](int id) {
+              return opts.hybrid_gemm_threshold <= 0 ||
+                     sym.fronts[static_cast<std::size_t>(id)].dim() <=
+                         opts.hybrid_gemm_threshold;
+            });
+        const auto nlooped = static_cast<int>(part.end() - looped);
+        factor_group_on(make_group(part, nlooped), dev.stream(s),
+                        lu_opts_of[static_cast<std::size_t>(s)]);
+      };
       const int deepest = static_cast<int>(sym.levels.size()) - 1;
       for (int lvl = deepest; lvl >= 0; --lvl) {
         const auto& ids = sym.levels[static_cast<std::size_t>(lvl)];
@@ -1051,39 +1091,23 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
         storage.ensure_level(lvl);
         assemble(ids);
         gather_children(ids);
-        std::vector<int> small_ids, large_ids;
+        // Interleaved routing takes every front whose separator AND update
+        // extents fit the SoA classes; std::map keys give a deterministic
+        // bucket order, so the dispatch-plan replay of a refactorization
+        // sees the same key sequence. The rest run strided.
+        std::map<std::pair<int, int>, std::vector<int>> buckets;
+        std::vector<int> strided_ids;
         for (int id : ids) {
           const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
-          if (opts.hybrid_gemm_threshold > 0 &&
-              fr.dim() > opts.hybrid_gemm_threshold)
-            large_ids.push_back(id);
+          if (use_ilv && fr.s() <= ilv_cap && fr.u() <= ilv_cap)
+            buckets[{fr.s(), fr.u()}].push_back(id);
           else
-            small_ids.push_back(id);
+            strided_ids.push_back(id);
         }
         if (num_streams == 1) {
-          if (use_ilv) {
-            // Route every front whose separator AND update extents fit
-            // the interleaved classes; the (rare) oversized leftovers run
-            // through the strided path as one group. std::map keys give a
-            // deterministic bucket order, so the dispatch-plan replay of a
-            // refactorization sees the same key sequence.
-            std::map<std::pair<int, int>, std::vector<int>> buckets;
-            std::vector<int> strided_ids;
-            for (int id : small_ids) {
-              const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
-              if (fr.s() <= ilv_cap && fr.u() <= ilv_cap)
-                buckets[{fr.s(), fr.u()}].push_back(id);
-              else
-                strided_ids.push_back(id);
-            }
-            factor_level_ilv(buckets,
-                             level_prec_[static_cast<std::size_t>(lvl)]);
-            if (!strided_ids.empty()) factor_group(make_group(strided_ids));
-          } else if (!small_ids.empty()) {
-            factor_group(make_group(small_ids));
-          }
-          // Figure-14 hybrid: very large fronts as dedicated launches.
-          for (int id : large_ids) factor_group(make_group({id}));
+          factor_level_ilv(buckets,
+                           level_prec_[static_cast<std::size_t>(lvl)]);
+          if (!strided_ids.empty()) factor_part(std::move(strided_ids), 0);
         } else {
           // Multi-stream level processing: the level's independent fronts
           // split round-robin across streams; events fence the assembly
@@ -1092,24 +1116,14 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
           std::vector<std::vector<int>> parts(
               static_cast<std::size_t>(num_streams));
           int turn = 0;
-          for (int id : small_ids)
+          for (int id : strided_ids)
             parts[static_cast<std::size_t>(turn++ % num_streams)]
                 .push_back(id);
           for (int s = 0; s < num_streams; ++s) {
-            const auto& part = parts[static_cast<std::size_t>(s)];
+            auto& part = parts[static_cast<std::size_t>(s)];
             if (part.empty()) continue;
-            auto& st = dev.stream(s);
-            if (s != 0) dev.wait(st, ready);
-            factor_group_on(make_group(part), st,
-                            lu_opts_of[static_cast<std::size_t>(s)]);
-          }
-          int lturn = 0;
-          for (int id : large_ids) {
-            const int s = lturn++ % num_streams;
-            auto& st = dev.stream(s);
-            if (s != 0) dev.wait(st, ready);
-            factor_group_on(make_group({id}), st,
-                            lu_opts_of[static_cast<std::size_t>(s)]);
+            if (s != 0) dev.wait(dev.stream(s), ready);
+            factor_part(std::move(part), s);
           }
           for (int s = 1; s < num_streams; ++s)
             dev.wait(stream, dev.record(dev.stream(s)));

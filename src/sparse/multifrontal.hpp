@@ -52,9 +52,13 @@ struct FactorOptions {
   /// each level boundary so the extend-add ordering stays correct. 1 =
   /// single-stream (the paper's configuration).
   int num_streams = 1;
-  /// Figure-14 hybrid: within the batched engine, fronts whose update part
-  /// exceeds this threshold run their Schur GEMM as dedicated per-front
-  /// launches ("cuBLAS GEMM in a loop for sizes > 256"). 0 disables.
+  /// Figure-14 hybrid ("cuBLAS GEMM in a loop for sizes > 256"): within
+  /// the batched engine, fronts of order d = s + u > threshold stay in
+  /// their level's batch for the norm, irrLU, row swaps, both TRSMs and
+  /// the growth scan; only their Schur GEMM leaves the batch, as one
+  /// launch per front. A GEMM-schedule knob only: factor bits are the same
+  /// for every value. Interleaved-routed fronts are never looped. 0
+  /// disables.
   int hybrid_gemm_threshold = 256;
   /// Small-pivot recovery threshold: during the panel factorization a pivot
   /// with magnitude below pivot_tau * ||F||_max (per front, where ||F||_max

@@ -30,14 +30,10 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
   // healthy matrix through the same solver object would silently skip
   // MC64 scaling.
   mc64_active_ = false;
-  CsrMatrix aq = a;
   if (opts_.use_mc64) {
     mc64_ = ordering::mc64_scaling(n, a.ptr().data(), a.ind().data(),
                                    a.val().data());
-    if (mc64_.structurally_nonsingular) {
-      aq = a.scaled(mc64_.dr, mc64_.dc).permute_columns(mc64_.col_of_row);
-      mc64_active_ = true;
-    }
+    mc64_active_ = mc64_.structurally_nonsingular;
   }
   if (!mc64_active_) {
     mc64_.col_of_row.resize(static_cast<std::size_t>(n));
@@ -46,12 +42,18 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
     mc64_.dc.assign(static_cast<std::size_t>(n), 1.0);
   }
 
+  // The prepared pattern is permuted once, on a copy of A whose values
+  // are the entry indices (exact in double), so each prepared entry names
+  // the entry of A it came from; prepare_values() gathers through that.
+  std::vector<double> entry(a.val().size());
+  std::iota(entry.begin(), entry.end(), 0.0);
+  CsrMatrix aq(n, a.ptr(), a.ind(), std::move(entry));
+  if (mc64_active_) aq = aq.permute_columns(mc64_.col_of_row);
+
   const ordering::Graph g =
       ordering::Graph::from_pattern(n, aq.ptr().data(), aq.ind().data());
   if (opts_.ordering == OrderingMethod::kNestedDissection) {
     ord_ = ordering::nested_dissection(g, opts_.nd);
-    a_prep_ = aq.permute_symmetric(ord_.perm);
-    sym_ = SymbolicAnalysis::build(a_prep_, ord_);
   } else {
     // Elimination-tree route: any permutation works.
     ord_ = ordering::Ordering{};
@@ -71,9 +73,22 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
     for (int i = 0; i < n; ++i)
       ord_.iperm[static_cast<std::size_t>(
           ord_.perm[static_cast<std::size_t>(i)])] = i;
-    a_prep_ = aq.permute_symmetric(ord_.perm);
-    sym_ = SymbolicAnalysis::build_from_etree(a_prep_);
   }
+  a_prep_ = aq.permute_symmetric(ord_.perm);
+
+  std::vector<int> row_of(a.val().size());
+  for (int i = 0; i < n; ++i)
+    std::fill(row_of.begin() + a.ptr()[static_cast<std::size_t>(i)],
+              row_of.begin() + a.ptr()[static_cast<std::size_t>(i) + 1], i);
+  prep_map_.resize(a_prep_.val().size());
+  for (std::size_t p = 0; p < prep_map_.size(); ++p) {
+    const auto src = static_cast<std::size_t>(a_prep_.val()[p]);
+    prep_map_[p] = {static_cast<int>(src), row_of[src], a.ind()[src]};
+  }
+  prepare_values();
+  sym_ = opts_.ordering == OrderingMethod::kNestedDissection
+             ? SymbolicAnalysis::build(a_prep_, ord_)
+             : SymbolicAnalysis::build_from_etree(a_prep_);
   // A new pattern resolves a new dispatch sequence; stale entries would
   // only produce one truncate-on-mismatch per analyze anyway, but clearing
   // keeps the plan's size an honest per-pattern measure.
@@ -120,13 +135,24 @@ void SparseDirectSolver::factor(gpusim::Device& dev) {
 void SparseDirectSolver::refactor(gpusim::Device& dev,
                                   const CsrMatrix& a_new) {
   IRRLU_CHECK_MSG(analyzed_, "refactor() requires analyze()");
-  IRRLU_CHECK_MSG(a_new.rows() == a_.rows() && a_new.nnz() == a_.nnz(),
+  IRRLU_CHECK_MSG(a_new.same_pattern(a_),
                   "refactor() requires the same sparsity pattern");
-  a_ = a_new;
-  const CsrMatrix aq =
-      a_new.scaled(mc64_.dr, mc64_.dc).permute_columns(mc64_.col_of_row);
-  a_prep_ = aq.permute_symmetric(ord_.perm);
+  a_.val() = a_new.val();
+  prepare_values();
   build_factor(dev);
+}
+
+void SparseDirectSolver::prepare_values() {
+  // scaled()'s multiplication order, so the values are bitwise those of
+  // a_.scaled(dr, dc).permute_columns(q).permute_symmetric(perm).
+  const std::vector<double>& v = a_.val();
+  std::vector<double>& out = a_prep_.val();
+  for (std::size_t p = 0; p < prep_map_.size(); ++p) {
+    const PrepEntry& e = prep_map_[p];
+    out[p] = mc64_.dr[static_cast<std::size_t>(e.row)] *
+             v[static_cast<std::size_t>(e.src)] *
+             mc64_.dc[static_cast<std::size_t>(e.col)];
+  }
 }
 
 void SparseDirectSolver::observe_refine_steps(int steps) const {

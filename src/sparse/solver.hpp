@@ -114,7 +114,10 @@ class SparseDirectSolver {
   /// reusing the ordering and symbolic analysis — the amortization the
   /// paper's introduction highlights for sequences of systems. The
   /// MC64 scaling/permutation from analyze() is re-applied to the new
-  /// values (the matching itself is not recomputed).
+  /// values (the matching itself is not recomputed) by one gather through
+  /// the entry map analyze() recorded. Throws irrlu::Error, keeping the
+  /// current factorization, when the pattern of a_new differs from the
+  /// analyzed one (CsrMatrix::same_pattern).
   void refactor(gpusim::Device& dev, const CsrMatrix& a_new);
 
   /// Phase 3: solves A x = b (original, unpermuted space) with adaptive
@@ -206,6 +209,9 @@ class SparseDirectSolver {
   /// Feeds the per-policy refine-step histogram
   /// ("solve.refine_steps.<policy>") when a tracer is attached.
   void observe_refine_steps(int steps) const;
+  /// Fills a_prep_'s values from a_ through prep_map_: the scaled,
+  /// permuted values without re-permuting the pattern.
+  void prepare_values();
 
   const SolverOptions opts_;
   /// Dispatch registry/plan and the factorization are mutable: the LU-IR
@@ -214,6 +220,12 @@ class SparseDirectSolver {
   mutable batch::DispatchPlan plan_;   ///< recorded dispatch of this pattern
   CsrMatrix a_;        ///< original matrix
   CsrMatrix a_prep_;   ///< scaled, column-permuted, symmetrically permuted
+  /// Source of one a_prep_ entry: its entry index in a_ and the MC64
+  /// scale row and column (a_'s row and column of that entry).
+  struct PrepEntry {
+    int src, row, col;
+  };
+  std::vector<PrepEntry> prep_map_;  ///< one per a_prep_ entry
   ordering::Mc64Result mc64_;
   ordering::Ordering ord_;
   SymbolicAnalysis sym_;

@@ -5,13 +5,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fem/mesh.hpp"
+#include "fem/nedelec.hpp"
 #include "gpusim/device.hpp"
 #include "ordering/graph.hpp"
+#include "ordering/mc64.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/io.hpp"
@@ -23,6 +30,7 @@ using namespace irrlu::sparse;
 using irrlu::Rng;
 using irrlu::gpusim::Device;
 using irrlu::gpusim::DeviceModel;
+namespace fem = irrlu::fem;
 namespace ord = irrlu::ordering;
 
 namespace {
@@ -32,6 +40,28 @@ std::vector<double> random_rhs(int n, unsigned seed) {
   std::vector<double> b(static_cast<std::size_t>(n));
   for (auto& v : b) v = rng.uniform(-1, 1);
   return b;
+}
+
+/// `pattern` with every value redrawn uniformly in [-1, 1] (unsymmetric,
+/// so MC64 has a nontrivial matching to find).
+CsrMatrix random_values(const CsrMatrix& pattern, unsigned seed) {
+  CsrMatrix a = pattern;
+  Rng rng(seed);
+  for (auto& v : a.val()) v = rng.uniform(-1, 1);
+  return a;
+}
+
+template <typename T>
+bool same_bits(const T* x, std::size_t nx, const T* y, std::size_t ny) {
+  return nx == ny && (nx == 0 || std::memcmp(x, y, nx * sizeof(T)) == 0);
+}
+
+bool same_factor_bits(const MultifrontalFactor& x,
+                      const MultifrontalFactor& y) {
+  return same_bits(x.factor_data(), x.factor_elems(), y.factor_data(),
+                   y.factor_elems()) &&
+         same_bits(x.factor_data_f32(), x.factor_elems_f32(),
+                   y.factor_data_f32(), y.factor_elems_f32());
 }
 
 }  // namespace
@@ -548,6 +578,174 @@ TEST(Solver, RefactorReusesAnalysis) {
   for (std::size_t i = 0; i < y.size(); ++i)
     diff = std::max(diff, std::abs(y[i] - b[i]));
   EXPECT_GT(diff, 1e-3);  // x2 does NOT solve the old system
+}
+
+TEST(Solver, RefactorRejectsMovedEntry) {
+  // Same order and nonzero count, one entry moved to another column: the
+  // recorded value map would read the wrong entries, so refactor() must
+  // refuse it and leave the current factorization in place.
+  const CsrMatrix a = laplacian2d(10, 10, -0.9);
+  std::vector<int> ind = a.ind();
+  ASSERT_EQ(ind[2], 10);  // row 0 holds columns {0, 1, 10}
+  ind[2] = 20;
+  const CsrMatrix moved(a.rows(), a.ptr(), ind, a.val());
+  ASSERT_EQ(moved.nnz(), a.nnz());
+
+  Device dev(DeviceModel::a100());
+  SparseDirectSolver solver;
+  solver.analyze(a);
+  solver.factor(dev);
+  const std::vector<double> before(
+      solver.numeric().factor_data(),
+      solver.numeric().factor_data() + solver.numeric().factor_elems());
+  EXPECT_THROW(solver.refactor(dev, moved), irrlu::Error);
+  EXPECT_TRUE(same_bits(before.data(), before.size(),
+                        solver.numeric().factor_data(),
+                        solver.numeric().factor_elems()));
+  const auto b = random_rhs(a.rows(), 17);
+  EXPECT_LT(solver.residual(solver.solve(b), b), 1e-12);
+}
+
+struct ValueMapCase {
+  bool mc64;
+  OrderingMethod ordering;
+};
+
+class RefactorValueMap : public ::testing::TestWithParam<ValueMapCase> {};
+
+TEST_P(RefactorValueMap, MatchesReplayedPreparation) {
+  // refactor(a1) after analyze(a0) gathers a1's values through the entry
+  // map analyze() recorded. Its factors must be bitwise those of the
+  // explicit chain a1.scaled(dr, dc).permute_columns(q)
+  // .permute_symmetric(perm), with a0's matching and the ordering
+  // replayed through the public API.
+  const ValueMapCase c = GetParam();
+  const CsrMatrix pattern = laplacian2d(12, 12);
+  const CsrMatrix a0 = random_values(pattern, 3);
+  const CsrMatrix a1 = random_values(pattern, 4);
+  const int n = a0.rows();
+  SolverOptions opts;
+  opts.use_mc64 = c.mc64;
+  opts.ordering = c.ordering;
+  opts.nd.leaf_size = 16;
+
+  Device dev(DeviceModel::a100());
+  SparseDirectSolver solver(opts);
+  solver.analyze(a0);
+  solver.factor(dev);
+  solver.refactor(dev, a1);
+  ASSERT_EQ(solver.mc64_active(), c.mc64);
+
+  ord::Mc64Result mc;
+  mc.col_of_row.resize(static_cast<std::size_t>(n));
+  std::iota(mc.col_of_row.begin(), mc.col_of_row.end(), 0);
+  mc.dr.assign(static_cast<std::size_t>(n), 1.0);
+  mc.dc.assign(static_cast<std::size_t>(n), 1.0);
+  if (c.mc64) {
+    mc = ord::mc64_scaling(n, a0.ptr().data(), a0.ind().data(),
+                           a0.val().data());
+    std::vector<int> id(static_cast<std::size_t>(n));
+    std::iota(id.begin(), id.end(), 0);
+    ASSERT_NE(mc.col_of_row, id);  // the column permutation is exercised
+    ASSERT_NE(mc.dr, std::vector<double>(mc.dr.size(), 1.0));
+  }
+  const CsrMatrix aq =
+      a1.scaled(mc.dr, mc.dc).permute_columns(mc.col_of_row);
+  const ord::Graph g =
+      ord::Graph::from_pattern(n, aq.ptr().data(), aq.ind().data());
+  ord::Ordering o;
+  if (c.ordering == OrderingMethod::kNestedDissection) {
+    o = ord::nested_dissection(g, opts.nd);
+  } else {
+    ASSERT_EQ(c.ordering, OrderingMethod::kMinimumDegree);
+    o.perm = ord::minimum_degree(g);
+  }
+  const CsrMatrix a_prep = aq.permute_symmetric(o.perm);
+  const SymbolicAnalysis sym =
+      c.ordering == OrderingMethod::kNestedDissection
+          ? SymbolicAnalysis::build(a_prep, o)
+          : SymbolicAnalysis::build_from_etree(a_prep);
+  Device ref_dev(DeviceModel::a100());
+  const MultifrontalFactor ref(ref_dev, a_prep, sym, opts.factor);
+  EXPECT_TRUE(same_factor_bits(solver.numeric(), ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Preparations, RefactorValueMap,
+    ::testing::Values(
+        ValueMapCase{true, OrderingMethod::kNestedDissection},
+        ValueMapCase{false, OrderingMethod::kNestedDissection},
+        ValueMapCase{true, OrderingMethod::kMinimumDegree}));
+
+TEST(Hybrid, ThresholdIsGemmScheduleKnobOnly) {
+  // The Figure-14 threshold moves only the Schur GEMMs of the larger
+  // fronts out of their level batch: factor bits are those of threshold
+  // 0, and every kernel but irr_gemm runs the same launches, blocks,
+  // flops and bytes. irr_gemm keeps its flops and bytes and only adds
+  // launches (one per looped front).
+  const double omega = 16.0;
+  const fem::HexMesh mesh = fem::HexMesh::torus(8, 4, 4);
+  const CsrMatrix a =
+      fem::assemble_maxwell(mesh, omega,
+                            fem::paper_maxwell_load(omega, omega / 1.05))
+          .a;
+  struct Config {
+    const char* name;
+    PrecisionPolicy precision;
+    bool interleaved;
+    int streams;
+  };
+  for (const Config& cfg :
+       {Config{"fp64", PrecisionPolicy::kF64, false, 1},
+        Config{"fp32", PrecisionPolicy::kF32, false, 1},
+        Config{"interleaved", PrecisionPolicy::kF64, true, 1},
+        Config{"4 streams", PrecisionPolicy::kF64, false, 4}}) {
+    SCOPED_TRACE(cfg.name);
+    std::unique_ptr<Device> devs[2];
+    std::unique_ptr<SparseDirectSolver> solvers[2];
+    const int thresholds[2] = {48, 0};
+    for (int i = 0; i < 2; ++i) {
+      SolverOptions opts;
+      opts.nd.leaf_size = 16;
+      opts.factor.hybrid_gemm_threshold = thresholds[i];
+      opts.factor.precision = cfg.precision;
+      opts.factor.interleaved.enabled = cfg.interleaved;
+      opts.factor.num_streams = cfg.streams;
+      devs[i] = std::make_unique<Device>(DeviceModel::a100());
+      solvers[i] = std::make_unique<SparseDirectSolver>(opts);
+      solvers[i]->analyze(a);
+      solvers[i]->factor(*devs[i]);
+    }
+    // The knob must bite: some level batches a front above 48 together
+    // with fronts at or below it.
+    bool mixed = false;
+    for (const auto& lv : solvers[0]->symbolic().levels) {
+      int above = 0;
+      for (int id : lv)
+        above += solvers[0]->symbolic().fronts[static_cast<std::size_t>(id)]
+                             .dim() > 48;
+      mixed |= above > 0 && above < static_cast<int>(lv.size());
+    }
+    EXPECT_TRUE(mixed);
+    EXPECT_TRUE(same_factor_bits(solvers[0]->numeric(),
+                                 solvers[1]->numeric()));
+    const auto& looped = devs[0]->profile();
+    const auto& batched = devs[1]->profile();
+    ASSERT_EQ(looped.size(), batched.size());
+    for (const auto& [name, st] : batched) {
+      SCOPED_TRACE(name);
+      ASSERT_EQ(looped.count(name), 1u);
+      const auto& lt = looped.at(name);
+      EXPECT_EQ(lt.flops, st.flops);
+      EXPECT_EQ(lt.bytes, st.bytes);
+      if (name == "irr_gemm") {
+        EXPECT_GT(lt.launches, st.launches);
+      } else {
+        EXPECT_EQ(lt.launches, st.launches);
+        EXPECT_EQ(lt.blocks, st.blocks);
+      }
+    }
+  }
 }
 
 TEST(MultiStream, LevelsSplitAcrossStreamsMatchSingleStream) {
