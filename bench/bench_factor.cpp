@@ -52,6 +52,8 @@ double median(std::vector<double> v) {
 struct ConfigResult {
   bool pool = false;
   double analyze_s = 0, factor_s = 0, refactor_median_s = 0, solve_s = 0;
+  /// Medians of the analyze sub-phases (SparseDirectSolver::analyze_timings).
+  double analyze_mc64_s = 0, analyze_nd_s = 0, analyze_symbolic_s = 0;
   double factor_sim_s = 0;
   long launches = 0, allocs = 0, host_allocs = 0;
   long pool_hits = 0, pool_misses = 0;
@@ -252,6 +254,7 @@ int main(int argc, char** argv) {
     // scaling, noisy neighbours — cancels instead of biasing whichever
     // configuration happened to run second.
     std::vector<double> analyze_t[2], factor_t[2], refactor_t[2];
+    std::vector<double> mc64_t[2], nd_t[2], symbolic_t[2];
     std::unique_ptr<gpusim::Device> devs[2];
     std::unique_ptr<trace::TraceSession> sessions[2];
     std::unique_ptr<sparse::SparseDirectSolver> solvers[2];
@@ -270,6 +273,10 @@ int main(int argc, char** argv) {
         opts.factor.precision = main_policy;
         solvers[i] = std::make_unique<sparse::SparseDirectSolver>(opts);
         analyze_t[i].push_back(wall_s([&] { solvers[i]->analyze(sys.a); }));
+        const sparse::AnalyzeTimings& at = solvers[i]->analyze_timings();
+        mc64_t[i].push_back(at.mc64_s);
+        nd_t[i].push_back(at.nd_s);
+        symbolic_t[i].push_back(at.symbolic_s);
         factor_t[i].push_back(wall_s([&] { solvers[i]->factor(*devs[i]); }));
       }
     // Refactor with the same values on the surviving pair: the
@@ -286,6 +293,9 @@ int main(int argc, char** argv) {
       ConfigResult& r = pt.cfg[i];
       r.pool = i == 0;
       r.analyze_s = median(analyze_t[i]);
+      r.analyze_mc64_s = median(mc64_t[i]);
+      r.analyze_nd_s = median(nd_t[i]);
+      r.analyze_symbolic_s = median(symbolic_t[i]);
       r.factor_s = median(factor_t[i]);
       r.refactor_median_s = median(refactor_t[i]);
       std::vector<double> x;
@@ -571,6 +581,9 @@ int main(int argc, char** argv) {
       w.begin_object(/*compact=*/true);
       w.kv_bool("pool", r.pool);
       w.kv("analyze_wall_s", r.analyze_s, "%.6e");
+      w.kv("analyze_mc64_wall_s", r.analyze_mc64_s, "%.6e");
+      w.kv("analyze_nd_wall_s", r.analyze_nd_s, "%.6e");
+      w.kv("analyze_symbolic_wall_s", r.analyze_symbolic_s, "%.6e");
       w.kv("factor_wall_s", r.factor_s, "%.6e");
       w.kv("refactor_wall_median_s", r.refactor_median_s, "%.6e");
       w.kv("solve_wall_s", r.solve_s, "%.6e");

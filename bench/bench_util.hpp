@@ -289,6 +289,9 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //   configs           two entries, pool on first:
 //     pool                    true | false
 //     analyze_wall_s          phase-1 host seconds (ordering + symbolic)
+//     analyze_mc64_wall_s     its MC64, nested-dissection and symbolic
+//     analyze_nd_wall_s       sub-phases (SparseDirectSolver::
+//     analyze_symbolic_wall_s analyze_timings), medians over the samples
 //     factor_wall_s           first numeric factorization, host seconds
 //     refactor_wall_median_s  median over `repeats` same-pattern refactors
 //                             (the sequence-of-systems scenario the pool

@@ -13,31 +13,56 @@ void Graph::finalize_weights() {
 
 Graph Graph::from_pattern(int n, const int* row_ptr, const int* col_ind) {
   IRRLU_CHECK(n >= 0);
-  // Count symmetric degrees (i->j and j->i for every off-diagonal entry),
-  // then dedupe per row.
-  std::vector<std::vector<int>> nbr(static_cast<std::size_t>(n));
+  const auto un = static_cast<std::size_t>(n);
+  // Pass 1: symmetric degrees (i->j and j->i for every off-diagonal entry).
+  std::vector<int> ptr(un + 1, 0);
   for (int i = 0; i < n; ++i)
     for (int k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
       const int j = col_ind[k];
       IRRLU_CHECK(j >= 0 && j < n);
       if (j == i) continue;
-      nbr[static_cast<std::size_t>(i)].push_back(j);
-      nbr[static_cast<std::size_t>(j)].push_back(i);
+      ++ptr[static_cast<std::size_t>(i) + 1];
+      ++ptr[static_cast<std::size_t>(j) + 1];
+    }
+  std::partial_sum(ptr.begin(), ptr.end(), ptr.begin());
+  // Pass 2: scatter both directions, rows unsorted and with repeats.
+  std::vector<int> cursor(ptr.begin(), ptr.end() - 1);
+  std::vector<int> both(static_cast<std::size_t>(ptr.back()));
+  for (int i = 0; i < n; ++i)
+    for (int k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const int j = col_ind[k];
+      if (j == i) continue;
+      both[static_cast<std::size_t>(cursor[static_cast<std::size_t>(i)]++)] =
+          j;
+      both[static_cast<std::size_t>(cursor[static_cast<std::size_t>(j)]++)] =
+          i;
+    }
+  // Sort every row at once with a transpose: the scattered pattern is
+  // symmetric, so its transpose is itself, and scanning rows in order
+  // appends ascending indices. Then drop adjacent repeats.
+  std::copy(ptr.begin(), ptr.end() - 1, cursor.begin());
+  std::vector<int> sorted(both.size());
+  for (int i = 0; i < n; ++i)
+    for (int k = ptr[static_cast<std::size_t>(i)];
+         k < ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const int j = both[static_cast<std::size_t>(k)];
+      sorted[static_cast<std::size_t>(cursor[static_cast<std::size_t>(j)]++)] =
+          i;
     }
   Graph g;
   g.n_ = n;
-  g.ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    auto& v = nbr[static_cast<std::size_t>(i)];
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    g.ptr_[static_cast<std::size_t>(i) + 1] =
-        g.ptr_[static_cast<std::size_t>(i)] + static_cast<int>(v.size());
+  g.ptr_.assign(un + 1, 0);
+  g.adj_ = std::move(sorted);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < un; ++i) {
+    int prev = -1;
+    for (int k = ptr[i]; k < ptr[i + 1]; ++k) {
+      const int j = g.adj_[static_cast<std::size_t>(k)];
+      if (j != prev) g.adj_[out++] = prev = j;
+    }
+    g.ptr_[i + 1] = static_cast<int>(out);
   }
-  g.adj_.reserve(static_cast<std::size_t>(g.ptr_.back()));
-  for (int i = 0; i < n; ++i)
-    g.adj_.insert(g.adj_.end(), nbr[static_cast<std::size_t>(i)].begin(),
-                  nbr[static_cast<std::size_t>(i)].end());
+  g.adj_.resize(out);
   g.finalize_weights();
   return g;
 }

@@ -46,33 +46,50 @@ Mc64Result mc64_scaling(int n, const int* ptr, const int* ind,
       }
     }
 
-  // Shortest augmenting path per unmatched row.
-  std::vector<double> dist(static_cast<std::size_t>(n));
-  std::vector<int> prev_row(static_cast<std::size_t>(n));
-  std::vector<char> in_tree(static_cast<std::size_t>(n));
+  // Shortest augmenting path per unmatched row. Costs are needed only from
+  // here on, so they are computed once, and only if some row is still
+  // unmatched after the cheap pass.
+  std::vector<double> cost_of;
+  if (std::find(out.col_of_row.begin(), out.col_of_row.end(), -1) !=
+      out.col_of_row.end()) {
+    cost_of.resize(static_cast<std::size_t>(ptr[n]));
+    for (int i = 0; i < n; ++i)
+      for (int k = ptr[i]; k < ptr[i + 1]; ++k)
+        cost_of[static_cast<std::size_t>(k)] = cost(i, k);
+  }
+  // Search state. Only the columns a search reaches (`reached`) leave
+  // their initial values, so only those are reset before the next search.
+  std::vector<double> dist(static_cast<std::size_t>(n), kInf);
+  std::vector<int> prev_row(static_cast<std::size_t>(n), -1);
+  std::vector<char> in_tree(static_cast<std::size_t>(n), 0);
+  std::vector<int> reached, visited_cols;
   using QEntry = std::pair<double, int>;  // (distance, column)
 
   for (int r0 = 0; r0 < n; ++r0) {
     if (out.col_of_row[static_cast<std::size_t>(r0)] >= 0) continue;
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::fill(prev_row.begin(), prev_row.end(), -1);
-    std::fill(in_tree.begin(), in_tree.end(), 0);
+    for (int j : reached) {
+      dist[static_cast<std::size_t>(j)] = kInf;
+      prev_row[static_cast<std::size_t>(j)] = -1;
+      in_tree[static_cast<std::size_t>(j)] = 0;
+    }
+    reached.clear();
+    visited_cols.clear();
     std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> pq;
 
     int r = r0;
     double shortest = 0.0;
     int final_col = -1;
-    std::vector<int> visited_cols;
 
     while (true) {
       for (int k = ptr[r]; k < ptr[r + 1]; ++k) {
         const int j = ind[k];
         if (in_tree[static_cast<std::size_t>(j)]) continue;
-        const double c = cost(r, k);
+        const double c = cost_of[static_cast<std::size_t>(k)];
         if (c == kInf) continue;
         const double alt = shortest + c - u[static_cast<std::size_t>(r)] -
                            v[static_cast<std::size_t>(j)];
         if (alt < dist[static_cast<std::size_t>(j)] - 1e-15) {
+          if (dist[static_cast<std::size_t>(j)] == kInf) reached.push_back(j);
           dist[static_cast<std::size_t>(j)] = alt;
           prev_row[static_cast<std::size_t>(j)] = r;
           pq.emplace(alt, j);

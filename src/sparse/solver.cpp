@@ -5,6 +5,7 @@
 #include <numeric>
 #include <utility>
 
+#include "common/timer.hpp"
 #include "gpusim/device.hpp"
 #include "ordering/graph.hpp"
 #include "trace/trace.hpp"
@@ -24,6 +25,8 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
   IRRLU_CHECK(a.rows() > 0);
   a_ = a;
   const int n = a.rows();
+  analyze_timings_ = {};
+  WallTimer timer;
 
   // The structural-singularity fallback is per-factorization state: it
   // must NOT be written back into opts_, or a later analyze() on a
@@ -41,6 +44,8 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
     mc64_.dr.assign(static_cast<std::size_t>(n), 1.0);
     mc64_.dc.assign(static_cast<std::size_t>(n), 1.0);
   }
+  analyze_timings_.mc64_s = timer.seconds();
+  timer.reset();
 
   // The prepared pattern is permuted once, on a copy of A whose values
   // are the entry indices (exact in double), so each prepared entry names
@@ -52,6 +57,8 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
 
   const ordering::Graph g =
       ordering::Graph::from_pattern(n, aq.ptr().data(), aq.ind().data());
+  analyze_timings_.graph_s = timer.seconds();
+  timer.reset();
   if (opts_.ordering == OrderingMethod::kNestedDissection) {
     ord_ = ordering::nested_dissection(g, opts_.nd);
   } else {
@@ -74,6 +81,8 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
       ord_.iperm[static_cast<std::size_t>(
           ord_.perm[static_cast<std::size_t>(i)])] = i;
   }
+  analyze_timings_.nd_s = timer.seconds();
+  timer.reset();
   a_prep_ = aq.permute_symmetric(ord_.perm);
 
   std::vector<int> row_of(a.val().size());
@@ -86,9 +95,12 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
     prep_map_[p] = {static_cast<int>(src), row_of[src], a.ind()[src]};
   }
   prepare_values();
+  analyze_timings_.permute_s = timer.seconds();
+  timer.reset();
   sym_ = opts_.ordering == OrderingMethod::kNestedDissection
              ? SymbolicAnalysis::build(a_prep_, ord_)
              : SymbolicAnalysis::build_from_etree(a_prep_);
+  analyze_timings_.symbolic_s = timer.seconds();
   // A new pattern resolves a new dispatch sequence; stale entries would
   // only produce one truncate-on-mismatch per analyze anyway, but clearing
   // keeps the plan's size an honest per-pattern measure.

@@ -100,6 +100,15 @@ struct LevelStats {
   double avg_dim = 0;
 };
 
+/// Host wall seconds of the last analyze(), split by sub-phase.
+struct AnalyzeTimings {
+  double mc64_s = 0;      ///< MC64 matching and scaling
+  double graph_s = 0;     ///< column permutation and Graph::from_pattern
+  double nd_s = 0;        ///< fill-reducing ordering (ND or the etree route)
+  double permute_s = 0;   ///< symmetric permutation and value preparation
+  double symbolic_s = 0;  ///< symbolic analysis (fronts, assembly tree)
+};
+
 class SparseDirectSolver {
  public:
   explicit SparseDirectSolver(const SolverOptions& opts = {}) : opts_(opts) {}
@@ -188,6 +197,8 @@ class SparseDirectSolver {
   /// singular and the pipeline fell back to the unscaled path). User
   /// options are never mutated by that fallback.
   bool mc64_active() const { return mc64_active_; }
+  /// Where the last analyze() spent its host time.
+  const AnalyzeTimings& analyze_timings() const { return analyze_timings_; }
 
  private:
   /// opts_.factor augmented with the solver-owned dispatch cache/plan
@@ -232,6 +243,7 @@ class SparseDirectSolver {
   mutable std::unique_ptr<MultifrontalFactor> factor_;
   bool analyzed_ = false;
   bool mc64_active_ = false;  ///< per-analysis state, not a user option
+  AnalyzeTimings analyze_timings_;
 };
 
 }  // namespace irrlu::sparse

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -604,6 +605,25 @@ TEST(Solver, RefactorRejectsMovedEntry) {
                         solver.numeric().factor_elems()));
   const auto b = random_rhs(a.rows(), 17);
   EXPECT_LT(solver.residual(solver.solve(b), b), 1e-12);
+}
+
+TEST(Solver, AnalyzeTimingsSplitTheAnalyzeWall) {
+  // analyze_timings() splits the host wall of the last analyze() into
+  // disjoint sub-phases: each is non-negative and together they fit in
+  // the wall measured around the call.
+  const CsrMatrix a = laplacian2d(16, 16, -0.9);
+  SparseDirectSolver solver;
+  const auto t0 = std::chrono::steady_clock::now();
+  solver.analyze(a);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  const AnalyzeTimings& t = solver.analyze_timings();
+  for (double s : {t.mc64_s, t.graph_s, t.nd_s, t.permute_s, t.symbolic_s})
+    EXPECT_GE(s, 0.0);
+  EXPECT_GT(t.nd_s, 0.0);
+  EXPECT_LE(t.mc64_s + t.graph_s + t.nd_s + t.permute_s + t.symbolic_s,
+            wall);
 }
 
 struct ValueMapCase {
