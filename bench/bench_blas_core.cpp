@@ -201,7 +201,6 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
   Device dev(DeviceModel::a100());
   auto& stream = dev.stream();
   batch::KernelCache cache;
-  const batch::Dispatch disp{&cache, nullptr};
   const auto sizes = [bs](int d) {
     return std::vector<int>(static_cast<std::size_t>(bs), d);
   };
@@ -225,7 +224,7 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
     cc0.copy_from(cc);
     res.ilv_ns = median_ns_for(c.flops(), rep_scale, [&] {
       std::copy(ci0.begin(), ci0.end(), ci.data());
-      batch::irr_gemm_ilv<T>(dev, stream, disp, c.m, c.n, c.k, -1.0,
+      batch::irr_gemm_ilv<T>(dev, stream, cache, c.m, c.n, c.k, -1.0,
                              ai.view(), bi.view(), 1.0, ci.view(), bs);
     });
     res.strided_ns = median_ns_for(c.flops(), rep_scale, [&] {
@@ -256,7 +255,7 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
     b0.copy_from(b);
     res.ilv_ns = median_ns_for(c.flops(), rep_scale, [&] {
       std::copy(bi0.begin(), bi0.end(), bi.data());
-      batch::irr_trsm_ilv<T>(dev, stream, disp, c.side, c.uplo, c.diag, c.m,
+      batch::irr_trsm_ilv<T>(dev, stream, cache, c.side, c.uplo, c.diag, c.m,
                              c.n, 1.0, ti.view(), bi.view(), bs);
     });
     res.strided_ns = median_ns_for(c.flops(), rep_scale, [&] {
@@ -281,7 +280,7 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
         piv_str(dev, sizes(c.m), sizes(c.n));
     res.ilv_ns = median_ns_for(c.flops(), rep_scale, [&] {
       std::copy(ai0.begin(), ai0.end(), ai.data());
-      batch::irr_getf2_ilv<T>(dev, stream, disp, ai.view(), c.m, c.n, bs,
+      batch::irr_getf2_ilv<T>(dev, stream, cache, ai.view(), c.m, c.n, bs,
                               piv_ilv.ptrs(), piv_ilv.info());
     });
     const batch::IrrLuOptions lu;  // nb = 32 >= leaf dims: fused panel path

@@ -75,7 +75,7 @@ struct IlvConfig {
 /// the factor-bits identity between the two sides.
 struct IlvExperiment {
   IlvConfig cfg[2];  // [0] = routing on, [1] = routing off
-  long refactor_hits = 0, refactor_misses = 0, refactor_plan_hits = 0;
+  long refactor_hits = 0, refactor_misses = 0;
   double refactor_hit_rate = 0;
   bool bits_identical = false;
 };
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
     // both sides, SoA leaf routing on vs off, with the same A/B pairing as
     // the pool experiment. The factor bits are asserted identical between
     // the two sides, and the refactor loop — the sequence-of-systems
-    // pattern the routing's dispatch plan exists for — must resolve its
+    // pattern the solver-owned kernel cache exists for — must resolve its
     // kernels almost entirely without rebuilding (hit rate >= 0.9;
     // deterministic, so a miss-heavy loop exits nonzero).
     {
@@ -395,7 +395,6 @@ int main(int argc, char** argv) {
             const sparse::FactorReport& rep = isolvers[0]->numeric().report();
             ex.refactor_hits += rep.dispatch_hits;
             ex.refactor_misses += rep.dispatch_misses;
-            ex.refactor_plan_hits += rep.dispatch_plan_hits;
           }
         }
       for (int i = 0; i < 2; ++i) {
@@ -406,11 +405,9 @@ int main(int argc, char** argv) {
         r.factor_sim_s = isolvers[i]->numeric().factor_seconds();
         r.launches = idevs[i]->launch_count();
       }
-      const long total = ex.refactor_hits + ex.refactor_misses +
-                         ex.refactor_plan_hits;
+      const long total = ex.refactor_hits + ex.refactor_misses;
       ex.refactor_hit_rate =
-          total > 0 ? static_cast<double>(ex.refactor_hits +
-                                          ex.refactor_plan_hits) /
+          total > 0 ? static_cast<double>(ex.refactor_hits) /
                           static_cast<double>(total)
                     : 0.0;
       const auto& f_on = isolvers[0]->numeric();
@@ -429,9 +426,9 @@ int main(int argc, char** argv) {
       if (total > 0 && ex.refactor_hit_rate < 0.9) {
         std::fprintf(stderr,
                      "FAIL: N=%d interleaved refactor dispatch hit rate "
-                     "%.3f < 0.9 (%ld hits, %ld plan hits, %ld misses)\n",
+                     "%.3f < 0.9 (%ld hits, %ld misses)\n",
                      pt.n, ex.refactor_hit_rate, ex.refactor_hits,
-                     ex.refactor_plan_hits, ex.refactor_misses);
+                     ex.refactor_misses);
         ok = false;
       }
       ilv_table.add_row(
@@ -520,24 +517,22 @@ int main(int argc, char** argv) {
 
   // Family-wide dispatch traffic: the refactor loop must exist (at least
   // one point routes fronts through the dispatch cache) and must resolve
-  // its kernels almost entirely from the recorded plan.
-  long agg_hits = 0, agg_misses = 0, agg_plan = 0;
+  // its kernels almost entirely from the cache.
+  long agg_hits = 0, agg_misses = 0;
   for (const PointResult& pt : points) {
     agg_hits += pt.ilv.refactor_hits;
     agg_misses += pt.ilv.refactor_misses;
-    agg_plan += pt.ilv.refactor_plan_hits;
   }
-  const long agg_total = agg_hits + agg_misses + agg_plan;
+  const long agg_total = agg_hits + agg_misses;
   const double agg_rate =
       agg_total > 0
-          ? static_cast<double>(agg_hits + agg_plan) /
-                static_cast<double>(agg_total)
+          ? static_cast<double>(agg_hits) / static_cast<double>(agg_total)
           : 0.0;
   if (agg_total == 0 || agg_rate < 0.9) {
     std::fprintf(stderr,
                  "FAIL: family-wide interleaved refactor dispatch hit rate "
-                 "%.3f < 0.9 (%ld hits, %ld plan hits, %ld misses)\n",
-                 agg_rate, agg_hits, agg_plan, agg_misses);
+                 "%.3f < 0.9 (%ld hits, %ld misses)\n",
+                 agg_rate, agg_hits, agg_misses);
     ok = false;
   }
 
@@ -642,7 +637,6 @@ int main(int argc, char** argv) {
          "%.4f");
     w.kv_int("refactor_dispatch_hits", pt.ilv.refactor_hits);
     w.kv_int("refactor_dispatch_misses", pt.ilv.refactor_misses);
-    w.kv_int("refactor_dispatch_plan_hits", pt.ilv.refactor_plan_hits);
     w.kv("refactor_dispatch_hit_rate", pt.ilv.refactor_hit_rate, "%.6f");
     w.kv_bool("factor_bits_identical", pt.ilv.bits_identical);
     w.end_object();

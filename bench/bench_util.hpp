@@ -321,12 +321,11 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //     refactor_speedup         routing-off / routing-on refactor medians
 //                              (wall clock — report, do not gate)
 //     sim_speedup              routing-off / routing-on factor_sim_s
-//     refactor_dispatch_hits / _misses / _plan_hits
+//     refactor_dispatch_hits / _misses
 //                              KernelCache traffic summed over the
 //                              routing-on refactor loop
-//     refactor_dispatch_hit_rate   (hits + plan_hits) / total over that
-//                              loop; 1.0 when the recorded DispatchPlan
-//                              replays cleanly
+//     refactor_dispatch_hit_rate   hits / (hits + misses) over that loop;
+//                              1.0 when the refactors build no kernel
 //     factor_bits_identical    routing-on factor bytes == routing-off
 //   precision         FP32-vs-FP64 LU-IR A/B on the same point
 //                     (DESIGN.md §14; fresh solver per config, pool on):

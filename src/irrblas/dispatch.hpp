@@ -4,23 +4,15 @@
 // size-specialized kernel handle — built once per key, reused for the
 // process lifetime of the cache. DESIGN.md §12.
 //
-// Two lookup tiers:
-//  - KernelCache::resolve(key): hash lookup, building the kernel on a
-//    miss (hit/miss counters feed the tracer's dispatch.* counters).
-//  - DispatchPlan: a recorded sequence of resolutions. A factorization
-//    of a given sparsity pattern resolves the same keys in the same
-//    order every time, so the plan replays them as a cursor walk with a
-//    single equality check per call — no hashing. The PR 7 service layer
-//    keys its sessions by pattern hash and each session's solver owns
-//    one plan, which is what makes repeated same-pattern refactors skip
-//    dispatch entirely.
+// KernelCache::resolve(key) is a hash lookup that builds the kernel on a
+// miss; its hit/miss counters feed the tracer's dispatch.* counters. A
+// solver owns one cache, so a same-pattern refactor builds no kernel.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "lapack/microkernel_ilv.hpp"
 
@@ -122,14 +114,13 @@ struct KernelKeyHash {
 };
 
 /// Kernel registry keyed by KernelKey. Returned pointers are stable for
-/// the cache's lifetime (kernels are held by unique_ptr), so plans and
-/// launch descriptors may retain them.
+/// the cache's lifetime (kernels are held by unique_ptr), so launch
+/// descriptors may retain them.
 class KernelCache {
  public:
   struct Stats {
-    long hits = 0;       ///< hash lookups that found a built kernel
-    long misses = 0;     ///< lookups that had to build one
-    long plan_hits = 0;  ///< resolutions served by a DispatchPlan replay
+    long hits = 0;    ///< hash lookups that found a built kernel
+    long misses = 0;  ///< lookups that had to build one
   };
 
   /// Returns the kernel for `key`, building it on first use.
@@ -139,63 +130,10 @@ class KernelCache {
   std::size_t size() const { return map_.size(); }
 
  private:
-  friend class DispatchPlan;
   std::unordered_map<KernelKey, std::unique_ptr<la::mk::ilv::Kernel>,
                      KernelKeyHash>
       map_;
   Stats stats_;
-};
-
-/// A recorded resolution sequence. First factorization of a pattern
-/// records (each resolve goes through the cache and is appended); a
-/// refactorization calls begin_replay() and then serves each resolve
-/// from the cursor with one key comparison. A mismatch (the caller's
-/// resolution sequence changed, e.g. different options) truncates the
-/// recorded tail at the cursor and falls back to recording mode from
-/// that point — the plan never returns a kernel for the wrong key.
-class DispatchPlan {
- public:
-  const la::mk::ilv::Kernel* resolve(KernelCache& cache,
-                                     const KernelKey& key) {
-    if (cursor_ < entries_.size()) {
-      if (entries_[cursor_].key == key) {
-        ++cache.stats_.plan_hits;
-        return entries_[cursor_++].kern;
-      }
-      entries_.resize(cursor_);
-    }
-    const la::mk::ilv::Kernel* kern = cache.resolve(key);
-    entries_.push_back({key, kern});
-    cursor_ = entries_.size();
-    return kern;
-  }
-
-  void begin_replay() { cursor_ = 0; }
-  std::size_t size() const { return entries_.size(); }
-  void clear() {
-    entries_.clear();
-    cursor_ = 0;
-  }
-
- private:
-  struct Entry {
-    KernelKey key;
-    const la::mk::ilv::Kernel* kern;
-  };
-  std::vector<Entry> entries_;
-  std::size_t cursor_ = 0;
-};
-
-/// The resolution handle kernels are looked up through: a cache plus an
-/// optional plan. Copyable view — owns nothing.
-struct Dispatch {
-  KernelCache* cache = nullptr;
-  DispatchPlan* plan = nullptr;
-
-  const la::mk::ilv::Kernel* resolve(const KernelKey& key) const {
-    return plan != nullptr ? plan->resolve(*cache, key)
-                           : cache->resolve(key);
-  }
 };
 
 }  // namespace irrlu::batch

@@ -11,7 +11,10 @@
 
 namespace irrlu::batch {
 
-namespace {
+// Named rather than anonymous: the launch lambdas of the exported
+// ilv_pack / ilv_unpack / ilv_laswp templates capture these types, and
+// GCC's -Wsubobject-linkage rejects closure members of internal linkage.
+namespace detail {
 
 /// block -> (descriptor, lane offset within it) of a fused stage grid.
 struct BlockSpan {
@@ -30,7 +33,10 @@ std::shared_ptr<std::vector<BlockSpan>> grid_of(
   return map;
 }
 
-}  // namespace
+}  // namespace detail
+
+using detail::BlockSpan;
+using detail::grid_of;
 
 void ilv_launch(gpusim::Device& dev, gpusim::Stream& stream, const char* name,
                 std::vector<IlvOpDesc> descs) {
@@ -166,13 +172,11 @@ void ilv_laswp(gpusim::Device& dev, gpusim::Stream& stream,
 }
 
 template <typename T>
-void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                   const Dispatch& disp, const IlvViewT<T>& a, int m, int n,
-                   int lanes, int* const* ipiv, int* info, double tau,
-                   const double* anorm, int* boost) {
-  if (lanes <= 0) return;
+IlvOpDesc ilv_getf2_op(KernelCache& cache, const IlvViewT<T>& a, int m,
+                       int n, int lanes, int* const* ipiv, int* info,
+                       double tau, const double* anorm, int* boost) {
   IlvOpDesc d;
-  d.kern = disp.resolve(getf2_key(m, n, kMicroPrecOf<T>));
+  d.kern = cache.resolve(getf2_key(m, n, kMicroPrecOf<T>));
   d.args.batch = a.batch;
   d.args.c = a.data;
   d.args.ldc = a.ld;
@@ -185,18 +189,40 @@ void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
   d.flops_per_lane = la::getrf_flops(m, n) * la::flop_weight<T>;
   d.bytes_per_lane = 2.0 * m * n * sizeof(T) +
                      static_cast<double>(std::min(m, n)) * sizeof(int);
-  ilv_launch(dev, stream, "ilv_getf2", {d});
+  return d;
 }
 
 template <typename T>
-void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  const Dispatch& disp, int m, int n, int k, double alpha,
-                  const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
-                  const IlvViewT<T>& c, int lanes) {
-  if (lanes <= 0) return;
+IlvOpDesc ilv_trsm_op(KernelCache& cache, la::Side side, la::Uplo uplo,
+                      la::Diag diag, int m, int n, double alpha,
+                      const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes) {
+  IRRLU_CHECK(t.batch == b.batch);
+  const bool left = side == la::Side::Left;
+  const int tri = left ? m : n;
+  IlvOpDesc d;
+  d.kern = cache.resolve(trsm_key(left, uplo == la::Uplo::Lower,
+                                  diag == la::Diag::Unit, m, n,
+                                  kMicroPrecOf<T>));
+  d.args.batch = b.batch;
+  d.args.alpha = alpha;
+  d.args.a = t.data;
+  d.args.lda = t.ld;
+  d.args.c = b.data;
+  d.args.ldc = b.ld;
+  d.lanes = lanes;
+  d.flops_per_lane =
+      la::trsm_flops(tri, left ? n : m) * la::flop_weight<T>;
+  d.bytes_per_lane = (0.5 * tri * tri + 2.0 * m * n) * sizeof(T);
+  return d;
+}
+
+template <typename T>
+IlvOpDesc ilv_gemm_op(KernelCache& cache, int m, int n, int k, double alpha,
+                      const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
+                      const IlvViewT<T>& c, int lanes) {
   IRRLU_CHECK(a.batch == c.batch && b.batch == c.batch);
   IlvOpDesc d;
-  d.kern = disp.resolve(gemm_key(m, n, k, kMicroPrecOf<T>));
+  d.kern = cache.resolve(gemm_key(m, n, k, kMicroPrecOf<T>));
   d.args.batch = c.batch;
   d.args.alpha = alpha;
   d.args.beta = beta;
@@ -210,33 +236,39 @@ void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
   d.flops_per_lane = la::gemm_flops(m, n, k) * la::flop_weight<T>;
   d.bytes_per_lane =
       (static_cast<double>(m + n) * k + 2.0 * m * n) * sizeof(T);
-  ilv_launch(dev, stream, "ilv_gemm", {d});
+  return d;
+}
+
+template <typename T>
+void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
+                   KernelCache& cache, const IlvViewT<T>& a, int m, int n,
+                   int lanes, int* const* ipiv, int* info, double tau,
+                   const double* anorm, int* boost) {
+  if (lanes <= 0) return;
+  ilv_launch(dev, stream, "ilv_getf2",
+             {ilv_getf2_op(cache, a, m, n, lanes, ipiv, info, tau, anorm,
+                           boost)});
+}
+
+template <typename T>
+void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
+                  KernelCache& cache, int m, int n, int k, double alpha,
+                  const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
+                  const IlvViewT<T>& c, int lanes) {
+  if (lanes <= 0) return;
+  ilv_launch(dev, stream, "ilv_gemm",
+             {ilv_gemm_op(cache, m, n, k, alpha, a, b, beta, c, lanes)});
 }
 
 template <typename T>
 void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  const Dispatch& disp, la::Side side, la::Uplo uplo,
+                  KernelCache& cache, la::Side side, la::Uplo uplo,
                   la::Diag diag, int m, int n, double alpha,
                   const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes) {
   if (lanes <= 0) return;
-  IRRLU_CHECK(t.batch == b.batch);
-  const bool left = side == la::Side::Left;
-  const int tri = left ? m : n;
-  IlvOpDesc d;
-  d.kern = disp.resolve(trsm_key(left, uplo == la::Uplo::Lower,
-                                 diag == la::Diag::Unit, m, n,
-                                 kMicroPrecOf<T>));
-  d.args.batch = b.batch;
-  d.args.alpha = alpha;
-  d.args.a = t.data;
-  d.args.lda = t.ld;
-  d.args.c = b.data;
-  d.args.ldc = b.ld;
-  d.lanes = lanes;
-  d.flops_per_lane =
-      la::trsm_flops(tri, left ? n : m) * la::flop_weight<T>;
-  d.bytes_per_lane = (0.5 * tri * tri + 2.0 * m * n) * sizeof(T);
-  ilv_launch(dev, stream, "ilv_trsm", {d});
+  ilv_launch(dev, stream, "ilv_trsm",
+             {ilv_trsm_op(cache, side, uplo, diag, m, n, alpha, t, b,
+                          lanes)});
 }
 
 #define IRRLU_INSTANTIATE_ILV(T)                                             \
@@ -246,19 +278,28 @@ void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
                               std::vector<IlvPackDescT<T>>);                 \
   template void ilv_laswp<T>(gpusim::Device&, gpusim::Stream&,               \
                              std::vector<IlvLaswpDescT<T>>);                 \
+  template IlvOpDesc ilv_getf2_op<T>(KernelCache&, const IlvViewT<T>&, int,  \
+                                     int, int, int* const*, int*, double,    \
+                                     const double*, int*);                   \
+  template IlvOpDesc ilv_trsm_op<T>(KernelCache&, la::Side, la::Uplo,        \
+                                    la::Diag, int, int, double,              \
+                                    const IlvViewT<T>&, const IlvViewT<T>&,  \
+                                    int);                                    \
+  template IlvOpDesc ilv_gemm_op<T>(KernelCache&, int, int, int, double,     \
+                                    const IlvViewT<T>&, const IlvViewT<T>&,  \
+                                    double, const IlvViewT<T>&, int);        \
   template void irr_getf2_ilv<T>(gpusim::Device&, gpusim::Stream&,           \
-                                 const Dispatch&, const IlvViewT<T>&, int,   \
-                                 int, int, int* const*, int*, double,        \
+                                 KernelCache&, const IlvViewT<T>&, int, int, \
+                                 int, int* const*, int*, double,             \
                                  const double*, int*);                       \
   template void irr_gemm_ilv<T>(gpusim::Device&, gpusim::Stream&,            \
-                                const Dispatch&, int, int, int, double,      \
+                                KernelCache&, int, int, int, double,         \
                                 const IlvViewT<T>&, const IlvViewT<T>&,      \
                                 double, const IlvViewT<T>&, int);            \
   template void irr_trsm_ilv<T>(gpusim::Device&, gpusim::Stream&,            \
-                                const Dispatch&, la::Side, la::Uplo,         \
-                                la::Diag, int, int, double,                  \
-                                const IlvViewT<T>&, const IlvViewT<T>&,      \
-                                int);
+                                KernelCache&, la::Side, la::Uplo, la::Diag,  \
+                                int, int, double, const IlvViewT<T>&,        \
+                                const IlvViewT<T>&, int);
 
 IRRLU_INSTANTIATE_ILV(double)
 IRRLU_INSTANTIATE_ILV(float)

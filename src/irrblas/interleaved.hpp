@@ -109,30 +109,53 @@ inline void ilv_laswp(gpusim::Device& dev, gpusim::Stream& stream,
 }
 
 // ---------------------------------------------------------------------------
-// Single-class convenience wrappers (tests, benchmarks): resolve through
-// the dispatch handle and issue one single-desc launch.
+// Stage descriptors: resolve the kernel through `cache` and fill one size
+// class's arguments and per-lane cost. The multifrontal level pipeline
+// collects one per class into a fused stage launch; the single-class
+// wrappers below issue one each.
 // ---------------------------------------------------------------------------
 
 /// LU with partial pivoting of every lane's m x n matrix in `a`;
 /// per-lane ipiv/info (and optional boosting) as in irr_getf2_fused.
 template <typename T>
-void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                   const Dispatch& disp, const IlvViewT<T>& a, int m, int n,
-                   int lanes, int* const* ipiv, int* info, double tau = 0.0,
-                   const double* anorm = nullptr, int* boost = nullptr);
-
-/// C = alpha * A * B + beta * C per lane (Trans::No both sides).
-template <typename T>
-void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  const Dispatch& disp, int m, int n, int k, double alpha,
-                  const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
-                  const IlvViewT<T>& c, int lanes);
+IlvOpDesc ilv_getf2_op(KernelCache& cache, const IlvViewT<T>& a, int m,
+                       int n, int lanes, int* const* ipiv, int* info,
+                       double tau = 0.0, const double* anorm = nullptr,
+                       int* boost = nullptr);
 
 /// Triangular solve per lane (Trans::No): op(T) X = alpha B (Left) or
 /// X op(T) = alpha B (Right), B overwritten, B is m x n.
 template <typename T>
+IlvOpDesc ilv_trsm_op(KernelCache& cache, la::Side side, la::Uplo uplo,
+                      la::Diag diag, int m, int n, double alpha,
+                      const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes);
+
+/// C = alpha * A * B + beta * C per lane (Trans::No both sides).
+template <typename T>
+IlvOpDesc ilv_gemm_op(KernelCache& cache, int m, int n, int k, double alpha,
+                      const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
+                      const IlvViewT<T>& c, int lanes);
+
+// ---------------------------------------------------------------------------
+// Single-class convenience wrappers (tests, benchmarks): one stage
+// descriptor, one launch; nothing is launched for lanes <= 0.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
+                   KernelCache& cache, const IlvViewT<T>& a, int m, int n,
+                   int lanes, int* const* ipiv, int* info, double tau = 0.0,
+                   const double* anorm = nullptr, int* boost = nullptr);
+
+template <typename T>
+void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
+                  KernelCache& cache, int m, int n, int k, double alpha,
+                  const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
+                  const IlvViewT<T>& c, int lanes);
+
+template <typename T>
 void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  const Dispatch& disp, la::Side side, la::Uplo uplo,
+                  KernelCache& cache, la::Side side, la::Uplo uplo,
                   la::Diag diag, int m, int n, double alpha,
                   const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes);
 

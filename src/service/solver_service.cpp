@@ -211,8 +211,7 @@ std::vector<SolveResponse> SolverService::flush() {
       const auto& sym = fresh->solver->symbolic();
       std::vector<sparse::Precision> lp(sym.levels.size());
       for (std::size_t l = 0; l < lp.size(); ++l)
-        lp[l] = sparse::level_precision(g.policy, static_cast<int>(l),
-                                        so.factor.adaptive_root_levels);
+        lp[l] = sparse::level_precision(g.policy, static_cast<int>(l));
       fresh->predicted_peak =
           sym.predicted_peak_bytes(so.factor.memory, lp);
       ++stats_.analyze_runs;

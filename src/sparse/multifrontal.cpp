@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "irrblas/interleaved.hpp"
 #include "lapack/blas.hpp"
@@ -45,6 +46,23 @@ const char* to_string(PrecisionPolicy p) {
 }
 
 namespace {
+
+/// Calls f with a value of precision p's element type (double or float):
+/// the one precision switch every typed factorization stage goes through.
+template <typename F>
+void with_type(Precision p, F&& f) {
+  if (p == Precision::kF32)
+    f(float{});
+  else
+    f(double{});
+}
+
+/// The "level=N" trace scope of one assembly-tree level (free without a
+/// tracer).
+trace::TraceScope level_scope(gpusim::Device& dev, int lvl) {
+  return {dev.tracer(),
+          dev.tracer() ? "level=" + std::to_string(lvl) : std::string()};
+}
 
 /// Trace label bucketing a front group by its largest front dimension —
 /// the paper's front-size classes (Fig. 13/14). Groups are formed per
@@ -87,15 +105,10 @@ class FrontStorage {
       for (std::size_t lvl = 0; lvl < buffers_.size(); ++lvl) {
         // Upfront allocations carry the same level=N tag the stacked
         // discipline gets from the engine's per-level scopes.
-        trace::TraceScope level_scope(
-            dev.tracer(), dev.tracer() ? "level=" + std::to_string(lvl)
-                                       : std::string());
+        const trace::TraceScope scope =
+            level_scope(dev, static_cast<int>(lvl));
         ensure_level(static_cast<int>(lvl));
       }
-  }
-
-  Precision prec(int lvl) const {
-    return level_prec_[static_cast<std::size_t>(lvl)];
   }
 
   void ensure_level(int lvl) {
@@ -146,6 +159,12 @@ class FrontStorage {
   std::vector<gpusim::DeviceBuffer<float>> buffers_f_;
 };
 
+/// Per-front pointers to F, F12, F21 and F22 in a group's element type.
+template <typename T>
+struct FrontPointers {
+  gpusim::DeviceBuffer<T*> f, f12, f21, f22;
+};
+
 /// Device-resident descriptor arrays for a group of fronts (the per-level
 /// setup STRUMPACK performs once per batch; not per computational step).
 struct FrontGroup {
@@ -158,8 +177,9 @@ struct FrontGroup {
   int lead_smax = 0, lead_umax = 0;
   Precision prec = Precision::kF64;
   std::vector<int> ids;
-  gpusim::DeviceBuffer<double*> f, f12, f21, f22;
-  gpusim::DeviceBuffer<float*> ff, ff12, ff21, ff22;
+  /// Only the group precision's pointer arrays exist, so the pure-FP64
+  /// allocation sequence is that of the single-precision-free code.
+  std::variant<FrontPointers<double>, FrontPointers<float>> fronts;
   gpusim::DeviceBuffer<int> ld, svec, uvec;
   gpusim::DeviceBuffer<int*> ipiv;
   gpusim::DeviceBuffer<int> info;
@@ -181,22 +201,25 @@ struct FrontGroup {
     lead = count - looped_gemms;
     const auto n = static_cast<std::size_t>(count);
     // Descriptor allocations tagged by the batch's front-size class (under
-    // the engine's level=N scope). Only the active precision's pointer
-    // arrays are allocated, so the pure-FP64 allocation sequence is
-    // unchanged from the single-precision-free code.
+    // the engine's level=N scope).
     IRRLU_TRACE_SCOPE(dev.tracer(),
                       dev.tracer() ? front_class(ids, sym) : "");
-    if (prec == Precision::kF32) {
-      ff = dev.alloc<float*>(n);
-      ff12 = dev.alloc<float*>(n);
-      ff21 = dev.alloc<float*>(n);
-      ff22 = dev.alloc<float*>(n);
-    } else {
-      f = dev.alloc<double*>(n);
-      f12 = dev.alloc<double*>(n);
-      f21 = dev.alloc<double*>(n);
-      f22 = dev.alloc<double*>(n);
-    }
+    with_type(prec, [&]<typename T>(T) {
+      auto& p = fronts.emplace<FrontPointers<T>>();
+      p.f = dev.alloc<T*>(n);
+      p.f12 = dev.alloc<T*>(n);
+      p.f21 = dev.alloc<T*>(n);
+      p.f22 = dev.alloc<T*>(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const Front& fr = sym.fronts[static_cast<std::size_t>(ids[k])];
+        const std::ptrdiff_t s = fr.s(), d = fr.dim();
+        T* base = storage.base<T>(ids[k]);
+        p.f[k] = base;
+        p.f12[k] = base + s * d;
+        p.f21[k] = base + s;
+        p.f22[k] = base + s * d + s;
+      }
+    });
     ld = dev.alloc<int>(n);
     svec = dev.alloc<int>(n);
     uvec = dev.alloc<int>(n);
@@ -206,27 +229,12 @@ struct FrontGroup {
     gmax = dev.alloc<double>(n);
     boost = dev.alloc<int>(n);
     for (std::size_t k = 0; k < n; ++k) {
-      anorm[k] = 0.0;
-      gmax[k] = 0.0;
-      boost[k] = 0;
-    }
-    for (std::size_t k = 0; k < n; ++k) {
       const Front& fr = sym.fronts[static_cast<std::size_t>(ids[k])];
       const int d = fr.dim();
       const int s = fr.s();
-      if (prec == Precision::kF32) {
-        float* base = storage.base<float>(ids[k]);
-        ff[k] = base;
-        ff12[k] = base + static_cast<std::ptrdiff_t>(s) * d;
-        ff21[k] = base + s;
-        ff22[k] = base + static_cast<std::ptrdiff_t>(s) * d + s;
-      } else {
-        double* base = storage.base<double>(ids[k]);
-        f[k] = base;
-        f12[k] = base + static_cast<std::ptrdiff_t>(s) * d;
-        f21[k] = base + s;
-        f22[k] = base + static_cast<std::ptrdiff_t>(s) * d + s;
-      }
+      anorm[k] = 0.0;
+      gmax[k] = 0.0;
+      boost[k] = 0;
       ld[k] = d > 0 ? d : 1;
       svec[k] = s;
       uvec[k] = fr.u();
@@ -239,6 +247,11 @@ struct FrontGroup {
         lead_umax = std::max(lead_umax, fr.u());
       }
     }
+  }
+
+  template <typename T>
+  const FrontPointers<T>& ptr() const {
+    return std::get<FrontPointers<T>>(fronts);
   }
 };
 
@@ -295,13 +308,724 @@ void promote_fp32(gpusim::Device& dev, gpusim::Stream& stream,
   });
 }
 
+/// Mirrors a factorization's diagnostics into the tracer's counters (the
+/// summary JSON's "counters" object).
+void trace_counters(trace::Tracer& tr, const FactorReport& r, bool routed,
+                    std::size_t cached_kernels) {
+  tr.add_counter("factor.boosted_pivots",
+                 static_cast<double>(r.boosted_pivots));
+  tr.add_counter("factor.zero_pivot_fronts",
+                 static_cast<double>(r.zero_pivot_fronts));
+  tr.max_counter("factor.pivot_growth_max", r.pivot_growth);
+  tr.max_counter("memory.predicted_peak_bytes",
+                 static_cast<double>(r.predicted_peak_bytes));
+  tr.max_counter("memory.measured_peak_bytes",
+                 static_cast<double>(r.measured_peak_bytes));
+  // Precision counters only when the policy actually produced FP32
+  // fronts, so default-policy traces (and fig10) are unchanged.
+  if (r.fp32_fronts > 0) {
+    tr.add_counter("factor.fp32_fronts", static_cast<double>(r.fp32_fronts));
+    tr.add_counter("factor.fp64_fronts",
+                   static_cast<double>(r.fronts - r.fp32_fronts));
+    // Per-level precision (value = mantissa width class, 32 or 64;
+    // index 0 = root) so the summary JSON records exactly which levels
+    // the policy kept double — the counter mirror of
+    // FactorReport::level_precision.
+    char lvl_name[64];
+    for (std::size_t l = 0; l < r.level_precision.size(); ++l) {
+      std::snprintf(lvl_name, sizeof lvl_name,
+                    "factor.level_precision.L%03zu", l);
+      tr.max_counter(lvl_name,
+                     r.level_precision[l] == Precision::kF32 ? 32.0 : 64.0);
+    }
+  }
+  if (routed) {
+    tr.add_counter("dispatch.hits", static_cast<double>(r.dispatch_hits));
+    tr.add_counter("dispatch.misses", static_cast<double>(r.dispatch_misses));
+    tr.max_counter("dispatch.cached", static_cast<double>(cached_kernels));
+  }
+}
+
+/// Fronts of one level routed to the interleaved layout, bucketed by exact
+/// (s, u) class; std::map keys give a deterministic class order.
+using IlvBuckets = std::map<std::pair<int, int>, std::vector<int>>;
+
 }  // namespace
 
-std::size_t MultifrontalFactor::factor_bytes() const {
-  return factor_store_.size() * sizeof(double) +
-         factor_store_f_.size() * sizeof(float) +
-         ipiv_storage_.size() * sizeof(int);
+// ---- the factorization pipeline -----------------------------------------
+//
+// One factorization's device state and the stages the engine drivers
+// compose. The constructor is the setup stage (owner map, assembly
+// triples, scatter maps, workspaces); the five named stages are
+// assemble, extend_add, factor_group, factor_interleaved and extract.
+// Every stage that touches front values picks its element type through
+// with_type(). Member order is allocation order, so destruction frees the
+// device buffers in reverse: descriptor groups first, working fronts last.
+class MultifrontalFactor::Pipeline {
+ public:
+  Pipeline(MultifrontalFactor& mf, const CsrMatrix& a, MemoryMode mode,
+           const FactorOptions& opts);
+
+  /// Runs the engine's driver over the whole assembly tree.
+  void run(Engine engine);
+
+  bool routes_interleaved() const { return use_ilv_; }
+  batch::KernelCache& kernel_cache() { return kcache_; }
+  const std::vector<std::unique_ptr<FrontGroup>>& groups() const {
+    return groups_;
+  }
+
+ private:
+  void run_batched();
+  void run_postorder(bool sync_each_front);
+  void run_legacy_small_batch();
+
+  void assemble(const std::vector<int>& ids);
+  void extend_add(const std::vector<int>& ids);
+  void factor_group(const FrontGroup& g);
+  void factor_interleaved(const IlvBuckets& buckets, Precision prec);
+  void extract(const std::vector<int>& ids);
+
+  FrontGroup& make_group(const std::vector<int>& ids, int looped_gemms = 0);
+  template <typename T>
+  void front_absmax(const FrontGroup& g, double* out, const char* name);
+  Precision prec_of(int front) const { return mf_.front_prec(front); }
+  template <typename T>
+  T* factor_store() const {
+    if constexpr (std::is_same_v<T, float>)
+      return mf_.factor_store_f_.data();
+    else
+      return mf_.factor_store_.data();
+  }
+
+  MultifrontalFactor& mf_;
+  gpusim::Device& dev_;
+  gpusim::Stream& stream_;
+  const SymbolicAnalysis& sym_;
+  const FactorOptions& opts_;
+  batch::KernelCache local_cache_;  ///< when the caller passed none
+  batch::KernelCache& kcache_;
+  /// Interleaved routing (batched engine only). The cap is clamped to 32:
+  /// above it the strided path switches to blocked panels / recursive
+  /// TRSM whose operation order the interleaved kernels do not mirror
+  /// (see InterleavedOptions::max_class_dim).
+  const bool use_ilv_;
+  const int ilv_cap_;
+  /// Front f's assembly triples are [asm_start_[f], asm_start_[f + 1]) of
+  /// d_rows_/d_cols_/d_aidx_; its scatter map into the parent starts at
+  /// d_scat_[scat_start_[f]].
+  std::vector<int> asm_start_, scat_start_;
+  FrontStorage storage_;
+  gpusim::DeviceBuffer<int> d_rows_, d_cols_, d_aidx_;
+  gpusim::DeviceBuffer<double> d_aval_;
+  gpusim::DeviceBuffer<int> d_scat_;
+  gpusim::DeviceBuffer<int> kmin_ws_, laswp_ws_;
+  batch::IrrLuOptions lu_;  ///< opts.lu wired to the workspaces
+  std::vector<std::unique_ptr<FrontGroup>> groups_;  ///< alive to the end
+};
+
+MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
+                                       const CsrMatrix& a, MemoryMode mode,
+                                       const FactorOptions& opts)
+    : mf_(mf),
+      dev_(mf.dev_),
+      stream_(mf.dev_.stream()),
+      sym_(mf.sym_),
+      opts_(opts),
+      kcache_(opts.dispatch_cache != nullptr ? *opts.dispatch_cache
+                                             : local_cache_),
+      use_ilv_(opts.interleaved.enabled && opts.engine == Engine::kBatched),
+      ilv_cap_(std::min(opts.interleaved.max_class_dim, 32)),
+      storage_(mf.dev_, mf.sym_, mode, mf.level_prec_) {
+  const auto nf = sym_.fronts.size();
+  const int n = a.rows();
+  std::vector<int> owner(static_cast<std::size_t>(n), -1);
+  for (std::size_t fi = 0; fi < nf; ++fi)
+    for (int g = sym_.fronts[fi].sep_begin; g < sym_.fronts[fi].sep_end; ++g)
+      owner[static_cast<std::size_t>(g)] = static_cast<int>(fi);
+
+  // Flattened (front -> entries) assembly triples, CSR-style: asm_start_
+  // segments d_rows_/d_cols_/d_aidx_ by owning front. Built in three
+  // counted passes with no per-entry search and no per-front growing
+  // vectors:
+  //  1. count each front's entries (recording the owner per nonzero);
+  //  2. scatter the *global* (row, col, value-index) triples into the
+  //     segmented arrays through per-front cursors;
+  //  3. per front, convert the globals to front-local indices through a
+  //     global->local map filled once per front (the `stamp` array makes
+  //     membership checkable without a search through fr.upd).
+  const std::size_t nnz = a.ind().size();
+  std::vector<int> ent_front(nnz);
+  asm_start_.assign(nf + 1, 0);
+  for (int i = 0; i < n; ++i)
+    for (int k = a.ptr()[static_cast<std::size_t>(i)];
+         k < a.ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
+      const int j = a.ind()[static_cast<std::size_t>(k)];
+      const int fo = owner[static_cast<std::size_t>(std::min(i, j))];
+      IRRLU_CHECK(fo >= 0);
+      ent_front[static_cast<std::size_t>(k)] = fo;
+      ++asm_start_[static_cast<std::size_t>(fo) + 1];
+    }
+  for (std::size_t fi = 0; fi < nf; ++fi) asm_start_[fi + 1] += asm_start_[fi];
+  {
+    IRRLU_TRACE_SCOPE(dev_.tracer(), "assembly");
+    d_rows_ = dev_.alloc<int>(static_cast<std::size_t>(asm_start_[nf]));
+    d_cols_ = dev_.alloc<int>(static_cast<std::size_t>(asm_start_[nf]));
+    d_aidx_ = dev_.alloc<int>(static_cast<std::size_t>(asm_start_[nf]));
+  }
+  std::vector<int> cursor(asm_start_.begin(), asm_start_.end() - 1);
+  for (int i = 0; i < n; ++i)
+    for (int k = a.ptr()[static_cast<std::size_t>(i)];
+         k < a.ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
+      const auto o = static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(
+              ent_front[static_cast<std::size_t>(k)])]++);
+      d_rows_[o] = i;
+      d_cols_[o] = a.ind()[static_cast<std::size_t>(k)];
+      d_aidx_[o] = k;
+    }
+  std::vector<int> glob2loc(static_cast<std::size_t>(n), -1);
+  std::vector<int> stamp(static_cast<std::size_t>(n), -1);
+  for (std::size_t fi = 0; fi < nf; ++fi) {
+    const Front& fr = sym_.fronts[fi];
+    const auto f = static_cast<int>(fi);
+    for (int g = fr.sep_begin; g < fr.sep_end; ++g) {
+      glob2loc[static_cast<std::size_t>(g)] = g - fr.sep_begin;
+      stamp[static_cast<std::size_t>(g)] = f;
+    }
+    for (std::size_t t = 0; t < fr.upd.size(); ++t) {
+      const auto g = static_cast<std::size_t>(fr.upd[t]);
+      glob2loc[g] = fr.s() + static_cast<int>(t);
+      stamp[g] = f;
+    }
+    for (auto o = static_cast<std::size_t>(asm_start_[fi]);
+         o < static_cast<std::size_t>(asm_start_[fi + 1]); ++o) {
+      const auto r = static_cast<std::size_t>(d_rows_[o]);
+      const auto c = static_cast<std::size_t>(d_cols_[o]);
+      IRRLU_CHECK(stamp[r] == f && stamp[c] == f);
+      d_rows_[o] = glob2loc[r];
+      d_cols_[o] = glob2loc[c];
+    }
+  }
+  {
+    IRRLU_TRACE_SCOPE(dev_.tracer(), "assembly");
+    d_aval_ = dev_.alloc<double>(a.val().size());
+  }
+  std::copy(a.val().begin(), a.val().end(), d_aval_.data());
+
+  // Scatter maps: each front's upd positions inside its parent.
+  scat_start_.assign(nf + 1, 0);
+  for (std::size_t fi = 0; fi < nf; ++fi)
+    scat_start_[fi + 1] =
+        scat_start_[fi] +
+        (sym_.fronts[fi].parent >= 0 ? sym_.fronts[fi].u() : 0);
+  {
+    IRRLU_TRACE_SCOPE(dev_.tracer(), "assembly");
+    d_scat_ = dev_.alloc<int>(static_cast<std::size_t>(scat_start_[nf]));
+  }
+  for (std::size_t fi = 0; fi < nf; ++fi) {
+    const Front& fr = sym_.fronts[fi];
+    if (fr.parent < 0) continue;
+    IRRLU_CHECK(static_cast<int>(fr.parent_map.size()) == fr.u());
+    std::copy(fr.parent_map.begin(), fr.parent_map.end(),
+              d_scat_.data() + scat_start_[fi]);
+  }
+
+  // Factorization workspaces, allocated once: a fully async driver.
+  int max_batch = 1;
+  for (const auto& lv : sym_.levels)
+    max_batch = std::max(max_batch, static_cast<int>(lv.size()));
+  {
+    IRRLU_TRACE_SCOPE(dev_.tracer(), "workspace");
+    kmin_ws_ = dev_.alloc<int>(static_cast<std::size_t>(max_batch));
+    laswp_ws_ = dev_.alloc<int>(
+        batch::irr_laswp_workspace_size(max_batch, std::max(1, opts.lu.nb)));
+  }
+  lu_ = opts.lu;
+  lu_.kmin_workspace = kmin_ws_.data();
+  lu_.laswp_workspace = laswp_ws_.data();
 }
+
+// ---- engine drivers -------------------------------------------------------
+
+void MultifrontalFactor::Pipeline::run(Engine engine) {
+  switch (engine) {
+    case Engine::kBatched: return run_batched();
+    case Engine::kLooped: return run_postorder(false);
+    case Engine::kRightLooking: return run_postorder(true);
+    case Engine::kLegacySmallBatch: return run_legacy_small_batch();
+  }
+}
+
+/// The paper's schedule: each level is one irregular batch, leaves first.
+void MultifrontalFactor::Pipeline::run_batched() {
+  const int deepest = static_cast<int>(sym_.levels.size()) - 1;
+  for (int lvl = deepest; lvl >= 0; --lvl) {
+    const auto& ids = sym_.levels[static_cast<std::size_t>(lvl)];
+    if (ids.empty()) continue;
+    const trace::TraceScope scope = level_scope(dev_, lvl);
+    storage_.ensure_level(lvl);
+    assemble(ids);
+    extend_add(ids);
+    // Interleaved routing takes every front whose separator AND update
+    // extents fit the SoA classes; the rest run strided.
+    IlvBuckets buckets;
+    std::vector<int> strided;
+    for (int id : ids) {
+      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
+      if (use_ilv_ && fr.s() <= ilv_cap_ && fr.u() <= ilv_cap_)
+        buckets[{fr.s(), fr.u()}].push_back(id);
+      else
+        strided.push_back(id);
+    }
+    factor_interleaved(buckets, prec_of(ids[0]));
+    if (!strided.empty()) {
+      // Figure-14 hybrid: fronts above the threshold go last, and only
+      // their Schur GEMM leaves the batch (FrontGroup::lead). Which fronts
+      // share a batch does not depend on the threshold, so neither do the
+      // factor bits.
+      const auto looped = std::stable_partition(
+          strided.begin(), strided.end(), [&](int id) {
+            return opts_.hybrid_gemm_threshold <= 0 ||
+                   sym_.fronts[static_cast<std::size_t>(id)].dim() <=
+                       opts_.hybrid_gemm_threshold;
+          });
+      factor_group(make_group(
+          strided, static_cast<int>(strided.end() - looped)));
+    }
+    extract(ids);
+    if (lvl < deepest) storage_.release_level(lvl + 1);
+  }
+  storage_.release_level(0);
+}
+
+/// Postorder per-front chains with the scatter to the parent right after
+/// each front; the right-looking engine also synchronizes per supernode.
+void MultifrontalFactor::Pipeline::run_postorder(bool sync_each_front) {
+  std::vector<int> all(sym_.fronts.size());
+  for (std::size_t fi = 0; fi < all.size(); ++fi) {
+    const int id = static_cast<int>(fi);
+    all[fi] = id;
+    const trace::TraceScope scope = level_scope(dev_, sym_.fronts[fi].level);
+    assemble({id});
+    extend_add({id});
+    factor_group(make_group({id}));
+    if (sync_each_front) dev_.synchronize(stream_);
+  }
+  extract(all);
+}
+
+/// STRUMPACK v6.3.1: per level, one batch of the fronts below 32 and a
+/// loop over the rest, synchronizing after every batch.
+void MultifrontalFactor::Pipeline::run_legacy_small_batch() {
+  for (int lvl = static_cast<int>(sym_.levels.size()) - 1; lvl >= 0; --lvl) {
+    const auto& ids = sym_.levels[static_cast<std::size_t>(lvl)];
+    if (ids.empty()) continue;
+    const trace::TraceScope scope = level_scope(dev_, lvl);
+    assemble(ids);
+    extend_add(ids);
+    std::vector<int> tiny, rest;
+    for (int id : ids)
+      (sym_.fronts[static_cast<std::size_t>(id)].dim() < 32 ? tiny : rest)
+          .push_back(id);
+    if (!tiny.empty()) {
+      factor_group(make_group(tiny));
+      dev_.synchronize(stream_);
+    }
+    for (int id : rest) {
+      factor_group(make_group({id}));
+      dev_.synchronize(stream_);
+    }
+    extract(ids);
+    dev_.synchronize(stream_);
+  }
+}
+
+// ---- stages ---------------------------------------------------------------
+
+/// Zeroes the given fronts (their storage must be live) and assembles A's
+/// entries into them. FP32 levels assemble the (double) matrix values
+/// into float fronts — the first charged demotion of the mixed-precision
+/// pipeline. A call's fronts all share one level.
+void MultifrontalFactor::Pipeline::assemble(const std::vector<int>& ids) {
+  if (ids.empty()) return;
+  IRRLU_TRACE_SCOPE(dev_.tracer(), "assemble");
+  with_type(prec_of(ids[0]), [&]<typename T>(T) {
+    struct Meta {
+      T* base;
+      int dim, a0, a1;
+    };
+    auto metas = std::make_shared<std::vector<Meta>>();
+    for (int id : ids)
+      metas->push_back({storage_.base<T>(id),
+                        sym_.fronts[static_cast<std::size_t>(id)].dim(),
+                        asm_start_[static_cast<std::size_t>(id)],
+                        asm_start_[static_cast<std::size_t>(id) + 1]});
+    const int* arows = d_rows_.data();
+    const int* acols = d_cols_.data();
+    const int* aidx = d_aidx_.data();
+    const double* aval = d_aval_.data();
+    dev_.launch(stream_,
+                {"mf_assemble", static_cast<int>(metas->size()), 0,
+                 gpusim::kIndependentBlocks},
+                [metas, arows, acols, aidx, aval](gpusim::BlockCtx& ctx) {
+      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      const int ld = m.dim > 0 ? m.dim : 1;
+      std::fill(m.base, m.base + static_cast<std::size_t>(m.dim) * m.dim,
+                T{});
+      for (int e = m.a0; e < m.a1; ++e)
+        m.base[static_cast<std::ptrdiff_t>(acols[e]) * ld + arows[e]] +=
+            static_cast<T>(aval[aidx[e]]);
+      // Front traffic in the front's element width; the gather side reads
+      // the double-precision value array regardless.
+      ctx.record(0.0, static_cast<double>(m.dim) * m.dim * sizeof(T) +
+                          3.0 * (m.a1 - m.a0) * sizeof(double));
+    });
+  });
+}
+
+/// Absorbs the children's Schur complements into the given (parent)
+/// fronts; child storage must still be live. Symbolic analysis pins every
+/// child of a level-L front to level L+1, so one call has exactly one
+/// (parent, child) type pair — a mixed-precision boundary converts inside
+/// the accumulate, charged at the actual widths.
+void MultifrontalFactor::Pipeline::extend_add(const std::vector<int>& ids) {
+  if (ids.empty()) return;
+  const auto plvl = static_cast<std::size_t>(
+      sym_.fronts[static_cast<std::size_t>(ids[0])].level);
+  const auto& lp = mf_.level_prec_;
+  const Precision cp = plvl + 1 < lp.size() ? lp[plvl + 1] : lp[plvl];
+  with_type(lp[plvl], [&]<typename Tp>(Tp) {
+    with_type(cp, [&]<typename Tc>(Tc) {
+      struct Meta {
+        const Tc* child;
+        Tp* parent;
+        int u, ldc, ldp, map_off;
+      };
+      auto metas = std::make_shared<std::vector<Meta>>();
+      // One chain per parent: its children accumulate into the same
+      // entries, so they run in order; different parents run concurrently.
+      std::vector<int> chains;
+      for (int id : ids) {
+        const Front& p = sym_.fronts[static_cast<std::size_t>(id)];
+        const auto chain_start = static_cast<int>(metas->size());
+        for (int child : p.children) {
+          const Front& c = sym_.fronts[static_cast<std::size_t>(child)];
+          if (c.u() == 0) continue;
+          metas->push_back(
+              {storage_.base<Tc>(child) +
+                   static_cast<std::ptrdiff_t>(c.s()) * c.dim() + c.s(),
+               storage_.base<Tp>(id), c.u(), c.dim(),
+               p.dim() > 0 ? p.dim() : 1,
+               scat_start_[static_cast<std::size_t>(child)]});
+        }
+        if (static_cast<int>(metas->size()) > chain_start)
+          chains.push_back(chain_start);
+      }
+      if (metas->empty()) return;
+      IRRLU_TRACE_SCOPE(dev_.tracer(), "extend-add");
+      const int* smap = d_scat_.data();
+      dev_.launch(stream_,
+                  {"mf_extend_add", static_cast<int>(metas->size()), 0,
+                   gpusim::kIndependentBlocks, chains},
+                  [metas, smap](gpusim::BlockCtx& ctx) {
+        const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+        const int* map = smap + m.map_off;
+        for (int c = 0; c < m.u; ++c)
+          for (int r = 0; r < m.u; ++r)
+            m.parent[static_cast<std::ptrdiff_t>(map[c]) * m.ldp + map[r]] +=
+                static_cast<Tp>(
+                    m.child[static_cast<std::ptrdiff_t>(c) * m.ldc + r]);
+        // Scattered writes: penalized traffic on the parent side (4 parent
+        // accesses per element at the parent width, 1 child read at the
+        // child width).
+        ctx.record(static_cast<double>(m.u) * m.u,
+                   (4.0 * sizeof(Tp) + sizeof(Tc)) * m.u * m.u);
+      });
+    });
+  });
+}
+
+/// Max-magnitude entry of each of g's (dim x dim) fronts, written to
+/// `out`: before factorization the per-front boost reference ||F||_max,
+/// after it the numerator of the growth estimate. The extremum stays
+/// double for every front precision.
+template <typename T>
+void MultifrontalFactor::Pipeline::front_absmax(const FrontGroup& g,
+                                                double* out,
+                                                const char* name) {
+  T* const* fp = g.ptr<T>().f.data();
+  const int* ldp = g.ld.data();
+  const int* sp = g.svec.data();
+  const int* up = g.uvec.data();
+  dev_.launch(stream_, {name, g.count, 0, gpusim::kIndependentBlocks},
+              [=](gpusim::BlockCtx& ctx) {
+    const int k = ctx.block();
+    const int d = sp[k] + up[k];
+    if (d <= 0) return;
+    out[k] = block_absmax(fp[k], d, ldp[k]);
+    ctx.record(0.0, static_cast<double>(d) * d * sizeof(T));
+  });
+}
+
+/// Factors one group of fronts as a single irregular batch, in the
+/// group's precision: FP32 runs the same pivoting/boost/blocking
+/// decisions on float lanes at double flop rate (la::flop_weight) and
+/// half the traffic.
+void MultifrontalFactor::Pipeline::factor_group(const FrontGroup& g) {
+  if (g.count == 0 || g.smax == 0) return;
+  IRRLU_TRACE_SCOPE(dev_.tracer(),
+                    dev_.tracer() ? front_class(g.ids, sym_) : "");
+  with_type(g.prec, [&]<typename T>(T) {
+    const FrontPointers<T>& p = g.ptr<T>();
+    const int* ld = g.ld.data();
+    batch::IrrLuOptions lu = lu_;
+    if constexpr (std::is_same_v<T, float>) {
+      // FP32 panels run twice as wide (DESIGN.md §14): a 2*nb single-
+      // precision panel has the byte footprint — shared-memory, cache-line
+      // and laswp-traffic-wise — of the FP64 nb panel, and the doubled
+      // width halves the blocked loop's launch count, which is what bounds
+      // small-front batches. The preallocated laswp workspace is sized for
+      // the FP64 nb; passing null lets irr_getrf draw a matching wider one
+      // from the device's per-stream workspace cache.
+      lu.nb = 2 * std::max(1, lu.nb);
+      lu.laswp_workspace = nullptr;
+    }
+    if (opts_.pivot_tau > 0) {
+      front_absmax<T>(g, g.anorm.data(), "mf_front_norm");
+      lu.boost.tau = opts_.pivot_tau;
+      lu.boost.anorm_vec = g.anorm.data();
+      lu.boost.boost_vec = g.boost.data();
+    }
+    batch::irr_getrf<T>(dev_, stream_, g.smax, g.smax, p.f.data(), ld, 0, 0,
+                        g.svec.data(), g.svec.data(), g.ipiv.data(),
+                        g.info.data(), g.count, lu);
+    if (g.umax > 0) {
+      // Pivot application to F12: the FP64 path keeps the strided
+      // reference kernel — its cost schedule is pinned by the
+      // pre-mixed-precision baseline (fig10 bit/cost-identity). The FP32
+      // fronts take the rehearsed staged variant, which compresses the
+      // swap chain so each touched row moves once through shared-memory
+      // chunks.
+      const auto* piv = const_cast<int const* const*>(g.ipiv.data());
+      if constexpr (std::is_same_v<T, float>)
+        batch::irr_laswp_range_staged<T>(dev_, stream_, 0, g.smax, g.umax,
+                                         p.f12.data(), ld, 0, g.svec.data(),
+                                         g.uvec.data(), piv, g.count);
+      else
+        batch::irr_laswp_range<T>(dev_, stream_, 0, g.smax, g.umax,
+                                  p.f12.data(), ld, 0, g.svec.data(),
+                                  g.uvec.data(), piv, g.count);
+      const auto* f = const_cast<T const* const*>(p.f.data());
+      batch::irr_trsm<T>(dev_, stream_, la::Side::Left, la::Uplo::Lower,
+                         la::Trans::No, la::Diag::Unit, g.smax, g.umax, T(1),
+                         f, ld, 0, 0, p.f12.data(), ld, 0, 0, g.svec.data(),
+                         g.uvec.data(), g.count);
+      batch::irr_trsm<T>(dev_, stream_, la::Side::Right, la::Uplo::Upper,
+                         la::Trans::No, la::Diag::NonUnit, g.umax, g.smax,
+                         T(1), f, ld, 0, 0, p.f21.data(), ld, 0, 0,
+                         g.uvec.data(), g.svec.data(), g.count);
+      // Schur update F22 -= F21 F12 of fronts [k, k + count) as one
+      // batch. Per-front results do not depend on the batch (irrGEMM tiles
+      // every front from its own origin), so splitting it is bitwise free.
+      auto schur = [&](int k, int count, int umax, int smax) {
+        batch::irr_gemm<T>(
+            dev_, stream_, la::Trans::No, la::Trans::No, umax, umax, smax,
+            T(-1), const_cast<T const* const*>(p.f21.data() + k), ld + k, 0,
+            0, const_cast<T const* const*>(p.f12.data() + k), ld + k, 0, 0,
+            T(1), p.f22.data() + k, ld + k, 0, 0, g.uvec.data() + k,
+            g.uvec.data() + k, g.svec.data() + k, count);
+      };
+      schur(0, g.lead, g.lead_umax, g.lead_smax);
+      for (int k = g.lead; k < g.count; ++k) {
+        const Front& fr = sym_.fronts[static_cast<std::size_t>(
+            g.ids[static_cast<std::size_t>(k)])];
+        schur(k, 1, fr.u(), fr.s());
+      }
+    }
+    // Post-elimination extremum: gmax / anorm is the per-front growth.
+    if (opts_.pivot_tau > 0)
+      front_absmax<T>(g, g.gmax.data(), "mf_front_growth");
+  });
+}
+
+/// Factors one level's routed fronts through the interleaved pipeline
+/// (DESIGN.md §12): each (s, u) class is packed into an SoA slab of the
+/// shared level workspace, then the whole level runs as ONE launch per
+/// stage — getf2, row swaps, the two TRSMs, the Schur GEMM — with every
+/// kernel vectorizing across the batch index. Per-lane operation
+/// sequences replicate the strided kernels, so the unpacked factors match
+/// the strided schedule's (DESIGN.md §12 states the build condition).
+void MultifrontalFactor::Pipeline::factor_interleaved(
+    const IlvBuckets& buckets, Precision prec) {
+  if (buckets.empty()) return;
+  with_type(prec, [&]<typename T>(T) {
+    struct Slab {
+      int s = 0, u = 0;
+      int count = 0;  ///< lanes (fronts) in this class
+      int base = 0;   ///< offset of the class within the level group
+      batch::IlvViewT<T> view{nullptr, 1, 0};
+    };
+    std::vector<Slab> slabs;
+    std::vector<int> routed;
+    std::size_t total = 0;
+    int smax = 0;
+    for (const auto& [su, bids] : buckets) {
+      const int d = su.first + su.second;
+      slabs.push_back({su.first, su.second, static_cast<int>(bids.size()),
+                       static_cast<int>(routed.size())});
+      total += static_cast<std::size_t>(d) * d * bids.size();
+      smax = std::max(smax, su.first);
+      routed.insert(routed.end(), bids.begin(), bids.end());
+    }
+    IRRLU_TRACE_SCOPE(dev_.tracer(),
+                      dev_.tracer() ? front_class(routed, sym_) : "");
+    // ONE descriptor group for the whole level's routed fronts, in bucket
+    // order: every class addresses a contiguous subrange at its `base`, so
+    // a level pays one set of descriptor allocations instead of one per
+    // class (device allocations carry simulated cost; a deep tree has many
+    // single-front classes).
+    const FrontGroup& g = make_group(routed);
+    // Distinct workspace slabs per element type, so a mixed-policy tree
+    // never aliases float lanes over double ones.
+    T* ws = dev_.workspace<T>(
+        std::is_same_v<T, float> ? "mf.ilv.packf" : "mf.ilv.pack",
+        std::max<std::size_t>(total, 1));
+    for (auto& sl : slabs) {
+      const int d = sl.s + sl.u;
+      sl.view = batch::IlvViewT<T>{ws, d > 0 ? d : 1, sl.count};
+      ws += static_cast<std::size_t>(d) * d *
+            static_cast<std::size_t>(sl.count);
+    }
+    // Norm/growth harvest mirrors the strided group guard (count == 0 ||
+    // smax == 0 -> no diagnostics), applied to the routed collection.
+    const bool norms = opts_.pivot_tau > 0 && smax > 0;
+    auto at = [&](auto* v, const Slab& sl) {
+      return norms ? v + sl.base : nullptr;
+    };
+    // Strided <-> SoA copies of every class, fused with the norm (pack) or
+    // growth (unpack) extremum.
+    auto copies = [&](double* absmax) {
+      std::vector<batch::IlvPackDescT<T>> descs;
+      for (const auto& sl : slabs) {
+        batch::IlvPackDescT<T> d;
+        d.dst = sl.view;
+        d.m = d.n = sl.s + sl.u;
+        d.lanes = sl.count;
+        d.src = g.ptr<T>().f.data() + sl.base;
+        d.src_ld = g.ld.data() + sl.base;
+        d.absmax = at(absmax, sl);
+        descs.push_back(d);
+      }
+      return descs;
+    };
+    // One fused launch of a compute stage over the classes that have it:
+    // getf2 needs s > 0, the update-block stages also u > 0.
+    auto stage = [&](const char* name, bool update, auto op) {
+      std::vector<batch::IlvOpDesc> descs;
+      for (const auto& sl : slabs)
+        if (sl.s > 0 && (!update || sl.u > 0)) descs.push_back(op(sl));
+      batch::ilv_launch(dev_, stream_, name, std::move(descs));
+    };
+    batch::ilv_pack<T>(dev_, stream_, copies(g.anorm.data()));
+    stage("ilv_getf2", false, [&](const Slab& sl) {
+      return batch::ilv_getf2_op(
+          kcache_, sl.view, sl.s, sl.s, sl.count, g.ipiv.data() + sl.base,
+          g.info.data() + sl.base, norms ? opts_.pivot_tau : 0.0,
+          at(g.anorm.data(), sl), at(g.boost.data(), sl));
+    });
+    {
+      std::vector<batch::IlvLaswpDescT<T>> descs;
+      for (const auto& sl : slabs) {
+        if (sl.s <= 0 || sl.u <= 0) continue;
+        batch::IlvLaswpDescT<T> d;
+        d.view = sl.view.subview(0, sl.s);
+        d.rows = sl.s;
+        d.width = sl.u;
+        d.lanes = sl.count;
+        d.ipiv = g.ipiv.data() + sl.base;
+        descs.push_back(d);
+      }
+      batch::ilv_laswp<T>(dev_, stream_, std::move(descs));
+    }
+    stage("ilv_trsm_l", true, [&](const Slab& sl) {
+      return batch::ilv_trsm_op(kcache_, la::Side::Left, la::Uplo::Lower,
+                                la::Diag::Unit, sl.s, sl.u, 1.0, sl.view,
+                                sl.view.subview(0, sl.s), sl.count);
+    });
+    stage("ilv_trsm_r", true, [&](const Slab& sl) {
+      return batch::ilv_trsm_op(kcache_, la::Side::Right, la::Uplo::Upper,
+                                la::Diag::NonUnit, sl.u, sl.s, 1.0, sl.view,
+                                sl.view.subview(sl.s, 0), sl.count);
+    });
+    stage("ilv_schur", true, [&](const Slab& sl) {
+      return batch::ilv_gemm_op(kcache_, sl.u, sl.u, sl.s, -1.0,
+                                sl.view.subview(sl.s, 0),
+                                sl.view.subview(0, sl.s), 1.0,
+                                sl.view.subview(sl.s, sl.s), sl.count);
+    });
+    batch::ilv_unpack<T>(dev_, stream_, copies(g.gmax.data()));
+  });
+}
+
+/// Copies the factored blocks of the given fronts into the compact store
+/// matching their level's precision. The postorder engines extract every
+/// level in one call, so FP64 fronts go first, then FP32 ones.
+void MultifrontalFactor::Pipeline::extract(const std::vector<int>& ids) {
+  for (Precision prec : {Precision::kF64, Precision::kF32})
+    with_type(prec, [&]<typename T>(T) {
+      struct Meta {
+        const T* base;
+        T* out;
+        int s, u, ld;
+      };
+      auto metas = std::make_shared<std::vector<Meta>>();
+      for (int id : ids) {
+        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
+        if (fr.s() == 0 || prec_of(id) != prec) continue;
+        metas->push_back(
+            {storage_.base<T>(id),
+             factor_store<T>() +
+                 mf_.fstore_offset_[static_cast<std::size_t>(id)],
+             fr.s(), fr.u(), fr.dim()});
+      }
+      if (metas->empty()) return;
+      IRRLU_TRACE_SCOPE(dev_.tracer(), "extract");
+      dev_.launch(stream_,
+                  {"mf_extract", static_cast<int>(metas->size()), 0,
+                   gpusim::kIndependentBlocks},
+                  [metas](gpusim::BlockCtx& ctx) {
+        const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+        T* out = m.out;
+        // L11\U11: s x s, ld s.
+        for (int c = 0; c < m.s; ++c)
+          for (int r = 0; r < m.s; ++r)
+            *out++ = m.base[static_cast<std::ptrdiff_t>(c) * m.ld + r];
+        // U12: s x u, ld s.
+        for (int c = 0; c < m.u; ++c)
+          for (int r = 0; r < m.s; ++r)
+            *out++ = m.base[static_cast<std::ptrdiff_t>(m.s + c) * m.ld + r];
+        // L21: u x s, ld u.
+        for (int c = 0; c < m.s; ++c)
+          for (int r = 0; r < m.u; ++r)
+            *out++ = m.base[static_cast<std::ptrdiff_t>(c) * m.ld + m.s + r];
+        const double elems = static_cast<double>(m.s) * (m.s + 2.0 * m.u);
+        ctx.record(0.0, 2.0 * elems * sizeof(T));
+      });
+    });
+}
+
+/// `looped_gemms`: trailing fronts of `ids` whose Schur GEMM runs as a
+/// dedicated launch (see FrontGroup::lead).
+FrontGroup& MultifrontalFactor::Pipeline::make_group(
+    const std::vector<int>& ids, int looped_gemms) {
+  groups_.push_back(std::make_unique<FrontGroup>(
+      dev_, sym_, ids, storage_, mf_.ipiv_offset_, mf_.ipiv_storage_.data(),
+      ids.empty() ? Precision::kF64 : prec_of(ids[0]), looped_gemms));
+  return *groups_.back();
+}
+
+// ---- the constructor: store allocations, one driver call, the report ----
 
 MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
                                        const CsrMatrix& a_perm,
@@ -328,43 +1052,35 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   // has a single conversion direction.
   level_prec_.resize(sym.levels.size());
   for (std::size_t l = 0; l < sym.levels.size(); ++l)
-    level_prec_[l] = level_precision(opts.precision, static_cast<int>(l),
-                                     opts.adaptive_root_levels);
+    level_prec_[l] = level_precision(opts.precision, static_cast<int>(l));
 
   // Compact factor store: L11\U11 (s x s) + U12 (s x u) + L21 (u x s).
   // FP64 and FP32 fronts index disjoint stores; fstore_offset_[f] points
-  // into whichever store matches the front's level precision.
+  // into whichever store matches the front's level precision. The
+  // flattened update index lists serve the device-side solve.
   fstore_offset_.resize(nf);
   ipiv_offset_.resize(nf);
-  std::size_t felems = 0, felems_f = 0, pivots = 0;
+  upd_offset_.resize(nf);
+  std::size_t felems = 0, felems_f = 0, pivots = 0, upd_total = 0;
   for (std::size_t i = 0; i < nf; ++i) {
+    const Front& fr = sym.fronts[i];
+    const auto s = static_cast<std::size_t>(fr.s());
+    const auto elems = s * s + 2 * s * static_cast<std::size_t>(fr.u());
+    std::size_t& fill =
+        front_prec(static_cast<int>(i)) == Precision::kF32 ? felems_f
+                                                           : felems;
+    fstore_offset_[i] = fill;
+    fill += elems;
     ipiv_offset_[i] = pivots;
-    const auto s = static_cast<std::size_t>(sym.fronts[i].s());
-    const auto u = static_cast<std::size_t>(sym.fronts[i].u());
-    const auto elems = s * s + 2 * s * u;
-    if (level_prec_[static_cast<std::size_t>(sym.fronts[i].level)] ==
-        Precision::kF32) {
-      fstore_offset_[i] = felems_f;
-      felems_f += elems;
-    } else {
-      fstore_offset_[i] = felems;
-      felems += elems;
-    }
     pivots += s;
+    upd_offset_[i] = upd_total;
+    upd_total += fr.upd.size();
   }
   {
     IRRLU_TRACE_SCOPE(dev.tracer(), "factor-store");
     factor_store_ = dev.alloc<double>(felems);
     if (felems_f > 0) factor_store_f_ = dev.alloc<float>(felems_f);
     ipiv_storage_ = dev.alloc<int>(pivots);
-  }
-
-  // Flattened update index lists (needed by the device-side solve).
-  upd_offset_.resize(nf);
-  std::size_t upd_total = 0;
-  for (std::size_t i = 0; i < nf; ++i) {
-    upd_offset_[i] = upd_total;
-    upd_total += sym.fronts[i].upd.size();
   }
   {
     IRRLU_TRACE_SCOPE(dev.tracer(), "upd-index");
@@ -382,810 +1098,12 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   // rollup below (the trace may already hold earlier work).
   const std::size_t trace_l0 =
       dev.tracer() != nullptr ? dev.tracer()->launches().size() : 0;
-  auto& stream = dev.stream();
 
-  FrontStorage storage(dev, sym, mode, level_prec_);
+  Pipeline pipe(*this, a_perm, mode, opts);
+  const batch::KernelCache::Stats dstats0 = pipe.kernel_cache().stats();
+  pipe.run(opts.engine);
 
-  // ---- one-time setup: owner maps and assembly lists -----------------
-  const int n = a_perm.rows();
-  std::vector<int> owner(static_cast<std::size_t>(n), -1);
-  for (std::size_t fi = 0; fi < nf; ++fi)
-    for (int g = sym.fronts[fi].sep_begin; g < sym.fronts[fi].sep_end; ++g)
-      owner[static_cast<std::size_t>(g)] = static_cast<int>(fi);
-
-  // Flattened (front -> entries) assembly triples, CSR-style: asm_start
-  // segments d_rows/d_cols/d_aidx by owning front. Built in three counted
-  // passes with no per-entry search and no per-front growing vectors:
-  //  1. count each front's entries (recording the owner per nonzero);
-  //  2. scatter the *global* (row, col, value-index) triples into the
-  //     segmented arrays through per-front cursors;
-  //  3. per front, convert the globals to front-local indices through a
-  //     global->local map filled once per front (the `stamp` array makes
-  //     membership checkable, replacing the old per-entry binary search
-  //     through fr.upd).
-  const std::size_t nnz = a_perm.ind().size();
-  std::vector<int> ent_front(nnz);
-  std::vector<int> asm_start(nf + 1, 0);
-  for (int i = 0; i < n; ++i)
-    for (int k = a_perm.ptr()[static_cast<std::size_t>(i)];
-         k < a_perm.ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int j = a_perm.ind()[static_cast<std::size_t>(k)];
-      const int fo = owner[static_cast<std::size_t>(std::min(i, j))];
-      IRRLU_CHECK(fo >= 0);
-      ent_front[static_cast<std::size_t>(k)] = fo;
-      ++asm_start[static_cast<std::size_t>(fo) + 1];
-    }
-  for (std::size_t fi = 0; fi < nf; ++fi) asm_start[fi + 1] += asm_start[fi];
-  gpusim::DeviceBuffer<int> d_rows, d_cols, d_aidx;
-  {
-    IRRLU_TRACE_SCOPE(dev.tracer(), "assembly");
-    d_rows = dev.alloc<int>(static_cast<std::size_t>(asm_start[nf]));
-    d_cols = dev.alloc<int>(static_cast<std::size_t>(asm_start[nf]));
-    d_aidx = dev.alloc<int>(static_cast<std::size_t>(asm_start[nf]));
-  }
-  std::vector<int> cursor(asm_start.begin(), asm_start.end() - 1);
-  for (int i = 0; i < n; ++i)
-    for (int k = a_perm.ptr()[static_cast<std::size_t>(i)];
-         k < a_perm.ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
-      const auto o = static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(ent_front[static_cast<std::size_t>(
-              k)])]++);
-      d_rows[o] = i;
-      d_cols[o] = a_perm.ind()[static_cast<std::size_t>(k)];
-      d_aidx[o] = k;
-    }
-  {
-    std::vector<int> glob2loc(static_cast<std::size_t>(n), -1);
-    std::vector<int> stamp(static_cast<std::size_t>(n), -1);
-    for (std::size_t fi = 0; fi < nf; ++fi) {
-      const Front& fr = sym.fronts[fi];
-      const int s = fr.s();
-      for (int g = fr.sep_begin; g < fr.sep_end; ++g) {
-        glob2loc[static_cast<std::size_t>(g)] = g - fr.sep_begin;
-        stamp[static_cast<std::size_t>(g)] = static_cast<int>(fi);
-      }
-      for (std::size_t t = 0; t < fr.upd.size(); ++t) {
-        const auto g = static_cast<std::size_t>(fr.upd[t]);
-        glob2loc[g] = s + static_cast<int>(t);
-        stamp[g] = static_cast<int>(fi);
-      }
-      for (auto o = static_cast<std::size_t>(asm_start[fi]);
-           o < static_cast<std::size_t>(asm_start[fi + 1]); ++o) {
-        IRRLU_CHECK(stamp[static_cast<std::size_t>(d_rows[o])] ==
-                        static_cast<int>(fi) &&
-                    stamp[static_cast<std::size_t>(d_cols[o])] ==
-                        static_cast<int>(fi));
-        d_rows[o] = glob2loc[static_cast<std::size_t>(d_rows[o])];
-        d_cols[o] = glob2loc[static_cast<std::size_t>(d_cols[o])];
-      }
-    }
-  }
-  gpusim::DeviceBuffer<double> d_aval;
-  {
-    IRRLU_TRACE_SCOPE(dev.tracer(), "assembly");
-    d_aval = dev.alloc<double>(a_perm.val().size());
-  }
-  std::copy(a_perm.val().begin(), a_perm.val().end(), d_aval.data());
-
-  // Scatter maps: this front's upd positions inside the parent.
-  std::vector<int> scat_start(nf + 1, 0);
-  for (std::size_t fi = 0; fi < nf; ++fi)
-    scat_start[fi + 1] =
-        scat_start[fi] +
-        (sym.fronts[fi].parent >= 0 ? sym.fronts[fi].u() : 0);
-  gpusim::DeviceBuffer<int> d_scat;
-  {
-    IRRLU_TRACE_SCOPE(dev.tracer(), "assembly");
-    d_scat = dev.alloc<int>(static_cast<std::size_t>(scat_start[nf]));
-  }
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    const Front& fr = sym.fronts[fi];
-    if (fr.parent < 0) continue;
-    IRRLU_CHECK(static_cast<int>(fr.parent_map.size()) == fr.u());
-    for (std::size_t e = 0; e < fr.parent_map.size(); ++e)
-      d_scat[static_cast<std::size_t>(scat_start[fi]) + e] =
-          fr.parent_map[e];
-  }
-  const int* smap = d_scat.data();
-
-  // ---- reusable per-group kernels --------------------------------------
-  // Zero + assemble-from-A the given fronts (their storage must be live).
-  // Templated on the level's front element type: FP32 levels assemble the
-  // (double) matrix values into float fronts — the first charged
-  // demotion of the mixed-precision pipeline. A call's fronts all share
-  // one level (kBatched/kLegacy iterate per level; kLooped passes single
-  // fronts), so the wrapper picks the type from the first id.
-  auto assemble_t = [&]<typename T>(const std::vector<int>& ids) {
-    if (ids.empty()) return;
-    IRRLU_TRACE_SCOPE(dev.tracer(), "assemble");
-    struct Meta {
-      T* base;
-      int dim, a0, a1;
-    };
-    auto metas = std::make_shared<std::vector<Meta>>();
-    for (int id : ids)
-      metas->push_back({storage.base<T>(id),
-                        sym.fronts[static_cast<std::size_t>(id)].dim(),
-                        asm_start[static_cast<std::size_t>(id)],
-                        asm_start[static_cast<std::size_t>(id) + 1]});
-    const int* arows = d_rows.data();
-    const int* acols = d_cols.data();
-    const int* aidx = d_aidx.data();
-    const double* aval = d_aval.data();
-    dev.launch(stream,
-               {"mf_assemble", static_cast<int>(metas->size()), 0,
-                gpusim::kIndependentBlocks},
-               [metas, arows, acols, aidx, aval](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int ld = m.dim > 0 ? m.dim : 1;
-      std::fill(m.base, m.base + static_cast<std::size_t>(m.dim) * m.dim,
-                T{});
-      for (int e = m.a0; e < m.a1; ++e)
-        m.base[static_cast<std::ptrdiff_t>(acols[e]) * ld + arows[e]] +=
-            static_cast<T>(aval[aidx[e]]);
-      // Front traffic in the front's element width; the gather side reads
-      // the double-precision value array regardless.
-      ctx.record(0.0, static_cast<double>(m.dim) * m.dim * sizeof(T) +
-                          3.0 * (m.a1 - m.a0) * sizeof(double));
-    });
-  };
-  auto assemble = [&](const std::vector<int>& ids) {
-    if (ids.empty()) return;
-    const auto lvl = static_cast<std::size_t>(
-        sym.fronts[static_cast<std::size_t>(ids[0])].level);
-    if (level_prec_[lvl] == Precision::kF32)
-      assemble_t.template operator()<float>(ids);
-    else
-      assemble_t.template operator()<double>(ids);
-  };
-
-  // Extend-add: absorb the children's Schur complements into the given
-  // (parent) fronts. Child storage must still be live. Templated on the
-  // (parent, child) element types: symbolic analysis pins every child of
-  // a level-L front to level L+1, so one call has exactly one type pair —
-  // mixed-precision boundaries convert inside the accumulate (the update
-  // crosses the precision seam here, charged at the actual widths).
-  auto gather_children_t = [&]<typename Tp, typename Tc>(
-                               const std::vector<int>& ids) {
-    struct Meta {
-      const Tc* child;
-      Tp* parent;
-      int u, ldc, ldp, map_off;
-    };
-    auto metas = std::make_shared<std::vector<Meta>>();
-    // One chain per parent: its children accumulate into the same entries,
-    // so they run in order; different parents run concurrently.
-    std::vector<int> chains;
-    for (int id : ids) {
-      const Front& p = sym.fronts[static_cast<std::size_t>(id)];
-      const auto chain_start = static_cast<int>(metas->size());
-      for (int child : p.children) {
-        const Front& c = sym.fronts[static_cast<std::size_t>(child)];
-        if (c.u() == 0) continue;
-        metas->push_back(
-            {storage.base<Tc>(child) +
-                 static_cast<std::ptrdiff_t>(c.s()) * c.dim() + c.s(),
-             storage.base<Tp>(id), c.u(), c.dim(), p.dim() > 0 ? p.dim() : 1,
-             scat_start[static_cast<std::size_t>(child)]});
-      }
-      if (static_cast<int>(metas->size()) > chain_start)
-        chains.push_back(chain_start);
-    }
-    if (metas->empty()) return;
-    IRRLU_TRACE_SCOPE(dev.tracer(), "extend-add");
-    dev.launch(stream,
-               {"mf_extend_add", static_cast<int>(metas->size()), 0,
-                gpusim::kIndependentBlocks, chains},
-               [metas, smap](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int* map = smap + m.map_off;
-      for (int c = 0; c < m.u; ++c)
-        for (int r = 0; r < m.u; ++r)
-          m.parent[static_cast<std::ptrdiff_t>(map[c]) * m.ldp + map[r]] +=
-              static_cast<Tp>(
-                  m.child[static_cast<std::ptrdiff_t>(c) * m.ldc + r]);
-      // Scattered writes: penalized traffic on the parent side (4 parent
-      // accesses per element at the parent width, 1 child read at the
-      // child width).
-      ctx.record(static_cast<double>(m.u) * m.u,
-                 (4.0 * sizeof(Tp) + sizeof(Tc)) * m.u * m.u);
-    });
-  };
-  auto gather_children = [&](const std::vector<int>& ids) {
-    if (ids.empty()) return;
-    const auto plvl = static_cast<std::size_t>(
-        sym.fronts[static_cast<std::size_t>(ids[0])].level);
-    const Precision pp = level_prec_[plvl];
-    const Precision cp =
-        plvl + 1 < level_prec_.size() ? level_prec_[plvl + 1] : pp;
-    if (pp == Precision::kF32) {
-      if (cp == Precision::kF32)
-        gather_children_t.template operator()<float, float>(ids);
-      else
-        gather_children_t.template operator()<float, double>(ids);
-    } else {
-      if (cp == Precision::kF32)
-        gather_children_t.template operator()<double, float>(ids);
-      else
-        gather_children_t.template operator()<double, double>(ids);
-    }
-  };
-
-  // Copy the factored blocks of the given fronts into the compact store —
-  // each front into the store matching its level's precision. kLooped
-  // extracts all levels in one call, so the wrapper splits by precision
-  // (pure-FP64 runs keep every front in the double list, in order).
-  auto extract_factors_t = [&]<typename T>(const std::vector<int>& ids,
-                                           T* store) {
-    if (ids.empty()) return;
-    struct Meta {
-      const T* base;
-      T* out;
-      int s, u, ld;
-    };
-    auto metas = std::make_shared<std::vector<Meta>>();
-    for (int id : ids) {
-      const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
-      if (fr.s() == 0) continue;
-      metas->push_back({storage.base<T>(id),
-                        store +
-                            fstore_offset_[static_cast<std::size_t>(id)],
-                        fr.s(), fr.u(), fr.dim()});
-    }
-    if (metas->empty()) return;
-    IRRLU_TRACE_SCOPE(dev.tracer(), "extract");
-    dev.launch(stream,
-               {"mf_extract", static_cast<int>(metas->size()), 0,
-                gpusim::kIndependentBlocks},
-               [metas](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      T* out = m.out;
-      // L11\U11: s x s, ld s.
-      for (int c = 0; c < m.s; ++c)
-        for (int r = 0; r < m.s; ++r)
-          *out++ = m.base[static_cast<std::ptrdiff_t>(c) * m.ld + r];
-      // U12: s x u, ld s.
-      for (int c = 0; c < m.u; ++c)
-        for (int r = 0; r < m.s; ++r)
-          *out++ =
-              m.base[static_cast<std::ptrdiff_t>(m.s + c) * m.ld + r];
-      // L21: u x s, ld u.
-      for (int c = 0; c < m.s; ++c)
-        for (int r = 0; r < m.u; ++r)
-          *out++ =
-              m.base[static_cast<std::ptrdiff_t>(c) * m.ld + m.s + r];
-      const double elems =
-          static_cast<double>(m.s) * (m.s + 2.0 * m.u);
-      ctx.record(0.0, 2.0 * elems * sizeof(T));
-    });
-  };
-  auto extract_factors = [&](const std::vector<int>& ids) {
-    if (ids.empty()) return;
-    std::vector<int> dids, fids;
-    for (int id : ids) {
-      const auto lvl = static_cast<std::size_t>(
-          sym.fronts[static_cast<std::size_t>(id)].level);
-      (level_prec_[lvl] == Precision::kF32 ? fids : dids).push_back(id);
-    }
-    extract_factors_t.template operator()<double>(dids,
-                                                  factor_store_.data());
-    extract_factors_t.template operator()<float>(fids,
-                                                 factor_store_f_.data());
-  };
-
-  // ---- factorization workspaces (allocated once: fully async driver) --
-  // One workspace pair per stream, so multi-stream level processing does
-  // not race on them.
-  const int num_streams =
-      opts.engine == Engine::kBatched ? std::max(1, opts.num_streams) : 1;
-  int max_batch = 1;
-  for (const auto& lv : sym.levels)
-    max_batch = std::max(max_batch, static_cast<int>(lv.size()));
-  const int nb = std::max(1, opts.lu.nb);
-  std::vector<gpusim::DeviceBuffer<int>> kmin_ws, laswp_ws;
-  std::vector<batch::IrrLuOptions> lu_opts_of(
-      static_cast<std::size_t>(num_streams), opts.lu);
-  for (int s = 0; s < num_streams; ++s) {
-    IRRLU_TRACE_SCOPE(dev.tracer(), "workspace");
-    kmin_ws.push_back(dev.alloc<int>(static_cast<std::size_t>(max_batch)));
-    laswp_ws.push_back(
-        dev.alloc<int>(batch::irr_laswp_workspace_size(max_batch, nb)));
-    lu_opts_of[static_cast<std::size_t>(s)].kmin_workspace =
-        kmin_ws.back().data();
-    lu_opts_of[static_cast<std::size_t>(s)].laswp_workspace =
-        laswp_ws.back().data();
-  }
-  const batch::IrrLuOptions& lu_opts = lu_opts_of[0];
-
-  // ---- interleaved (SoA) small-front routing (DESIGN.md §12) -----------
-  // Single-stream batched engine only: the SoA slabs serialize a level's
-  // buckets onto one stream anyway, and the bitwise-identity argument is
-  // made against the single-stream strided schedule.
-  const bool use_ilv = opts.interleaved.enabled &&
-                       opts.engine == Engine::kBatched && num_streams == 1;
-  // Cap clamped to 32: above it the strided path switches to blocked
-  // panels / recursive TRSM whose operation order the interleaved kernels
-  // do not mirror (see InterleavedOptions::max_class_dim).
-  const int ilv_cap = std::min(opts.interleaved.max_class_dim, 32);
-  IRRLU_CHECK(opts.dispatch_plan == nullptr ||
-              opts.dispatch_cache != nullptr);
-  batch::KernelCache local_dispatch_cache;  // when the caller passed none
-  batch::KernelCache* const kcache = opts.dispatch_cache != nullptr
-                                         ? opts.dispatch_cache
-                                         : &local_dispatch_cache;
-  const batch::Dispatch disp{kcache, opts.dispatch_plan};
-  const batch::KernelCache::Stats dstats0 = kcache->stats();
-
-  std::vector<std::unique_ptr<FrontGroup>> groups;  // keep alive
-
-  // Max-magnitude entry of each front's full (dim x dim) block, written to
-  // `out` — before factorization it is the per-front boost reference
-  // ||F||_max, after it the numerator of the growth estimate. The
-  // extremum itself stays double for every front precision (it feeds the
-  // boost rule and the growth report).
-  auto front_absmax = [&]<typename T>(const FrontGroup& g, T* const* fp,
-                                      gpusim::Stream& st, double* out,
-                                      const char* name) {
-    const int* ldp = g.ld.data();
-    const int* sp = g.svec.data();
-    const int* up = g.uvec.data();
-    dev.launch(st, {name, g.count, 0, gpusim::kIndependentBlocks},
-               [=](gpusim::BlockCtx& ctx) {
-      const int k = ctx.block();
-      const int d = sp[k] + up[k];
-      if (d <= 0) return;
-      out[k] = block_absmax(fp[k], d, ldp[k]);
-      ctx.record(0.0, static_cast<double>(d) * d * sizeof(T));
-    });
-  };
-
-  // Factors one group of fronts as a single irregular batch on the given
-  // stream, in the group's precision: the FP32 instantiations run the
-  // same pivoting/boost/blocking decisions on float lanes at double flop
-  // rate (la::flop_weight) and half the traffic.
-  auto factor_group_t = [&]<typename T>(const FrontGroup& g, T* const* gf,
-                                        T* const* gf12, T* const* gf21,
-                                        T* const* gf22,
-                                        gpusim::Stream& stream,
-                                        const batch::IrrLuOptions& lu_opts) {
-    batch::IrrLuOptions lu = lu_opts;
-    if constexpr (std::is_same_v<T, float>) {
-      // FP32 panels run twice as wide (DESIGN.md §14): a 2*nb single-
-      // precision panel has the byte footprint — shared-memory, cache-line
-      // and laswp-traffic-wise — of the FP64 nb panel, and the doubled
-      // width halves the blocked loop's launch count, which is what bounds
-      // small-front batches. The preallocated laswp workspace is sized for
-      // the FP64 nb; passing null lets irr_getrf draw a matching wider one
-      // from the device's per-stream workspace cache.
-      lu.nb = 2 * std::max(1, lu.nb);
-      lu.laswp_workspace = nullptr;
-    }
-    if (opts.pivot_tau > 0) {
-      front_absmax.template operator()<T>(g, gf, stream, g.anorm.data(),
-                                          "mf_front_norm");
-      lu.boost.tau = opts.pivot_tau;
-      lu.boost.anorm_vec = g.anorm.data();
-      lu.boost.boost_vec = g.boost.data();
-    }
-    batch::irr_getrf<T>(dev, stream, g.smax, g.smax, gf,
-                        g.ld.data(), 0, 0, g.svec.data(), g.svec.data(),
-                        g.ipiv.data(), g.info.data(), g.count, lu);
-    if (g.umax > 0) {
-      // Pivot application to F12: the FP64 path keeps the strided
-      // reference kernel — its cost schedule is pinned by the
-      // pre-mixed-precision baseline (fig10 bit/cost-identity). The FP32
-      // fronts are new with DESIGN.md §14 and take the rehearsed staged
-      // variant, which compresses the swap chain so each touched row
-      // moves once through shared-memory chunks.
-      if constexpr (std::is_same_v<T, float>)
-        batch::irr_laswp_range_staged<T>(
-            dev, stream, 0, g.smax, g.umax, gf12, g.ld.data(), 0,
-            g.svec.data(), g.uvec.data(),
-            const_cast<int const* const*>(g.ipiv.data()), g.count);
-      else
-        batch::irr_laswp_range<T>(
-            dev, stream, 0, g.smax, g.umax, gf12, g.ld.data(), 0,
-            g.svec.data(), g.uvec.data(),
-            const_cast<int const* const*>(g.ipiv.data()), g.count);
-      batch::irr_trsm<T>(
-          dev, stream, la::Side::Left, la::Uplo::Lower, la::Trans::No,
-          la::Diag::Unit, g.smax, g.umax, T(1),
-          const_cast<T const* const*>(gf), g.ld.data(), 0, 0,
-          gf12, g.ld.data(), 0, 0, g.svec.data(), g.uvec.data(),
-          g.count);
-      batch::irr_trsm<T>(
-          dev, stream, la::Side::Right, la::Uplo::Upper, la::Trans::No,
-          la::Diag::NonUnit, g.umax, g.smax, T(1),
-          const_cast<T const* const*>(gf), g.ld.data(), 0, 0,
-          gf21, g.ld.data(), 0, 0, g.uvec.data(), g.svec.data(),
-          g.count);
-      // Schur update F22 -= F21 F12 of fronts [k, k + count) as one
-      // batch. Per-front results do not depend on the batch (irrGEMM tiles
-      // every front from its own origin), so splitting it is bitwise free.
-      auto schur = [&](int k, int count, int umax, int smax) {
-        batch::irr_gemm<T>(
-            dev, stream, la::Trans::No, la::Trans::No, umax, umax, smax,
-            T(-1), const_cast<T const* const*>(gf21 + k), g.ld.data() + k,
-            0, 0, const_cast<T const* const*>(gf12 + k), g.ld.data() + k,
-            0, 0, T(1), gf22 + k, g.ld.data() + k, 0, 0, g.uvec.data() + k,
-            g.uvec.data() + k, g.svec.data() + k, count);
-      };
-      schur(0, g.lead, g.lead_umax, g.lead_smax);
-      for (int k = g.lead; k < g.count; ++k) {
-        const Front& fr = sym.fronts[static_cast<std::size_t>(
-            g.ids[static_cast<std::size_t>(k)])];
-        schur(k, 1, fr.u(), fr.s());
-      }
-    }
-    // Post-elimination extremum: gmax / anorm is the per-front growth.
-    if (opts.pivot_tau > 0)
-      front_absmax.template operator()<T>(g, gf, stream, g.gmax.data(),
-                                          "mf_front_growth");
-  };
-
-  auto factor_group_on = [&](const FrontGroup& g, gpusim::Stream& stream,
-                             const batch::IrrLuOptions& lu_opts) {
-    if (g.count == 0 || g.smax == 0) return;
-    IRRLU_TRACE_SCOPE(dev.tracer(),
-                      dev.tracer() ? front_class(g.ids, sym) : "");
-    if (g.prec == Precision::kF32)
-      factor_group_t.template operator()<float>(
-          g, g.ff.data(), g.ff12.data(), g.ff21.data(), g.ff22.data(),
-          stream, lu_opts);
-    else
-      factor_group_t.template operator()<double>(
-          g, g.f.data(), g.f12.data(), g.f21.data(), g.f22.data(), stream,
-          lu_opts);
-  };
-
-  auto factor_group = [&](const FrontGroup& g) {
-    factor_group_on(g, stream, lu_opts);
-  };
-
-  // `looped_gemms`: trailing fronts of `ids` whose Schur GEMM runs as a
-  // dedicated launch (see FrontGroup::lead).
-  auto make_group = [&](const std::vector<int>& ids,
-                        int looped_gemms = 0) -> FrontGroup& {
-    const Precision gp =
-        ids.empty()
-            ? Precision::kF64
-            : level_prec_[static_cast<std::size_t>(
-                  sym.fronts[static_cast<std::size_t>(ids[0])].level)];
-    groups.push_back(std::make_unique<FrontGroup>(
-        dev, sym, ids, storage, ipiv_offset_, ipiv_storage_.data(), gp,
-        looped_gemms));
-    return *groups.back();
-  };
-
-  // Factors one level's routed fronts through the interleaved pipeline:
-  // each (s, u) class is packed into an SoA slab of the shared level
-  // workspace, then the whole level runs as ONE launch per stage — getf2,
-  // row swaps, the two TRSMs, the Schur GEMM — with every kernel
-  // vectorizing across the batch index. Per-lane operation sequences
-  // replicate the strided kernels exactly, so the unpacked factors are
-  // bit-identical to the strided schedule's.
-  auto factor_level_ilv_t = [&]<typename T>(
-                                const std::map<std::pair<int, int>,
-                                               std::vector<int>>& buckets) {
-    struct Slab {
-      int s = 0, u = 0, d = 0;
-      int count = 0;  ///< lanes (fronts) in this class
-      int base = 0;   ///< offset of the class within the level group
-      batch::IlvViewT<T> view{nullptr, 1, 0};
-    };
-    std::vector<Slab> slabs;
-    std::size_t total = 0;
-    int smax_routed = 0;
-    std::vector<int> routed_ids;
-    for (const auto& [su, bids] : buckets) {
-      Slab sl;
-      sl.s = su.first;
-      sl.u = su.second;
-      sl.d = sl.s + sl.u;
-      sl.count = static_cast<int>(bids.size());
-      sl.base = static_cast<int>(routed_ids.size());
-      total += static_cast<std::size_t>(sl.d) * sl.d *
-               static_cast<std::size_t>(sl.count);
-      smax_routed = std::max(smax_routed, sl.s);
-      routed_ids.insert(routed_ids.end(), bids.begin(), bids.end());
-      slabs.push_back(sl);
-    }
-    if (slabs.empty()) return;
-    IRRLU_TRACE_SCOPE(dev.tracer(),
-                      dev.tracer() ? front_class(routed_ids, sym) : "");
-    // ONE descriptor group for the whole level's routed fronts, in bucket
-    // order: every class addresses a contiguous subrange at its `base`, so
-    // a level pays one set of descriptor allocations instead of one per
-    // class (device allocations carry simulated cost; a deep tree has many
-    // single-front classes).
-    FrontGroup& g = make_group(routed_ids);
-    // Distinct workspace slabs per element type, so a mixed-policy tree
-    // never aliases float lanes over double ones.
-    T* const ws = dev.workspace<T>(
-        std::is_same_v<T, float> ? "mf.ilv.packf" : "mf.ilv.pack",
-        std::max<std::size_t>(total, 1));
-    T* const* const gsrc = [&] {
-      if constexpr (std::is_same_v<T, float>)
-        return g.ff.data();
-      else
-        return g.f.data();
-    }();
-    std::size_t off = 0;
-    for (auto& sl : slabs) {
-      sl.view = batch::IlvViewT<T>{ws + off, sl.d > 0 ? sl.d : 1, sl.count};
-      off += static_cast<std::size_t>(sl.d) * sl.d *
-             static_cast<std::size_t>(sl.count);
-    }
-    // Norm/growth harvest mirrors the strided group guard (count == 0 ||
-    // smax == 0 -> no diagnostics), applied to the routed collection.
-    const bool norms = opts.pivot_tau > 0 && smax_routed > 0;
-    {
-      std::vector<batch::IlvPackDescT<T>> descs;
-      for (auto& sl : slabs) {
-        batch::IlvPackDescT<T> d;
-        d.dst = sl.view;
-        d.m = sl.d;
-        d.n = sl.d;
-        d.lanes = sl.count;
-        d.src = gsrc + sl.base;
-        d.src_ld = g.ld.data() + sl.base;
-        d.absmax = norms ? g.anorm.data() + sl.base : nullptr;
-        descs.push_back(d);
-      }
-      batch::ilv_pack<T>(dev, stream, std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(
-            batch::getf2_key(sl.s, sl.s, batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.c = sl.view.data;
-        d.args.ldc = sl.view.ld;
-        d.args.ipiv = g.ipiv.data() + sl.base;
-        d.args.info = g.info.data() + sl.base;
-        d.args.tau = norms ? opts.pivot_tau : 0.0;
-        d.args.anorm = norms ? g.anorm.data() + sl.base : nullptr;
-        d.args.boost = norms ? g.boost.data() + sl.base : nullptr;
-        d.lanes = sl.count;
-        d.flops_per_lane = la::getrf_flops(sl.s, sl.s) * la::flop_weight<T>;
-        d.bytes_per_lane = 2.0 * sl.s * sl.s * sizeof(T) +
-                           static_cast<double>(sl.s) * sizeof(int);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_getf2", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvLaswpDescT<T>> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvLaswpDescT<T> d;
-        d.view = sl.view.subview(0, sl.s);
-        d.rows = sl.s;
-        d.width = sl.u;
-        d.lanes = sl.count;
-        d.ipiv = g.ipiv.data() + sl.base;
-        descs.push_back(d);
-      }
-      batch::ilv_laswp<T>(dev, stream, std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(batch::trsm_key(true, true, true, sl.s, sl.u,
-                                              batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.alpha = 1.0;
-        d.args.a = sl.view.data;
-        d.args.lda = sl.view.ld;
-        d.args.c = sl.view.sub(0, sl.s);
-        d.args.ldc = sl.view.ld;
-        d.lanes = sl.count;
-        d.flops_per_lane = la::trsm_flops(sl.s, sl.u) * la::flop_weight<T>;
-        d.bytes_per_lane = (0.5 * sl.s * sl.s + 2.0 * sl.s * sl.u) *
-                           sizeof(T);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_trsm_l", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(batch::trsm_key(false, false, false, sl.u,
-                                              sl.s, batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.alpha = 1.0;
-        d.args.a = sl.view.data;
-        d.args.lda = sl.view.ld;
-        d.args.c = sl.view.sub(sl.s, 0);
-        d.args.ldc = sl.view.ld;
-        d.lanes = sl.count;
-        d.flops_per_lane = la::trsm_flops(sl.s, sl.u) * la::flop_weight<T>;
-        d.bytes_per_lane = (0.5 * sl.s * sl.s + 2.0 * sl.s * sl.u) *
-                           sizeof(T);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_trsm_r", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(
-            batch::gemm_key(sl.u, sl.u, sl.s, batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.alpha = -1.0;
-        d.args.beta = 1.0;
-        d.args.a = sl.view.sub(sl.s, 0);
-        d.args.lda = sl.view.ld;
-        d.args.b = sl.view.sub(0, sl.s);
-        d.args.ldb = sl.view.ld;
-        d.args.c = sl.view.sub(sl.s, sl.s);
-        d.args.ldc = sl.view.ld;
-        d.lanes = sl.count;
-        d.flops_per_lane =
-            la::gemm_flops(sl.u, sl.u, sl.s) * la::flop_weight<T>;
-        d.bytes_per_lane =
-            (2.0 * sl.u * sl.s + 2.0 * sl.u * sl.u) * sizeof(T);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_schur", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvPackDescT<T>> descs;
-      for (auto& sl : slabs) {
-        batch::IlvPackDescT<T> d;
-        d.dst = sl.view;
-        d.m = sl.d;
-        d.n = sl.d;
-        d.lanes = sl.count;
-        d.src = gsrc + sl.base;
-        d.src_ld = g.ld.data() + sl.base;
-        d.absmax = norms ? g.gmax.data() + sl.base : nullptr;
-        descs.push_back(d);
-      }
-      batch::ilv_unpack<T>(dev, stream, std::move(descs));
-    }
-  };
-  auto factor_level_ilv = [&](const std::map<std::pair<int, int>,
-                                             std::vector<int>>& buckets,
-                              Precision prec) {
-    if (prec == Precision::kF32)
-      factor_level_ilv_t.template operator()<float>(buckets);
-    else
-      factor_level_ilv_t.template operator()<double>(buckets);
-  };
-
-  // ---- the schedules ---------------------------------------------------
-  switch (opts.engine) {
-    case Engine::kBatched: {
-      // Figure-14 hybrid: a part's fronts above the threshold go last, and
-      // only their Schur GEMM leaves the batch (FrontGroup::lead). Which
-      // fronts share a batch does not depend on the threshold, so neither
-      // do the factor bits.
-      auto factor_part = [&](std::vector<int> part, int s) {
-        const auto looped = std::stable_partition(
-            part.begin(), part.end(), [&](int id) {
-              return opts.hybrid_gemm_threshold <= 0 ||
-                     sym.fronts[static_cast<std::size_t>(id)].dim() <=
-                         opts.hybrid_gemm_threshold;
-            });
-        const auto nlooped = static_cast<int>(part.end() - looped);
-        factor_group_on(make_group(part, nlooped), dev.stream(s),
-                        lu_opts_of[static_cast<std::size_t>(s)]);
-      };
-      const int deepest = static_cast<int>(sym.levels.size()) - 1;
-      for (int lvl = deepest; lvl >= 0; --lvl) {
-        const auto& ids = sym.levels[static_cast<std::size_t>(lvl)];
-        if (ids.empty()) continue;
-        trace::TraceScope level_scope(
-            dev.tracer(), dev.tracer() ? "level=" + std::to_string(lvl)
-                                       : std::string());
-        storage.ensure_level(lvl);
-        assemble(ids);
-        gather_children(ids);
-        // Interleaved routing takes every front whose separator AND update
-        // extents fit the SoA classes; std::map keys give a deterministic
-        // bucket order, so the dispatch-plan replay of a refactorization
-        // sees the same key sequence. The rest run strided.
-        std::map<std::pair<int, int>, std::vector<int>> buckets;
-        std::vector<int> strided_ids;
-        for (int id : ids) {
-          const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
-          if (use_ilv && fr.s() <= ilv_cap && fr.u() <= ilv_cap)
-            buckets[{fr.s(), fr.u()}].push_back(id);
-          else
-            strided_ids.push_back(id);
-        }
-        if (num_streams == 1) {
-          factor_level_ilv(buckets,
-                           level_prec_[static_cast<std::size_t>(lvl)]);
-          if (!strided_ids.empty()) factor_part(std::move(strided_ids), 0);
-        } else {
-          // Multi-stream level processing: the level's independent fronts
-          // split round-robin across streams; events fence the assembly
-          // before and the extraction after.
-          const gpusim::Event ready = dev.record(stream);
-          std::vector<std::vector<int>> parts(
-              static_cast<std::size_t>(num_streams));
-          int turn = 0;
-          for (int id : strided_ids)
-            parts[static_cast<std::size_t>(turn++ % num_streams)]
-                .push_back(id);
-          for (int s = 0; s < num_streams; ++s) {
-            auto& part = parts[static_cast<std::size_t>(s)];
-            if (part.empty()) continue;
-            if (s != 0) dev.wait(dev.stream(s), ready);
-            factor_part(std::move(part), s);
-          }
-          for (int s = 1; s < num_streams; ++s)
-            dev.wait(stream, dev.record(dev.stream(s)));
-        }
-        extract_factors(ids);
-        if (lvl < deepest) storage.release_level(lvl + 1);
-      }
-      storage.release_level(0);
-      break;
-    }
-    case Engine::kLooped:
-    case Engine::kRightLooking: {
-      // Postorder per-front chains; scatter to the parent right after each
-      // front (the right-looking engine also synchronizes per supernode).
-      for (std::size_t fi = 0; fi < nf; ++fi) {
-        const int id = static_cast<int>(fi);
-        trace::TraceScope level_scope(
-            dev.tracer(),
-            dev.tracer() ? "level=" + std::to_string(sym.fronts[fi].level)
-                         : std::string());
-        assemble({id});
-        gather_children({id});
-        factor_group(make_group({id}));
-        if (opts.engine == Engine::kRightLooking) dev.synchronize(stream);
-      }
-      std::vector<int> all_ids(nf);
-      for (std::size_t fi = 0; fi < nf; ++fi)
-        all_ids[fi] = static_cast<int>(fi);
-      extract_factors(all_ids);
-      break;
-    }
-    case Engine::kLegacySmallBatch: {
-      for (int lvl = static_cast<int>(sym.levels.size()) - 1; lvl >= 0;
-           --lvl) {
-        const auto& ids = sym.levels[static_cast<std::size_t>(lvl)];
-        if (ids.empty()) continue;
-        trace::TraceScope level_scope(
-            dev.tracer(), dev.tracer() ? "level=" + std::to_string(lvl)
-                                       : std::string());
-        assemble(ids);
-        gather_children(ids);
-        std::vector<int> tiny, rest;
-        for (int id : ids)
-          (sym.fronts[static_cast<std::size_t>(id)].dim() < 32 ? tiny : rest)
-              .push_back(id);
-        if (!tiny.empty()) {
-          factor_group(make_group(tiny));
-          dev.synchronize(stream);  // v6.3.1-style per-batch sync
-        }
-        for (int id : rest) {
-          factor_group(make_group({id}));
-          dev.synchronize(stream);
-        }
-        extract_factors(ids);
-        dev.synchronize(stream);
-      }
-      break;
-    }
-  }
-
-  const double t1 = dev.synchronize_all();
-  factor_seconds_ = t1 - t0;
+  factor_seconds_ = dev.synchronize_all() - t0;
   launches_ = dev.launch_count() - l0;
   syncs_ = dev.sync_count() - s0;
   sync_wait_ = dev.sync_wait_seconds() - w0;
@@ -1195,76 +1113,31 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   // same sweep harvests the robustness diagnostics (device buffers are
   // plain host memory in the simulator, valid after synchronize_all).
   report_.fronts = static_cast<int>(nf);
-  for (const auto& g : groups)
-    for (int k = 0; k < g->count; ++k) {
-      const auto ks = static_cast<std::size_t>(k);
-      if (g->info[ks] != 0) {
+  for (const auto& g : pipe.groups())
+    for (std::size_t k = 0; k < g->ids.size(); ++k) {
+      if (g->info[k] != 0) {
         ok_ = false;
         ++report_.zero_pivot_fronts;
       }
-      report_.boosted_pivots += g->boost[ks];
-      if (g->anorm[ks] > 0 && g->gmax[ks] > 0)
+      report_.boosted_pivots += g->boost[k];
+      if (g->anorm[k] > 0 && g->gmax[k] > 0)
         report_.pivot_growth =
-            std::max(report_.pivot_growth, g->gmax[ks] / g->anorm[ks]);
+            std::max(report_.pivot_growth, g->gmax[k] / g->anorm[k]);
     }
   report_.precision_policy = opts.precision;
   report_.level_precision = level_prec_;
   for (std::size_t fi = 0; fi < nf; ++fi)
-    if (level_prec_[static_cast<std::size_t>(sym.fronts[fi].level)] ==
-        Precision::kF32)
+    if (front_prec(static_cast<int>(fi)) == Precision::kF32)
       ++report_.fp32_fronts;
   report_.measured_peak_bytes = peak_bytes_;
   report_.predicted_peak_bytes = sym.predicted_peak_bytes(mode, level_prec_);
-  {
-    const batch::KernelCache::Stats& ds = kcache->stats();
-    report_.dispatch_hits = ds.hits - dstats0.hits;
-    report_.dispatch_misses = ds.misses - dstats0.misses;
-    report_.dispatch_plan_hits = ds.plan_hits - dstats0.plan_hits;
-  }
+  const batch::KernelCache& kcache = pipe.kernel_cache();
+  report_.dispatch_hits = kcache.stats().hits - dstats0.hits;
+  report_.dispatch_misses = kcache.stats().misses - dstats0.misses;
   n_ = a_perm.rows();
   anorm1_ = a_perm.norm_1();
   if (auto* tr = dev.tracer()) {
-    tr->add_counter("factor.boosted_pivots",
-                    static_cast<double>(report_.boosted_pivots));
-    tr->add_counter("factor.zero_pivot_fronts",
-                    static_cast<double>(report_.zero_pivot_fronts));
-    tr->max_counter("factor.pivot_growth_max", report_.pivot_growth);
-    tr->max_counter("memory.predicted_peak_bytes",
-                    static_cast<double>(report_.predicted_peak_bytes));
-    tr->max_counter("memory.measured_peak_bytes",
-                    static_cast<double>(report_.measured_peak_bytes));
-    // Precision counters only when the policy actually produced FP32
-    // fronts, so default-policy traces (and fig10) are unchanged.
-    if (report_.fp32_fronts > 0) {
-      tr->add_counter("factor.fp32_fronts",
-                      static_cast<double>(report_.fp32_fronts));
-      tr->add_counter("factor.fp64_fronts",
-                      static_cast<double>(report_.fronts -
-                                          report_.fp32_fronts));
-      // Per-level precision (value = mantissa width class, 32 or 64;
-      // index 0 = root) so the summary JSON records exactly which levels
-      // the policy kept double — the counter mirror of
-      // FactorReport::level_precision.
-      char lvl_name[64];
-      for (std::size_t l = 0; l < report_.level_precision.size(); ++l) {
-        std::snprintf(lvl_name, sizeof lvl_name,
-                      "factor.level_precision.L%03zu", l);
-        tr->max_counter(lvl_name,
-                        report_.level_precision[l] == Precision::kF32
-                            ? 32.0
-                            : 64.0);
-      }
-    }
-    if (use_ilv) {
-      tr->add_counter("dispatch.hits",
-                      static_cast<double>(report_.dispatch_hits));
-      tr->add_counter("dispatch.misses",
-                      static_cast<double>(report_.dispatch_misses));
-      tr->add_counter("dispatch.plan_hits",
-                      static_cast<double>(report_.dispatch_plan_hits));
-      tr->max_counter("dispatch.cached",
-                      static_cast<double>(kcache->size()));
-    }
+    trace_counters(*tr, report_, pipe.routes_interleaved(), kcache.size());
     // Top critical-path contributors of this factorization's launch
     // window (what-if replays skipped — they are the exporter's job).
     trace::AnalysisOptions aopts;
@@ -1279,6 +1152,12 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
       }
     }
   }
+}
+
+std::size_t MultifrontalFactor::factor_bytes() const {
+  return factor_store_.size() * sizeof(double) +
+         factor_store_f_.size() * sizeof(float) +
+         ipiv_storage_.size() * sizeof(int);
 }
 
 void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
@@ -1420,6 +1299,142 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
   std::copy(dx.data(), dx.data() + n, x.begin());
 }
 
+namespace {
+
+/// solve_many's per-front gather/scatter metadata (the solve_batched Meta
+/// idiom).
+struct ManyMeta {
+  double* stage;   ///< this front's dim x nrhs staging block (ld = dim)
+  const int* upd;  ///< update-row indices (permuted space)
+  const int* pg;   ///< pivoted gather order for the separator rows
+  int s, u, sep_begin;
+};
+
+/// One level of solve_many: the gather/scatter metadata of its fronts
+/// with s > 0 and the device descriptor arrays of its irrTRSM / irrGEMM
+/// calls.
+struct ManyLevel {
+  int bs = 0;  ///< fronts with s > 0
+  int max_s = 0, max_u = 0;
+  std::shared_ptr<std::vector<ManyMeta>> metas;
+  gpusim::DeviceBuffer<double> stage;
+  gpusim::DeviceBuffer<double> promoted;  ///< FP64 view of an FP32 level
+  gpusim::DeviceBuffer<int> pgather;  ///< concatenated pivot orders
+  gpusim::DeviceBuffer<const double*> f11_p, l21_p, u12_p;
+  gpusim::DeviceBuffer<double*> top_p, bot_p;
+  gpusim::DeviceBuffer<int> f11_ld, l21_ld, u12_ld, stage_ld, s_vec, u_vec,
+      nrhs_vec;
+};
+
+void many_forward(gpusim::Device& dev, gpusim::Stream& stream,
+                  const std::vector<ManyLevel>& lvls, double* xd, int ldx,
+                  int nrhs) {
+  // Forward sweep, leaves to root: stage <- P x_s; stage <- L11^{-1} stage
+  // (irrTRSM over the level); bottom <- L21 * top (irrGEMM); x[upd] -=
+  // bottom (scatter; atomics on real hardware, sequential blocks in the
+  // simulator — the same contract solve_batched documents).
+  for (int lvl = static_cast<int>(lvls.size()) - 1; lvl >= 0; --lvl) {
+    const ManyLevel& L = lvls[static_cast<std::size_t>(lvl)];
+    if (L.bs == 0) continue;
+    IRRLU_TRACE_SCOPE(dev.tracer(), "fwd");
+    auto metas = L.metas;
+    dev.launch(stream,
+               {"mf_many_gather_fwd", L.bs, 0, gpusim::kIndependentBlocks},
+               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
+      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      const int dim = m.s + m.u;
+      for (int j = 0; j < nrhs; ++j) {
+        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx +
+                           m.sep_begin;
+        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
+        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.pg[r]];
+      }
+      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double) +
+                          static_cast<double>(m.s) * sizeof(int));
+    });
+    batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Lower,
+                    la::Trans::No, la::Diag::Unit, L.max_s, nrhs, 1.0,
+                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
+                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
+                    L.nrhs_vec.data(), L.bs);
+    if (L.max_u > 0)
+      batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_u,
+                      nrhs, L.max_s, 1.0, L.l21_p.data(), L.l21_ld.data(), 0,
+                      0, const_cast<const double* const*>(L.top_p.data()),
+                      L.stage_ld.data(), 0, 0, 0.0, L.bot_p.data(),
+                      L.stage_ld.data(), 0, 0, L.u_vec.data(),
+                      L.nrhs_vec.data(), L.s_vec.data(), L.bs);
+    dev.launch(stream, {"mf_many_scatter_fwd", L.bs, 0},
+               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
+      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      const int dim = m.s + m.u;
+      for (int j = 0; j < nrhs; ++j) {
+        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
+        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
+        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
+        for (int k = 0; k < m.u; ++k) xc[m.upd[k]] -= sc[m.s + k];
+      }
+      ctx.record(static_cast<double>(m.u) * nrhs,
+                 (2.0 * m.s + 3.0 * m.u) * nrhs * sizeof(double) +
+                     static_cast<double>(m.u) * sizeof(int));
+    });
+  }
+}
+
+void many_backward(gpusim::Device& dev, gpusim::Stream& stream,
+                   const std::vector<ManyLevel>& lvls, double* xd, int ldx,
+                   int nrhs) {
+  // Backward sweep, root to leaves: top <- x_s, bottom <- x[upd] (gather);
+  // top -= U12 * bottom (irrGEMM); top <- U11^{-1} top (irrTRSM); x_s <-
+  // top (scatter; separator ranges are disjoint, plain stores).
+  for (int lvl = 0; lvl < static_cast<int>(lvls.size()); ++lvl) {
+    const ManyLevel& L = lvls[static_cast<std::size_t>(lvl)];
+    if (L.bs == 0) continue;
+    IRRLU_TRACE_SCOPE(dev.tracer(), "bwd");
+    auto metas = L.metas;
+    dev.launch(stream,
+               {"mf_many_gather_bwd", L.bs, 0, gpusim::kIndependentBlocks},
+               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
+      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      const int dim = m.s + m.u;
+      for (int j = 0; j < nrhs; ++j) {
+        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
+        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
+        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.sep_begin + r];
+        for (int k = 0; k < m.u; ++k) sc[m.s + k] = xc[m.upd[k]];
+      }
+      ctx.record(0.0, 2.0 * (m.s + m.u) * nrhs * sizeof(double) +
+                          static_cast<double>(m.u) * sizeof(int));
+    });
+    if (L.max_u > 0)
+      batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_s,
+                      nrhs, L.max_u, -1.0, L.u12_p.data(), L.u12_ld.data(), 0,
+                      0, const_cast<const double* const*>(L.bot_p.data()),
+                      L.stage_ld.data(), 0, 0, 1.0, L.top_p.data(),
+                      L.stage_ld.data(), 0, 0, L.s_vec.data(),
+                      L.nrhs_vec.data(), L.u_vec.data(), L.bs);
+    batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Upper,
+                    la::Trans::No, la::Diag::NonUnit, L.max_s, nrhs, 1.0,
+                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
+                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
+                    L.nrhs_vec.data(), L.bs);
+    dev.launch(stream,
+               {"mf_many_scatter_bwd", L.bs, 0, gpusim::kIndependentBlocks},
+               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
+      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      const int dim = m.s + m.u;
+      for (int j = 0; j < nrhs; ++j) {
+        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
+        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
+        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
+      }
+      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double));
+    });
+  }
+}
+
+}  // namespace
+
 void MultifrontalFactor::solve_many(std::vector<double>& x, int nrhs) const {
   IRRLU_CHECK_MSG(nrhs >= 0, "solve_many(): negative nrhs");
   IRRLU_CHECK_MSG(x.size() == static_cast<std::size_t>(n_) *
@@ -1449,29 +1464,10 @@ void MultifrontalFactor::solve_many(double* x, int nrhs) const {
   // separator/update coupling then run over the whole level as ONE
   // irregular batch, so the factor blocks are read once per front per
   // sweep instead of once per RHS.
-  struct Meta {
-    double* stage;   ///< this front's dim x nrhs staging block (ld = dim)
-    const int* upd;  ///< update-row indices (permuted space)
-    const int* pg;   ///< pivoted gather order for the separator rows
-    int s, u, sep_begin;
-  };
-  struct LevelBatch {
-    int bs = 0;  ///< fronts with s > 0
-    int max_s = 0, max_u = 0;
-    std::shared_ptr<std::vector<Meta>> metas;
-    gpusim::DeviceBuffer<double> stage;
-    gpusim::DeviceBuffer<double> promoted;  ///< FP64 view of an FP32 level
-    gpusim::DeviceBuffer<int> pgather;  ///< concatenated pivot orders
-    gpusim::DeviceBuffer<const double*> f11_p, l21_p, u12_p;
-    gpusim::DeviceBuffer<double*> top_p, bot_p;
-    gpusim::DeviceBuffer<int> f11_ld, l21_ld, u12_ld, stage_ld, s_vec, u_vec,
-        nrhs_vec;
-  };
-
   const int nlevels = static_cast<int>(sym_.levels.size());
-  std::vector<LevelBatch> lvls(static_cast<std::size_t>(nlevels));
+  std::vector<ManyLevel> lvls(static_cast<std::size_t>(nlevels));
   for (int lvl = 0; lvl < nlevels; ++lvl) {
-    LevelBatch& L = lvls[static_cast<std::size_t>(lvl)];
+    ManyLevel& L = lvls[static_cast<std::size_t>(lvl)];
     std::size_t stage_elems = 0, pg_total = 0;
     for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
       const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
@@ -1527,7 +1523,7 @@ void MultifrontalFactor::solve_many(double* x, int nrhs) const {
     L.s_vec = dev_.alloc<int>(bsz);
     L.u_vec = dev_.alloc<int>(bsz);
     L.nrhs_vec = dev_.alloc<int>(bsz);
-    L.metas = std::make_shared<std::vector<Meta>>();
+    L.metas = std::make_shared<std::vector<ManyMeta>>();
     L.metas->reserve(bsz);
     std::size_t so = 0, po = 0;
     std::size_t i = 0;
@@ -1574,105 +1570,8 @@ void MultifrontalFactor::solve_many(double* x, int nrhs) const {
     }
   }
 
-  // Forward sweep, leaves to root: stage <- P x_s; stage <- L11^{-1} stage
-  // (irrTRSM over the level); bottom <- L21 * top (irrGEMM); x[upd] -=
-  // bottom (scatter; atomics on real hardware, sequential blocks in the
-  // simulator — the same contract solve_batched documents).
-  for (int lvl = nlevels - 1; lvl >= 0; --lvl) {
-    const LevelBatch& L = lvls[static_cast<std::size_t>(lvl)];
-    if (L.bs == 0) continue;
-    IRRLU_TRACE_SCOPE(dev_.tracer(), "fwd");
-    auto metas = L.metas;
-    dev_.launch(stream,
-                {"mf_many_gather_fwd", L.bs, 0, gpusim::kIndependentBlocks},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx +
-                           m.sep_begin;
-        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.pg[r]];
-      }
-      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double) +
-                          static_cast<double>(m.s) * sizeof(int));
-    });
-    batch::irr_trsm(dev_, stream, la::Side::Left, la::Uplo::Lower,
-                    la::Trans::No, la::Diag::Unit, L.max_s, nrhs, 1.0,
-                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
-                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                    L.nrhs_vec.data(), L.bs);
-    if (L.max_u > 0)
-      batch::irr_gemm(dev_, stream, la::Trans::No, la::Trans::No, L.max_u,
-                      nrhs, L.max_s, 1.0, L.l21_p.data(), L.l21_ld.data(), 0,
-                      0, const_cast<const double* const*>(L.top_p.data()),
-                      L.stage_ld.data(), 0, 0, 0.0, L.bot_p.data(),
-                      L.stage_ld.data(), 0, 0, L.u_vec.data(),
-                      L.nrhs_vec.data(), L.s_vec.data(), L.bs);
-    dev_.launch(stream, {"mf_many_scatter_fwd", L.bs, 0},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
-        for (int k = 0; k < m.u; ++k) xc[m.upd[k]] -= sc[m.s + k];
-      }
-      ctx.record(static_cast<double>(m.u) * nrhs,
-                 (2.0 * m.s + 3.0 * m.u) * nrhs * sizeof(double) +
-                     static_cast<double>(m.u) * sizeof(int));
-    });
-  }
-
-  // Backward sweep, root to leaves: top <- x_s, bottom <- x[upd] (gather);
-  // top -= U12 * bottom (irrGEMM); top <- U11^{-1} top (irrTRSM); x_s <-
-  // top (scatter; separator ranges are disjoint, plain stores).
-  for (int lvl = 0; lvl < nlevels; ++lvl) {
-    const LevelBatch& L = lvls[static_cast<std::size_t>(lvl)];
-    if (L.bs == 0) continue;
-    IRRLU_TRACE_SCOPE(dev_.tracer(), "bwd");
-    auto metas = L.metas;
-    dev_.launch(stream,
-                {"mf_many_gather_bwd", L.bs, 0, gpusim::kIndependentBlocks},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.sep_begin + r];
-        for (int k = 0; k < m.u; ++k) sc[m.s + k] = xc[m.upd[k]];
-      }
-      ctx.record(0.0, 2.0 * (m.s + m.u) * nrhs * sizeof(double) +
-                          static_cast<double>(m.u) * sizeof(int));
-    });
-    if (L.max_u > 0)
-      batch::irr_gemm(dev_, stream, la::Trans::No, la::Trans::No, L.max_s,
-                      nrhs, L.max_u, -1.0, L.u12_p.data(), L.u12_ld.data(), 0,
-                      0, const_cast<const double* const*>(L.bot_p.data()),
-                      L.stage_ld.data(), 0, 0, 1.0, L.top_p.data(),
-                      L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                      L.nrhs_vec.data(), L.u_vec.data(), L.bs);
-    batch::irr_trsm(dev_, stream, la::Side::Left, la::Uplo::Upper,
-                    la::Trans::No, la::Diag::NonUnit, L.max_s, nrhs, 1.0,
-                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
-                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                    L.nrhs_vec.data(), L.bs);
-    dev_.launch(stream,
-                {"mf_many_scatter_bwd", L.bs, 0, gpusim::kIndependentBlocks},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
-      }
-      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double));
-    });
-  }
-
+  many_forward(dev_, stream, lvls, xd, ldx, nrhs);
+  many_backward(dev_, stream, lvls, xd, ldx, nrhs);
   dev_.synchronize(stream);
   std::copy(dx.data(), dx.data() + xelems, x);
 }

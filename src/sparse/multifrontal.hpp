@@ -47,11 +47,6 @@ struct FactorOptions {
   Engine engine = Engine::kBatched;
   MemoryMode memory = MemoryMode::kAllUpfront;
   batch::IrrLuOptions lu;  ///< panel width, laswp method, ...
-  /// Batched engine: split every level's batch across this many streams
-  /// (fronts of one level are independent); events re-join the streams at
-  /// each level boundary so the extend-add ordering stays correct. 1 =
-  /// single-stream (the paper's configuration).
-  int num_streams = 1;
   /// Figure-14 hybrid ("cuBLAS GEMM in a loop for sizes > 256"): within
   /// the batched engine, fronts of order d = s + u > threshold stay in
   /// their level's batch for the norm, irrLU, row swaps, both TRSMs and
@@ -70,34 +65,30 @@ struct FactorOptions {
   /// growth launches) entirely.
   double pivot_tau = 1e-10;
   /// Interleaved (SoA) leaf routing (DESIGN.md §12): with enabled = true,
-  /// the batched single-stream engine packs each level's small fronts into
+  /// the batched engine packs each level's small fronts into
   /// per-(s, u)-class SoA buffers and factors them with the dispatch-cached
   /// batch-axis-vectorized kernels — one launch per pipeline stage for the
   /// whole level, coalesced row swaps. Factor bits are identical to the
-  /// strided path; simulated time and traffic differ (that is the point),
-  /// so the default is off and the default output stays byte-identical.
+  /// strided path (FP32 ones only in builds without -march=native
+  /// kernels, DESIGN.md §12); simulated time and traffic differ (that is
+  /// the point), so the default is off and the default output stays
+  /// byte-identical.
   batch::InterleavedOptions interleaved;
   /// Kernel registry the interleaved routing resolves through. Null uses a
   /// constructor-local transient cache (kernels rebuilt per factorization);
-  /// callers that refactor repeatedly (SparseDirectSolver, the PR 7
+  /// callers that refactor repeatedly (SparseDirectSolver, and so the
   /// service sessions) pass a long-lived cache so later factorizations hit.
   batch::KernelCache* dispatch_cache = nullptr;
-  /// Optional recorded resolution sequence for same-pattern refactors:
-  /// replayed resolutions skip even the cache's hash lookup. Requires
-  /// dispatch_cache; the caller must begin_replay() per factorization.
-  batch::DispatchPlan* dispatch_plan = nullptr;
   /// Front-factorization precision policy (classic LU-IR, DESIGN.md §14):
   /// kF64 factors every level in double — bit-identical to the
   /// pre-precision code path; kF32 factors every level in single (half the
   /// simulated flop time and half the front/factor bytes, FP64 accuracy
   /// recovered by the solver's iterative refinement); kAdaptive keeps the
-  /// top adaptive_root_levels levels — the root path, where pivot growth
+  /// top kAdaptiveRootLevels levels — the root path, where pivot growth
   /// concentrates — in double and factors the deeper levels in single.
   /// Precision is uniform within a level, so every engine's batch groups
   /// stay single-precision-class.
   PrecisionPolicy precision = PrecisionPolicy::kF64;
-  /// kAdaptive only: number of levels from the root (level 0) kept in FP64.
-  int adaptive_root_levels = 2;
 };
 
 /// Per-factorization numerical diagnostics (tentpole of the robustness
@@ -119,12 +110,10 @@ struct FactorReport {
   std::size_t predicted_peak_bytes = 0;
   std::size_t measured_peak_bytes = 0;
   /// Dispatch-cache traffic of this factorization (all zero when the
-  /// interleaved routing is off): resolutions served from the cache hash
-  /// map, resolutions that built a kernel, and resolutions served by a
-  /// DispatchPlan replay without touching the hash map.
+  /// interleaved routing is off): resolutions served from the cache and
+  /// resolutions that built a kernel.
   long dispatch_hits = 0;
   long dispatch_misses = 0;
-  long dispatch_plan_hits = 0;
   /// Top kernels on the critical path of this factorization's launch
   /// window (up to 3, by on-path seconds, descending). Filled only when
   /// a tracer was attached and the trace replayed cleanly (see
@@ -239,6 +228,8 @@ class MultifrontalFactor {
   double condest_1() const;
 
  private:
+  class Pipeline;  ///< one factorization's stages (multifrontal.cpp)
+
   gpusim::Device& dev_;
   const SymbolicAnalysis& sym_;
   gpusim::DeviceBuffer<double> factor_store_;

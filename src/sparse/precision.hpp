@@ -25,10 +25,13 @@ enum class PrecisionPolicy {
   kF64,       ///< everything double — the reference path, bit-identical
               ///< to the pre-mixed-precision solver
   kF32,       ///< every front single precision (uniform LU-IR)
-  kAdaptive,  ///< FP64 on the root path (levels < adaptive_root_levels),
+  kAdaptive,  ///< FP64 on the root path (levels < kAdaptiveRootLevels),
               ///< FP32 on the deeper levels where fronts are small and
-              ///< numerous — the per-front-class split of ISSUE 10
+              ///< numerous
 };
+
+/// kAdaptive: number of levels from the root (level 0) kept in FP64.
+inline constexpr int kAdaptiveRootLevels = 2;
 
 const char* to_string(Precision p);
 const char* to_string(PrecisionPolicy p);
@@ -48,18 +51,16 @@ inline std::size_t elem_bytes(Precision p) {
 }
 
 /// The shared level -> precision oracle. `level` is the assembly-tree
-/// level (0 = root); `adaptive_root_levels` is the number of root-side
-/// levels kept in FP64 under the adaptive policy.
-inline Precision level_precision(PrecisionPolicy policy, int level,
-                                 int adaptive_root_levels) {
+/// level (0 = root).
+inline Precision level_precision(PrecisionPolicy policy, int level) {
   switch (policy) {
     case PrecisionPolicy::kF64:
       return Precision::kF64;
     case PrecisionPolicy::kF32:
       return Precision::kF32;
     case PrecisionPolicy::kAdaptive:
-      return level < adaptive_root_levels ? Precision::kF64
-                                          : Precision::kF32;
+      return level < kAdaptiveRootLevels ? Precision::kF64
+                                         : Precision::kF32;
   }
   return Precision::kF64;
 }

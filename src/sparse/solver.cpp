@@ -101,22 +101,12 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
              ? SymbolicAnalysis::build(a_prep_, ord_)
              : SymbolicAnalysis::build_from_etree(a_prep_);
   analyze_timings_.symbolic_s = timer.seconds();
-  // A new pattern resolves a new dispatch sequence; stale entries would
-  // only produce one truncate-on-mismatch per analyze anyway, but clearing
-  // keeps the plan's size an honest per-pattern measure.
-  plan_.clear();
   analyzed_ = true;
 }
 
 FactorOptions SparseDirectSolver::factor_options() const {
   FactorOptions fo = opts_.factor;
-  if (fo.dispatch_cache == nullptr) {
-    fo.dispatch_cache = &kcache_;
-    if (fo.dispatch_plan == nullptr) {
-      fo.dispatch_plan = &plan_;
-      plan_.begin_replay();
-    }
-  }
+  if (fo.dispatch_cache == nullptr) fo.dispatch_cache = &kcache_;
   return fo;
 }
 

@@ -182,15 +182,13 @@ class SparseDirectSolver {
 
   const SymbolicAnalysis& symbolic() const { return sym_; }
   const MultifrontalFactor& numeric() const { return *factor_; }
-  /// Solver-owned interleaved-dispatch state (see FactorOptions): the
-  /// kernel registry and the recorded resolution sequence live as long as
-  /// the solver, so every same-pattern refactor() replays its dispatch
-  /// (plan hits) instead of re-hashing — and a service session that owns
-  /// this solver gets pattern-keyed dispatch reuse by construction.
-  /// Cumulative across factor()/refactor() calls; per-factorization deltas
-  /// are in numeric().report().
+  /// Solver-owned interleaved-kernel registry (see FactorOptions): it
+  /// lives as long as the solver, so a same-pattern refactor() builds no
+  /// kernel — and a service session that owns this solver gets
+  /// pattern-keyed kernel reuse by construction. Cumulative across
+  /// factor()/refactor() calls; per-factorization deltas are in
+  /// numeric().report().
   const batch::KernelCache& dispatch_cache() const { return kcache_; }
-  const batch::DispatchPlan& dispatch_plan() const { return plan_; }
   std::vector<LevelStats> level_stats() const;
   /// Whether the last analyze() actually applied MC64 scaling (false when
   /// disabled by options *or* when MC64 found the matrix structurally
@@ -201,10 +199,10 @@ class SparseDirectSolver {
   const AnalyzeTimings& analyze_timings() const { return analyze_timings_; }
 
  private:
-  /// opts_.factor augmented with the solver-owned dispatch cache/plan
-  /// (unless the caller wired their own); arms the plan replay. Const
-  /// because the LU-IR fallback re-factors from const solve paths — the
-  /// dispatch state it touches is mutable solver-internal machinery.
+  /// opts_.factor augmented with the solver-owned dispatch cache (unless
+  /// the caller wired their own). Const because the LU-IR fallback
+  /// re-factors from const solve paths — the cache it touches is mutable
+  /// solver-internal machinery.
   FactorOptions factor_options() const;
   /// Factor with the configured policy; escalates to FP64 when the
   /// mixed-precision factorization's measured pivot growth exceeds
@@ -225,10 +223,9 @@ class SparseDirectSolver {
   void prepare_values();
 
   const SolverOptions opts_;
-  /// Dispatch registry/plan and the factorization are mutable: the LU-IR
-  /// FP64 fallback rebuilds the factor inside const solve calls.
+  /// Dispatch registry and the factorization are mutable: the LU-IR FP64
+  /// fallback rebuilds the factor inside const solve calls.
   mutable batch::KernelCache kcache_;  ///< interleaved-kernel registry
-  mutable batch::DispatchPlan plan_;   ///< recorded dispatch of this pattern
   CsrMatrix a_;        ///< original matrix
   CsrMatrix a_prep_;   ///< scaled, column-permuted, symmetrically permuted
   /// Source of one a_prep_ entry: its entry index in a_ and the MC64

@@ -101,10 +101,9 @@ std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
                : sizeof(float);
   };
   // Mirrors MultifrontalFactor's constructor allocation inventory for the
-  // batched engine's default single-stream configuration (multi-stream
-  // runs add one workspace pair per extra stream). Every quantity below is
-  // available from the tree alone, so the prediction can steer a traversal
-  // plan before any numeric allocation.
+  // batched engine. Every quantity below is available from the tree
+  // alone, so the prediction can steer a traversal plan before any
+  // numeric allocation.
   //
   // FrontGroup descriptor footprint per member front: four double* block
   // pointers (F, F12, F21, F22), the per-front pivot pointer, five ints

@@ -56,7 +56,7 @@ struct SymbolicAnalysis {
   /// Predicted peak device bytes of the numeric factorization, per level,
   /// from the tree alone (front store + factor store + update stacks +
   /// pivot arrays + assembly triples + batch descriptors + workspaces),
-  /// assuming the batched engine's default single-stream configuration.
+  /// for the batched engine.
   /// Entry [lvl] is the footprint while level lvl is being factored;
   /// kAllUpfront is exact for every engine (the non-batched engines force
   /// that mode), kStackedLevels models the two-adjacent-levels window.

@@ -1,9 +1,9 @@
 // Tests for the interleaved (SoA) batch layout (DESIGN.md §12): pack /
 // unpack round trips, bitwise agreement of the dispatch-cached
 // batch-axis-vectorized kernels with the strided engine path, exact
-// dispatch-cache counters and plan replay, and the multifrontal /
-// solver / service routing — whose factors must be bit-identical with
-// the routing on and off.
+// dispatch-cache counters, and the multifrontal / solver / service
+// routing — whose factors must be bit-identical with the routing on and
+// off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,12 +149,11 @@ TEST(InterleavedLayout, EmptyAndDegenerateBatches) {
   const long launches0 = dev.launch_count();
   ilv_pack(dev, dev.stream(), {});
   KernelCache cache;
-  const Dispatch disp{&cache, nullptr};
-  irr_getf2_ilv(dev, dev.stream(), disp, empty.view(), 4, 4, 0, nullptr,
+  irr_getf2_ilv(dev, dev.stream(), cache, empty.view(), 4, 4, 0, nullptr,
                 nullptr);
-  irr_gemm_ilv(dev, dev.stream(), disp, 4, 4, 4, 1.0, empty.view(),
+  irr_gemm_ilv(dev, dev.stream(), cache, 4, 4, 4, 1.0, empty.view(),
                empty.view(), 1.0, empty.view(), 0);
-  irr_trsm_ilv(dev, dev.stream(), disp, la::Side::Left, la::Uplo::Lower,
+  irr_trsm_ilv(dev, dev.stream(), cache, la::Side::Left, la::Uplo::Lower,
                la::Diag::Unit, 4, 4, 1.0, empty.view(), empty.view(), 0);
   EXPECT_EQ(dev.launch_count(), launches0);
   // Zero-lane wrappers return before even resolving a kernel.
@@ -166,9 +165,9 @@ TEST(InterleavedLayout, EmptyAndDegenerateBatches) {
   std::vector<int*> piv{piv_store.data(), piv_store.data() + 1,
                         piv_store.data() + 2};
   std::vector<int> info(3, 0);
-  irr_getf2_ilv(dev, dev.stream(), disp, zero.view(), 0, 0, 3, piv.data(),
+  irr_getf2_ilv(dev, dev.stream(), cache, zero.view(), 0, 0, 3, piv.data(),
                 info.data());
-  irr_gemm_ilv(dev, dev.stream(), disp, 0, 5, 2, 1.0, zero.view(),
+  irr_gemm_ilv(dev, dev.stream(), cache, 0, 5, 2, 1.0, zero.view(),
                zero.view(), 0.0, zero.view(), 3);
   dev.synchronize_all();
   EXPECT_EQ(info, (std::vector<int>{0, 0, 0}));
@@ -212,10 +211,9 @@ TEST_P(IlvGetf2Sizes, MatchesStridedBitwise) {
                     piv_str.info(), batch, lu);
 
   KernelCache cache;
-  const Dispatch disp{&cache, nullptr};
   InterleavedBatch<double> ilv(dev, n, n, batch);
   pack(dev, a_ilv, ilv);
-  irr_getf2_ilv(dev, dev.stream(), disp, ilv.view(), n, n, batch,
+  irr_getf2_ilv(dev, dev.stream(), cache, ilv.view(), n, n, batch,
                 piv_ilv.ptrs(), piv_ilv.info());
   unpack(dev, a_ilv, ilv);
   dev.synchronize_all();
@@ -267,11 +265,10 @@ TEST(IlvGetf2, BoostedMatchesStridedBitwise) {
                     piv_str.info(), batch, lu);
 
   KernelCache cache;
-  const Dispatch disp{&cache, nullptr};
   InterleavedBatch<double> ilv(dev, n, n, batch);
   // The fused pack absmax feeds the boost threshold, as in the engine.
   pack(dev, a_ilv, ilv, anorm_ilv.data());
-  irr_getf2_ilv(dev, dev.stream(), disp, ilv.view(), n, n, batch,
+  irr_getf2_ilv(dev, dev.stream(), cache, ilv.view(), n, n, batch,
                 piv_ilv.ptrs(), piv_ilv.info(), tau, anorm_ilv.data(),
                 boost_ilv.data());
   unpack(dev, a_ilv, ilv);
@@ -326,12 +323,11 @@ TEST_P(IlvTrsmCases, MatchesStridedBitwise) {
                    b_str.n_vec(), batch);
 
   KernelCache cache;
-  const Dispatch disp{&cache, nullptr};
   InterleavedBatch<double> ti(dev, tc.tri, tc.tri, batch);
   InterleavedBatch<double> bi(dev, m, n, batch);
   pack(dev, t, ti);
   pack(dev, b_ilv, bi);
-  irr_trsm_ilv(dev, dev.stream(), disp, tc.side, tc.uplo, tc.diag, m, n,
+  irr_trsm_ilv(dev, dev.stream(), cache, tc.side, tc.uplo, tc.diag, m, n,
                tc.alpha, ti.view(), bi.view(), batch);
   unpack(dev, b_ilv, bi);
   dev.synchronize_all();
@@ -393,14 +389,13 @@ TEST_P(IlvGemmCases, MatchesStridedBitwise) {
                    c_str.m_vec(), c_str.n_vec(), a.n_vec(), batch);
 
   KernelCache cache;
-  const Dispatch disp{&cache, nullptr};
   InterleavedBatch<double> ai(dev, gc.m, gc.k, batch);
   InterleavedBatch<double> bi(dev, gc.k, gc.n, batch);
   InterleavedBatch<double> ci(dev, gc.m, gc.n, batch);
   pack(dev, a, ai);
   pack(dev, b, bi);
   pack(dev, c_ilv, ci);
-  irr_gemm_ilv(dev, dev.stream(), disp, gc.m, gc.n, gc.k, gc.alpha,
+  irr_gemm_ilv(dev, dev.stream(), cache, gc.m, gc.n, gc.k, gc.alpha,
                ai.view(), bi.view(), gc.beta, ci.view(), batch);
   unpack(dev, c_ilv, ci);
   dev.synchronize_all();
@@ -483,41 +478,6 @@ TEST(DispatchCache, CountersExact) {
   EXPECT_EQ(cache.stats().misses, 6);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.size(), 6u);
-  EXPECT_EQ(cache.stats().plan_hits, 0);
-}
-
-TEST(DispatchPlan, ReplayAndTruncateOnMismatch) {
-  KernelCache cache;
-  DispatchPlan plan;
-  Dispatch disp{&cache, &plan};
-  const KernelKey seq[3] = {getf2_key(8, 8), trsm_key(true, true, true, 8, 4),
-                            gemm_key(4, 4, 8)};
-  // Recording pass: all misses, no plan hits.
-  for (const auto& k : seq) disp.resolve(k);
-  EXPECT_EQ(plan.size(), 3u);
-  EXPECT_EQ(cache.stats().misses, 3);
-  EXPECT_EQ(cache.stats().plan_hits, 0);
-
-  // Replay pass: identical sequence, zero hash lookups.
-  plan.begin_replay();
-  for (const auto& k : seq) disp.resolve(k);
-  EXPECT_EQ(cache.stats().plan_hits, 3);
-  EXPECT_EQ(cache.stats().misses, 3);
-  EXPECT_EQ(cache.stats().hits, 0);
-
-  // Divergent replay: first resolution replays, the mismatch truncates the
-  // tail and falls back to the cache, then re-records.
-  plan.begin_replay();
-  disp.resolve(seq[0]);
-  disp.resolve(gemm_key(9, 9, 9));  // not the recorded trsm
-  EXPECT_EQ(cache.stats().plan_hits, 4);
-  EXPECT_EQ(cache.stats().misses, 4);
-  disp.resolve(seq[2]);  // previously cached: a hash hit, re-recorded
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(plan.size(), 3u);  // seq[0], the new gemm, seq[2]
-
-  plan.clear();
-  EXPECT_EQ(plan.size(), 0u);
 }
 
 // ------------------------------------------- multifrontal / solver routing
@@ -554,8 +514,7 @@ TEST(MultifrontalInterleaved, FactorsBitIdenticalToStrided) {
   EXPECT_TRUE(
       bits_equal(f_off.report().pivot_growth, f_on.report().pivot_growth));
   // Dispatch counters: zero with the routing off, live with it on.
-  EXPECT_EQ(f_off.report().dispatch_hits + f_off.report().dispatch_misses +
-                f_off.report().dispatch_plan_hits,
+  EXPECT_EQ(f_off.report().dispatch_hits + f_off.report().dispatch_misses,
             0);
   EXPECT_GT(f_on.report().dispatch_misses, 0);
   EXPECT_GT(f_on.report().dispatch_hits + f_on.report().dispatch_misses, 0);
@@ -568,7 +527,7 @@ TEST(MultifrontalInterleaved, FactorsBitIdenticalToStrided) {
     EXPECT_TRUE(bits_equal(x_off[i], x_on[i])) << i;
 }
 
-TEST(MultifrontalInterleaved, RefactorReplaysDispatchPlan) {
+TEST(MultifrontalInterleaved, RefactorBuildsNoKernel) {
   const CsrMatrix a1 = laplacian2d(16, 16, 0.3);
   const CsrMatrix a2 = laplacian2d(16, 16, 0.9);  // same pattern, new values
   SolverOptions opts;
@@ -580,19 +539,16 @@ TEST(MultifrontalInterleaved, RefactorReplaysDispatchPlan) {
   solver.factor(dev);
   const auto first = solver.numeric().report();
   EXPECT_GT(first.dispatch_misses, 0);
-  EXPECT_EQ(first.dispatch_plan_hits, 0);  // recording pass
 
   solver.refactor(dev, a2);
   const auto second = solver.numeric().report();
-  // Same pattern => identical resolution sequence => pure plan replay.
+  // Same pattern => the same resolutions, every one served by the
+  // solver-owned cache.
   EXPECT_EQ(second.dispatch_misses, 0);
-  EXPECT_EQ(second.dispatch_hits, 0);
-  EXPECT_EQ(second.dispatch_plan_hits,
+  EXPECT_EQ(second.dispatch_hits,
             first.dispatch_misses + first.dispatch_hits);
-  EXPECT_EQ(solver.dispatch_plan().size(),
-            static_cast<std::size_t>(second.dispatch_plan_hits));
 
-  // The refactored values are right (not a stale replayed factor).
+  // The refactored values are right (not a stale factor).
   const std::vector<double> b(256, 1.0);
   const auto x = solver.solve(b);
   EXPECT_LT(solver.residual(x, b), 1e-12);
@@ -610,18 +566,21 @@ TEST(ServiceInterleaved, PatternKeyedDispatchReuse) {
   auto r1 = svc.solve({SolveRequest{"t", a1, b, {}}});
   ASSERT_EQ(r1.size(), 1u);
   EXPECT_TRUE(r1[0].report.ok());
+  const SparseDirectSolver* cached = svc.peek(a1);
+  ASSERT_NE(cached, nullptr);
+  const auto first = cached->numeric().report();
+  EXPECT_GT(first.dispatch_misses, 0);
+
   auto r2 = svc.solve({SolveRequest{"t", a2, b, {}}});  // cached pattern
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_TRUE(r2[0].symbolic_cache_hit);
-
-  const SparseDirectSolver* cached = svc.peek(a1);
-  ASSERT_NE(cached, nullptr);
-  // The session's solver replayed its dispatch plan on the refactor.
+  // The session's solver refactored through its own kernel cache: every
+  // resolution of the first factorization is a hit, none builds a kernel.
+  ASSERT_EQ(svc.peek(a1), cached);
   const auto& rep = cached->numeric().report();
   EXPECT_EQ(rep.dispatch_misses, 0);
-  EXPECT_GT(rep.dispatch_plan_hits, 0);
-  EXPECT_EQ(cached->dispatch_cache().stats().plan_hits,
-            rep.dispatch_plan_hits);
+  EXPECT_EQ(rep.dispatch_hits, first.dispatch_hits + first.dispatch_misses);
+  EXPECT_EQ(cached->dispatch_cache().stats().misses, first.dispatch_misses);
 }
 
 // ---------------------------------------------------- autotune regression

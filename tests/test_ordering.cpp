@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -19,6 +18,7 @@
 #include "ordering/mc64.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/csr.hpp"
+#include "fnv1a.hpp"
 
 using namespace irrlu::ordering;
 using irrlu::Rng;
@@ -387,28 +387,7 @@ TEST(Mc64, StructurallySingularDetected) {
 
 namespace {
 
-/// 64-bit FNV-1a over a stream of 64-bit words, fed as little-endian bytes.
-class Fnv1a {
- public:
-  void word(std::uint64_t x) {
-    for (int b = 0; b < 8; ++b) {
-      h_ ^= (x >> (8 * b)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void ints(const std::vector<int>& v) {
-    word(v.size());
-    for (int x : v) word(static_cast<std::uint32_t>(x));
-  }
-  void doubles(const std::vector<double>& v) {
-    word(v.size());
-    for (double x : v) word(std::bit_cast<std::uint64_t>(x));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+using irrlu::test::Fnv1a;
 
 struct Digests {
   std::uint64_t graph = 0, mc64 = 0, nd = 0;
