@@ -1,8 +1,9 @@
 // Solver-service benchmark: (1) the interleaved many-RHS solve path
-// against N sequential device solves on one factorization — simulated
-// device seconds and launch counts, the win the interleaved-batch access
-// pattern buys (factor blocks read once per front per sweep, launches per
-// level instead of per RHS per level); (2) a replay stream of mixed
+// against N sequential device solves on one factorization, for FP64 and
+// FP32 factors — simulated device seconds, launch and allocation counts,
+// the win the interleaved-batch access pattern buys (factor blocks read
+// once per front per sweep, launches per level instead of per RHS per
+// level, one device allocation per sweep); (2) a replay stream of mixed
 // same-pattern / new-pattern requests through SolverService — cache hit
 // rate, analyze/refactor/reuse counts, batching behaviour. Writes
 // BENCH_service.json ("irrlu-bench-service-v1", schema documented in
@@ -12,8 +13,9 @@
 // target):
 //   - per-request SolveStatus identical between the sequential and the
 //     interleaved path at every batch width;
-//   - simulated-time speedup of the interleaved path >= 2x at 64+ RHS
-//     (deterministic: the simulated timeline is machine-independent);
+//   - simulated-time speedup of the interleaved path >= 1x at 16 RHS and
+//     >= 2x at 64+ RHS, for both factor precisions (deterministic: the
+//     simulated timeline is machine-independent);
 //   - replay symbolic cache hit rate >= 0.8 and analyze runs == distinct
 //     patterns;
 //   - cached-refactor factors bit-identical to an uncached twin (MC64 is
@@ -58,10 +60,11 @@ std::vector<double> random_rhs(int n, unsigned seed) {
 }
 
 struct ManyRhsResult {
+  const char* prec = "";
   int nrhs = 0;
   double seq_sim_s = 0, batched_sim_s = 0;
   double seq_wall_s = 0, batched_wall_s = 0;
-  long seq_launches = 0, batched_launches = 0;
+  long seq_launches = 0, batched_launches = 0, batched_allocs = 0;
   bool statuses_match = true;
   double max_berr = 0;
 };
@@ -78,7 +81,7 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   // Part 1: interleaved many-RHS solve vs N sequential device solves on
-  // one Maxwell torus factorization.
+  // one Maxwell torus factorization per precision.
   // -------------------------------------------------------------------
   const int nt = quick ? 8 : 12, nc = quick ? 4 : 6;
   const fem::HexMesh mesh = fem::HexMesh::torus(nt, nc, nc);
@@ -89,78 +92,94 @@ int main(int argc, char** argv) {
 
   gpusim::Device dev(model_by_name(device));
   auto session = make_trace_session(dev, args, "service");
-  sparse::SolverOptions sopts;
-  sopts.nd.leaf_size = 16;
-  sopts.solve_on_device = true;  // the sequential baseline must also run
-                                 // on the device to have a sim timeline
-  sparse::SparseDirectSolver solver(sopts);
-  solver.analyze(sys.a);
-  solver.factor(dev);
 
   std::printf("interleaved many-RHS solve vs sequential (torus %dx%d, "
               "N=%d, device=%s)\n\n",
               nt, nc, n, device.c_str());
-  TextTable table({"nrhs", "seq sim (ms)", "batched sim (ms)", "speedup",
-                   "seq launches", "batched launches", "statuses"});
+  TextTable table({"prec", "nrhs", "seq sim (ms)", "batched sim (ms)",
+                   "speedup", "seq launches", "batched launches",
+                   "batched allocs", "statuses"});
 
   std::vector<ManyRhsResult> manyrhs;
-  for (const int nrhs : std::vector<int>{4, 16, 64}) {
-    std::vector<std::vector<double>> bs;
-    for (int j = 0; j < nrhs; ++j)
-      bs.push_back(random_rhs(n, 1000u + static_cast<unsigned>(j)));
+  for (const sparse::PrecisionPolicy policy :
+       {sparse::PrecisionPolicy::kF64, sparse::PrecisionPolicy::kF32}) {
+    sparse::SolverOptions sopts;
+    sopts.nd.leaf_size = 16;
+    sopts.factor.precision = policy;
+    sopts.solve_on_device = true;  // the sequential baseline must also run
+                                   // on the device to have a sim timeline
+    sparse::SparseDirectSolver solver(sopts);
+    solver.analyze(sys.a);
+    solver.factor(dev);
+    for (const int nrhs : std::vector<int>{4, 16, 64}) {
+      std::vector<std::vector<double>> bs;
+      for (int j = 0; j < nrhs; ++j)
+        bs.push_back(random_rhs(n, 1000u + static_cast<unsigned>(j)));
 
-    ManyRhsResult r;
-    r.nrhs = nrhs;
+      ManyRhsResult r;
+      r.prec = sparse::to_string(policy);
+      r.nrhs = nrhs;
 
-    std::vector<sparse::SolveReport> seq;
-    double t0 = dev.synchronize_all();
-    long l0 = solver.numeric().launch_count();  // factor launches, constant
-    const long launches0 = dev.launch_count();
-    (void)l0;
-    r.seq_wall_s = wall_s([&] {
-      for (const auto& b : bs) seq.push_back(solver.solve_report(b));
-    });
-    double t1 = dev.synchronize_all();
-    const long launches1 = dev.launch_count();
+      std::vector<sparse::SolveReport> seq;
+      const double t0 = dev.synchronize_all();
+      const long launches0 = dev.launch_count();
+      r.seq_wall_s = wall_s([&] {
+        for (const auto& b : bs) seq.push_back(solver.solve_report(b));
+      });
+      const double t1 = dev.synchronize_all();
+      const long launches1 = dev.launch_count();
+      const long allocs1 = dev.alloc_count();
 
-    std::vector<sparse::SolveReport> bat;
-    r.batched_wall_s =
-        wall_s([&] { bat = solver.solve_report_many(bs); });
-    double t2 = dev.synchronize_all();
-    const long launches2 = dev.launch_count();
+      std::vector<sparse::SolveReport> bat;
+      r.batched_wall_s =
+          wall_s([&] { bat = solver.solve_report_many(bs); });
+      const double t2 = dev.synchronize_all();
 
-    r.seq_sim_s = t1 - t0;
-    r.batched_sim_s = t2 - t1;
-    r.seq_launches = launches1 - launches0;
-    r.batched_launches = launches2 - launches1;
-    for (int j = 0; j < nrhs; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      if (bat[ju].status != seq[ju].status) r.statuses_match = false;
-      r.max_berr = std::max(r.max_berr, bat[ju].berr);
+      r.seq_sim_s = t1 - t0;
+      r.batched_sim_s = t2 - t1;
+      r.seq_launches = launches1 - launches0;
+      r.batched_launches = dev.launch_count() - launches1;
+      r.batched_allocs = dev.alloc_count() - allocs1;
+      for (int j = 0; j < nrhs; ++j) {
+        const auto ju = static_cast<std::size_t>(j);
+        if (bat[ju].status != seq[ju].status) r.statuses_match = false;
+        r.max_berr = std::max(r.max_berr, bat[ju].berr);
+      }
+
+      const double speedup =
+          r.batched_sim_s > 0 ? r.seq_sim_s / r.batched_sim_s : 0.0;
+      table.add_row(r.prec, nrhs, TextTable::fmt(r.seq_sim_s * 1e3, 3),
+                    TextTable::fmt(r.batched_sim_s * 1e3, 3),
+                    TextTable::fmt(speedup, 2), r.seq_launches,
+                    r.batched_launches, r.batched_allocs,
+                    r.statuses_match ? "match" : "DIFFER");
+
+      if (!r.statuses_match) {
+        std::fprintf(stderr,
+                     "FAIL: %s nrhs=%d per-request SolveStatus differs "
+                     "between sequential and interleaved path\n",
+                     r.prec, nrhs);
+        ok = false;
+      }
+      if (policy != sparse::PrecisionPolicy::kF64 &&
+          !solver.numeric().has_fp32()) {
+        // An FP64 fallback refactor replaced the factor: the row would
+        // time FP64 sweeps under an FP32 label.
+        std::fprintf(stderr, "FAIL: %s nrhs=%d fell back to FP64 factors\n",
+                     r.prec, nrhs);
+        ok = false;
+      }
+      const double floor = nrhs >= 64 ? 2.0 : nrhs >= 16 ? 1.0 : 0.0;
+      if (speedup < floor) {
+        std::fprintf(stderr,
+                     "FAIL: %s nrhs=%d interleaved speedup %.2fx < %.0fx "
+                     "(sim %.6e s vs %.6e s)\n",
+                     r.prec, nrhs, speedup, floor, r.seq_sim_s,
+                     r.batched_sim_s);
+        ok = false;
+      }
+      manyrhs.push_back(r);
     }
-
-    const double speedup =
-        r.batched_sim_s > 0 ? r.seq_sim_s / r.batched_sim_s : 0.0;
-    table.add_row(nrhs, TextTable::fmt(r.seq_sim_s * 1e3, 3),
-                  TextTable::fmt(r.batched_sim_s * 1e3, 3),
-                  TextTable::fmt(speedup, 2), r.seq_launches,
-                  r.batched_launches, r.statuses_match ? "match" : "DIFFER");
-
-    if (!r.statuses_match) {
-      std::fprintf(stderr,
-                   "FAIL: nrhs=%d per-request SolveStatus differs between "
-                   "sequential and interleaved path\n",
-                   nrhs);
-      ok = false;
-    }
-    if (nrhs >= 64 && speedup < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: nrhs=%d interleaved speedup %.2fx < 2x "
-                   "(sim %.6e s vs %.6e s)\n",
-                   nrhs, speedup, r.seq_sim_s, r.batched_sim_s);
-      ok = false;
-    }
-    manyrhs.push_back(r);
   }
   table.print();
 
@@ -270,6 +289,7 @@ int main(int argc, char** argv) {
   w.begin_array();
   for (const ManyRhsResult& r : manyrhs) {
     w.begin_object(/*compact=*/true);
+    w.kv("prec", r.prec);
     w.kv_int("nrhs", r.nrhs);
     w.kv("seq_sim_s", r.seq_sim_s, "%.17g");
     w.kv("batched_sim_s", r.batched_sim_s, "%.17g");
@@ -279,6 +299,7 @@ int main(int argc, char** argv) {
     w.kv("batched_wall_s", r.batched_wall_s, "%.6e");
     w.kv_int("seq_launches", r.seq_launches);
     w.kv_int("batched_launches", r.batched_launches);
+    w.kv_int("batched_allocs", r.batched_allocs);
     w.kv_bool("statuses_match", r.statuses_match);
     w.kv("max_berr", r.max_berr, "%.6e");
     w.end_object();

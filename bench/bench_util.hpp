@@ -384,18 +384,27 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //     "replay":  { ... }
 //   }
 //
-// Each <width> compares one batch size on one shared factorization:
+// Each <width> compares one batch size on one shared factorization; the
+// rows run every width for an FP64 factor, then for an FP32 factor of the
+// same system:
 //
+//   prec                         "f64" | "f32" — factor precision policy
+//                                (FP32 rows refine in FP64, LU-IR; the
+//                                driver fails if one fell back to FP64)
 //   nrhs                         right-hand sides in the batch
 //   seq_sim_s, batched_sim_s     simulated device seconds of nrhs
 //                                sequential solve_report() calls vs one
 //                                solve_report_many() (deterministic)
 //   speedup                      seq_sim_s / batched_sim_s; asserted
-//                                >= 2 at nrhs >= 64
+//                                >= 1 at nrhs >= 16 and >= 2 at
+//                                nrhs >= 64, for both precisions
 //   seq_wall_s, batched_wall_s   host wall clock (report only)
 //   seq_launches, batched_launches
 //                                device launches per phase: per-RHS-per-
 //                                level vs per-level
+//   batched_allocs               device allocations of the batched phase:
+//                                one per solve_many sweep (the initial
+//                                solve plus each refinement sweep)
 //   statuses_match               per-request SolveStatus identical across
 //                                the two paths (asserted)
 //   max_berr                     worst componentwise backward error of the

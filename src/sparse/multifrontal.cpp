@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 
 #include "irrblas/interleaved.hpp"
@@ -275,37 +277,20 @@ double block_absmax(const T* F, int d, int ld) {
   return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
 }
 
-/// Per-thread staging for the update-row gemv of the device solve (the
-/// blocks of an independent launch may run on different host threads).
-double* solve_scratch(std::size_t n) {
-  thread_local std::vector<double> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
-
-/// Batched promotion of FP32 factor blocks into contiguous FP64 scratch —
-/// the charged conversion kernel the mixed-precision solve pays before
-/// running the double-precision triangular passes.
-struct PromoteMeta {
-  const float* src = nullptr;
-  double* dst = nullptr;
-  std::size_t n = 0;
+/// Per-thread staging of the device solve's kernel blocks (the blocks of
+/// an independent launch may run on different host threads): an FP32
+/// front's widened factor blocks (host_blocks) and the update-row vector.
+struct SolveScratch {
+  std::vector<double> blocks, tmp;
+  double* vec(std::size_t n) {
+    if (tmp.size() < n) tmp.resize(n);
+    return tmp.data();
+  }
 };
 
-void promote_fp32(gpusim::Device& dev, gpusim::Stream& stream,
-                  std::vector<PromoteMeta> metas) {
-  if (metas.empty()) return;
-  auto shared = std::make_shared<std::vector<PromoteMeta>>(std::move(metas));
-  const gpusim::LaunchConfig cfg{"mf_promote",
-                                 static_cast<int>(shared->size()), 0,
-                                 gpusim::kIndependentBlocks};
-  dev.launch(stream, cfg, [shared](gpusim::BlockCtx& ctx) {
-    const PromoteMeta& m = (*shared)[static_cast<std::size_t>(ctx.block())];
-    for (std::size_t i = 0; i < m.n; ++i)
-      m.dst[i] = static_cast<double>(m.src[i]);
-    ctx.record(0.0, static_cast<double>(m.n) *
-                        (sizeof(float) + sizeof(double)));
-  });
+SolveScratch& solve_scratch() {
+  thread_local SolveScratch s;
+  return s;
 }
 
 /// Mirrors a factorization's diagnostics into the tracer's counters (the
@@ -1170,69 +1155,37 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
   double* xd = dx.data();
   auto& stream = dev_.stream();
 
+  // One block per front with s > 0. FP32 fronts are read in place: the
+  // block widens its factor blocks exactly into per-thread scratch
+  // (host_blocks), so every precision policy pays one allocation per call
+  // and two launches per non-empty level.
   struct Meta {
-    const double* f11;
-    const double* off;  ///< L21 (forward) or U12 (backward)
+    int id;
     const int* piv;
     const int* upd;
     int s, u, sep_begin;
+    double elem;  ///< bytes per stored factor element
   };
-
-  // FP32 levels are promoted into per-call double buffers by a charged
-  // mf_promote launch before the triangular kernels touch them; FP64
-  // levels point straight into the factor store (the pre-precision path).
-  std::vector<gpusim::DeviceBuffer<double>> promoted;
-
-  auto level_metas = [&](int lvl, bool forward) {
+  auto level_metas = [&](int lvl) {
     auto metas = std::make_shared<std::vector<Meta>>();
-    const bool f32 =
-        level_prec_[static_cast<std::size_t>(lvl)] == Precision::kF32;
-    double* pbase = nullptr;
-    if (f32) {
-      std::size_t total = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        total += static_cast<std::size_t>(fr.s()) * fr.s() +
-                 2 * static_cast<std::size_t>(fr.s()) * fr.u();
-      }
-      promoted.push_back(dev_.alloc<double>(std::max<std::size_t>(total, 1)));
-      pbase = promoted.back().data();
-      std::vector<PromoteMeta> pm;
-      std::size_t off = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        const std::size_t elems =
-            static_cast<std::size_t>(fr.s()) * fr.s() +
-            2 * static_cast<std::size_t>(fr.s()) * fr.u();
-        pm.push_back({f11f(id), pbase + off, elems});
-        off += elems;
-      }
-      promote_fp32(dev_, stream, std::move(pm));
-    }
-    std::size_t poff = 0;
+    const auto elem = static_cast<double>(
+        elem_bytes(level_prec_[static_cast<std::size_t>(lvl)]));
     for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
       const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
       if (fr.s() == 0) continue;
-      const double* F11;
-      const double* OFF;
-      if (f32) {
-        const auto ss = static_cast<std::size_t>(fr.s()) * fr.s();
-        const auto su = static_cast<std::size_t>(fr.s()) * fr.u();
-        F11 = pbase + poff;
-        OFF = forward ? pbase + poff + ss + su : pbase + poff + ss;
-        poff += ss + 2 * su;
-      } else {
-        F11 = f11(id);
-        OFF = forward ? l21(id) : u12(id);
-      }
-      metas->push_back({F11, OFF, front_ipiv(id),
+      metas->push_back({id, front_ipiv(id),
                         upd_storage_.data() +
                             upd_offset_[static_cast<std::size_t>(id)],
-                        fr.s(), fr.u(), fr.sep_begin});
+                        fr.s(), fr.u(), fr.sep_begin, elem});
     }
     return metas;
+  };
+  // One front's work: the triangle and the off-diagonal block at their
+  // stored width, the x traffic in double.
+  auto record = [](gpusim::BlockCtx& ctx, const Meta& m) {
+    ctx.record(static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u,
+               static_cast<double>(m.s) * (m.s / 2.0 + m.u) * m.elem +
+                   (2.0 * m.u + 2.0 * m.s) * sizeof(double));
   };
 
   // Forward sweep, leaves to root: x_s <- L11^{-1} P x_s;
@@ -1240,59 +1193,57 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
   for (int lvl = static_cast<int>(sym_.levels.size()) - 1; lvl >= 0;
        --lvl) {
     IRRLU_TRACE_SCOPE(dev_.tracer(), "fwd");
-    auto metas = level_metas(lvl, /*forward=*/true);
+    auto metas = level_metas(lvl);
     if (metas->empty()) continue;
     // Serial blocks: fronts of a level share update rows, and the
     // scatter's subtraction order is part of the result.
     dev_.launch(stream, {"mf_solve_fwd", static_cast<int>(metas->size()), 0},
-                [metas, xd](gpusim::BlockCtx& ctx) {
+                [this, metas, xd, record](gpusim::BlockCtx& ctx) {
       const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      SolveScratch& sc = solve_scratch();
+      const HostBlocks hb = host_blocks(m.id, sc.blocks);
       double* xs = xd + m.sep_begin;  // contiguous separator range
       for (int r = 0; r < m.s; ++r)
         if (m.piv[r] != r) std::swap(xs[r], xs[m.piv[r]]);
-      la::trsv(la::Uplo::Lower, la::Trans::No, la::Diag::Unit, m.s, m.f11,
+      la::trsv(la::Uplo::Lower, la::Trans::No, la::Diag::Unit, m.s, hb.f11,
                m.s, xs, 1);
       if (m.u > 0) {
         // tmp = L21 * x_s (L21 is u x s, leading dimension u), then
         // scatter (atomics on real hardware).
-        double* tmp = solve_scratch(static_cast<std::size_t>(m.u));
-        la::gemv(la::Trans::No, m.u, m.s, 1.0, m.off, m.u, xs, 1, 0.0, tmp,
+        double* tmp = sc.vec(static_cast<std::size_t>(m.u));
+        la::gemv(la::Trans::No, m.u, m.s, 1.0, hb.l21, m.u, xs, 1, 0.0, tmp,
                  1);
         for (int k = 0; k < m.u; ++k) xd[m.upd[k]] -= tmp[k];
       }
-      ctx.record(static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u,
-                 (static_cast<double>(m.s) * (m.s / 2.0 + m.u) + 2.0 * m.u +
-                  2.0 * m.s) *
-                     sizeof(double));
+      record(ctx, m);
     });
   }
   // Backward sweep, root to leaves: x_s <- U11^{-1}(x_s - U12 x[upd]).
   for (std::size_t lvl = 0; lvl < sym_.levels.size(); ++lvl) {
     IRRLU_TRACE_SCOPE(dev_.tracer(), "bwd");
-    auto metas = level_metas(static_cast<int>(lvl), /*forward=*/false);
+    auto metas = level_metas(static_cast<int>(lvl));
     if (metas->empty()) continue;
     // Independent blocks: each reads ancestor rows (final after the
     // previous level) and writes only its own separator range.
     dev_.launch(stream,
                 {"mf_solve_bwd", static_cast<int>(metas->size()), 0,
                  gpusim::kIndependentBlocks},
-                [metas, xd](gpusim::BlockCtx& ctx) {
+                [this, metas, xd, record](gpusim::BlockCtx& ctx) {
       const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+      SolveScratch& sc = solve_scratch();
+      const HostBlocks hb = host_blocks(m.id, sc.blocks);
       double* xs = xd + m.sep_begin;
       if (m.u > 0) {
         // Gather x[upd], then x_s -= U12 * x_u (U12 is s x u, leading
         // dimension s).
-        double* tmp = solve_scratch(static_cast<std::size_t>(m.u));
+        double* tmp = sc.vec(static_cast<std::size_t>(m.u));
         for (int k = 0; k < m.u; ++k) tmp[k] = xd[m.upd[k]];
-        la::gemv(la::Trans::No, m.s, m.u, -1.0, m.off, m.s, tmp, 1, 1.0, xs,
+        la::gemv(la::Trans::No, m.s, m.u, -1.0, hb.u12, m.s, tmp, 1, 1.0, xs,
                  1);
       }
       la::trsv(la::Uplo::Upper, la::Trans::No, la::Diag::NonUnit, m.s,
-               m.f11, m.s, xs, 1);
-      ctx.record(static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u,
-                 (static_cast<double>(m.s) * (m.s / 2.0 + m.u) + 2.0 * m.u +
-                  2.0 * m.s) *
-                     sizeof(double));
+               hb.f11, m.s, xs, 1);
+      record(ctx, m);
     });
   }
   dev_.synchronize(stream);
@@ -1310,21 +1261,87 @@ struct ManyMeta {
   int s, u, sep_begin;
 };
 
+/// Pointer arrays to a level's factor blocks, in their stored type.
+template <typename T>
+struct BlockPtrs {
+  const T** f11 = nullptr;
+  const T** l21 = nullptr;
+  const T** u12 = nullptr;
+};
+
 /// One level of solve_many: the gather/scatter metadata of its fronts
-/// with s > 0 and the device descriptor arrays of its irrTRSM / irrGEMM
-/// calls.
+/// with s > 0 and the descriptor arrays of its irrTRSM / irrGEMM calls,
+/// carved from the call's one device allocation. An FP32 level's pointer
+/// arrays address its float blocks, which the kernels read in place.
 struct ManyLevel {
   int bs = 0;  ///< fronts with s > 0
   int max_s = 0, max_u = 0;
+  std::size_t stage_elems = 0, pg_elems = 0;
+  Precision prec = Precision::kF64;
   std::shared_ptr<std::vector<ManyMeta>> metas;
-  gpusim::DeviceBuffer<double> stage;
-  gpusim::DeviceBuffer<double> promoted;  ///< FP64 view of an FP32 level
-  gpusim::DeviceBuffer<int> pgather;  ///< concatenated pivot orders
-  gpusim::DeviceBuffer<const double*> f11_p, l21_p, u12_p;
-  gpusim::DeviceBuffer<double*> top_p, bot_p;
-  gpusim::DeviceBuffer<int> f11_ld, l21_ld, u12_ld, stage_ld, s_vec, u_vec,
-      nrhs_vec;
+  double* stage = nullptr;
+  int* pgather = nullptr;  ///< concatenated pivot orders
+  std::variant<BlockPtrs<double>, BlockPtrs<float>> blocks;
+  double** top_p = nullptr;
+  double** bot_p = nullptr;
+  int* s_vec = nullptr;  ///< s, also the F11 and U12 leading dimension
+  int* u_vec = nullptr;
+  int* l21_ld = nullptr;
+  int* stage_ld = nullptr;
+  int* nrhs_vec = nullptr;
 };
+
+/// Bump allocator over one device allocation: a sizing pass (null base)
+/// totals the aligned extents, and a carving pass over the real block
+/// hands out the same extents in the same order.
+class Arena {
+ public:
+  explicit Arena(std::byte* base = nullptr) : base_(base) {}
+  template <typename T>
+  T* take(std::size_t count) {
+    used_ = (used_ + alignof(T) - 1) / alignof(T) * alignof(T);
+    T* p = base_ != nullptr ? reinterpret_cast<T*>(base_ + used_) : nullptr;
+    used_ += count * sizeof(T);
+    return p;
+  }
+  std::size_t used() const { return used_; }
+
+ private:
+  std::byte* base_;
+  std::size_t used_ = 0;
+};
+
+/// Lays out solve_many's device data: the x staging block, then per level
+/// its stage block and pointer arrays, then per level its pivot orders and
+/// int descriptors. The 8-byte members come first, so the layout needs no
+/// padding. Returns the x staging block.
+double* carve(Arena& a, std::vector<ManyLevel>& lvls, std::size_t xelems) {
+  double* xd = a.take<double>(xelems);
+  for (ManyLevel& L : lvls) {
+    if (L.bs == 0) continue;
+    const auto bs = static_cast<std::size_t>(L.bs);
+    L.stage = a.take<double>(L.stage_elems);
+    L.top_p = a.take<double*>(bs);
+    L.bot_p = a.take<double*>(bs);
+    with_type(L.prec, [&]<typename T>(T) {
+      auto& p = L.blocks.emplace<BlockPtrs<T>>();
+      p.f11 = a.take<const T*>(bs);
+      p.l21 = a.take<const T*>(bs);
+      p.u12 = a.take<const T*>(bs);
+    });
+  }
+  for (ManyLevel& L : lvls) {
+    if (L.bs == 0) continue;
+    const auto bs = static_cast<std::size_t>(L.bs);
+    L.pgather = a.take<int>(L.pg_elems);
+    L.s_vec = a.take<int>(bs);
+    L.u_vec = a.take<int>(bs);
+    L.l21_ld = a.take<int>(bs);
+    L.stage_ld = a.take<int>(bs);
+    L.nrhs_vec = a.take<int>(bs);
+  }
+  return xd;
+}
 
 void many_forward(gpusim::Device& dev, gpusim::Stream& stream,
                   const std::vector<ManyLevel>& lvls, double* xd, int ldx,
@@ -1352,18 +1369,19 @@ void many_forward(gpusim::Device& dev, gpusim::Stream& stream,
       ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double) +
                           static_cast<double>(m.s) * sizeof(int));
     });
-    batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Lower,
-                    la::Trans::No, la::Diag::Unit, L.max_s, nrhs, 1.0,
-                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
-                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                    L.nrhs_vec.data(), L.bs);
-    if (L.max_u > 0)
-      batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_u,
-                      nrhs, L.max_s, 1.0, L.l21_p.data(), L.l21_ld.data(), 0,
-                      0, const_cast<const double* const*>(L.top_p.data()),
-                      L.stage_ld.data(), 0, 0, 0.0, L.bot_p.data(),
-                      L.stage_ld.data(), 0, 0, L.u_vec.data(),
-                      L.nrhs_vec.data(), L.s_vec.data(), L.bs);
+    with_type(L.prec, [&]<typename T>(T) {
+      const auto& p = std::get<BlockPtrs<T>>(L.blocks);
+      batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Lower,
+                      la::Trans::No, la::Diag::Unit, L.max_s, nrhs, 1.0,
+                      p.f11, L.s_vec, 0, 0, L.top_p, L.stage_ld, 0, 0,
+                      L.s_vec, L.nrhs_vec, L.bs);
+      if (L.max_u > 0)
+        batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_u,
+                        nrhs, L.max_s, 1.0, p.l21, L.l21_ld, 0, 0,
+                        const_cast<const double* const*>(L.top_p),
+                        L.stage_ld, 0, 0, 0.0, L.bot_p, L.stage_ld, 0, 0,
+                        L.u_vec, L.nrhs_vec, L.s_vec, L.bs);
+    });
     dev.launch(stream, {"mf_many_scatter_fwd", L.bs, 0},
                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
       const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
@@ -1406,18 +1424,19 @@ void many_backward(gpusim::Device& dev, gpusim::Stream& stream,
       ctx.record(0.0, 2.0 * (m.s + m.u) * nrhs * sizeof(double) +
                           static_cast<double>(m.u) * sizeof(int));
     });
-    if (L.max_u > 0)
-      batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_s,
-                      nrhs, L.max_u, -1.0, L.u12_p.data(), L.u12_ld.data(), 0,
-                      0, const_cast<const double* const*>(L.bot_p.data()),
-                      L.stage_ld.data(), 0, 0, 1.0, L.top_p.data(),
-                      L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                      L.nrhs_vec.data(), L.u_vec.data(), L.bs);
-    batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Upper,
-                    la::Trans::No, la::Diag::NonUnit, L.max_s, nrhs, 1.0,
-                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
-                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                    L.nrhs_vec.data(), L.bs);
+    with_type(L.prec, [&]<typename T>(T) {
+      const auto& p = std::get<BlockPtrs<T>>(L.blocks);
+      if (L.max_u > 0)
+        batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_s,
+                        nrhs, L.max_u, -1.0, p.u12, L.s_vec, 0, 0,
+                        const_cast<const double* const*>(L.bot_p),
+                        L.stage_ld, 0, 0, 1.0, L.top_p, L.stage_ld, 0, 0,
+                        L.s_vec, L.nrhs_vec, L.u_vec, L.bs);
+      batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Upper,
+                      la::Trans::No, la::Diag::NonUnit, L.max_s, nrhs, 1.0,
+                      p.f11, L.s_vec, 0, 0, L.top_p, L.stage_ld, 0, 0,
+                      L.s_vec, L.nrhs_vec, L.bs);
+    });
     dev.launch(stream,
                {"mf_many_scatter_bwd", L.bs, 0, gpusim::kIndependentBlocks},
                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
@@ -1446,134 +1465,96 @@ void MultifrontalFactor::solve_many(std::vector<double>& x, int nrhs) const {
 
 void MultifrontalFactor::solve_many(double* x, int nrhs) const {
   if (nrhs <= 0 || n_ == 0) return;
-  // The scope opens before any staging allocation so every buffer of the
-  // interleaved sweep is tagged "solve_many".
+  // The scope opens before the allocation so the sweep's one buffer is
+  // tagged "solve_many".
   IRRLU_TRACE_SCOPE(dev_.tracer(), "solve_many");
   auto& stream = dev_.stream();
   const int ldx = n_;
   const std::size_t xelems =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(nrhs);
-  auto dx = dev_.alloc<double>(xelems);
-  std::copy(x, x + xelems, dx.data());
-  double* xd = dx.data();
 
-  // Host-side per-front metadata for the gather/scatter kernels (the
-  // solve_batched Meta idiom) plus device descriptor arrays for the
-  // irrTRSM / irrGEMM calls. Every front of a level stages its dim x nrhs
-  // right-hand-side block once; the triangular solve and the
-  // separator/update coupling then run over the whole level as ONE
-  // irregular batch, so the factor blocks are read once per front per
-  // sweep instead of once per RHS.
-  const int nlevels = static_cast<int>(sym_.levels.size());
-  std::vector<ManyLevel> lvls(static_cast<std::size_t>(nlevels));
-  for (int lvl = 0; lvl < nlevels; ++lvl) {
-    ManyLevel& L = lvls[static_cast<std::size_t>(lvl)];
-    std::size_t stage_elems = 0, pg_total = 0;
-    for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
+  // Every front of a level stages its dim x nrhs right-hand-side block
+  // once; the triangular solve and the separator/update coupling then run
+  // over the whole level as ONE irregular batch, so the factor blocks are
+  // read once per front per sweep instead of once per RHS. The kernels
+  // read FP32 blocks in place, so the call's one device allocation is an
+  // arena for the x staging, the stage blocks, the pivot orders and the
+  // descriptor arrays: the level shapes size it, then it is carved.
+  std::vector<ManyLevel> lvls(sym_.levels.size());
+  for (std::size_t lvl = 0; lvl < lvls.size(); ++lvl) {
+    ManyLevel& L = lvls[lvl];
+    L.prec = level_prec_[lvl];
+    for (int id : sym_.levels[lvl]) {
       const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
       if (fr.s() == 0) continue;
       ++L.bs;
       L.max_s = std::max(L.max_s, fr.s());
       L.max_u = std::max(L.max_u, fr.u());
-      stage_elems += static_cast<std::size_t>(fr.dim()) *
-                     static_cast<std::size_t>(nrhs);
-      pg_total += static_cast<std::size_t>(fr.s());
+      L.stage_elems += static_cast<std::size_t>(fr.dim()) *
+                       static_cast<std::size_t>(nrhs);
+      L.pg_elems += static_cast<std::size_t>(fr.s());
     }
+  }
+  Arena sizing;
+  carve(sizing, lvls, xelems);
+  auto arena = dev_.alloc<std::byte>(sizing.used());
+  Arena carver(arena.data());
+  double* xd = carve(carver, lvls, xelems);
+  std::copy(x, x + xelems, xd);
+
+  for (std::size_t lvl = 0; lvl < lvls.size(); ++lvl) {
+    ManyLevel& L = lvls[lvl];
     if (L.bs == 0) continue;
-    const auto bsz = static_cast<std::size_t>(L.bs);
-    const bool f32 =
-        level_prec_[static_cast<std::size_t>(lvl)] == Precision::kF32;
-    double* pbase = nullptr;
-    if (f32) {
-      // One promotion per level per call: both sweeps read the same
-      // FP64 view.
-      std::size_t total = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        total += static_cast<std::size_t>(fr.s()) * fr.s() +
-                 2 * static_cast<std::size_t>(fr.s()) * fr.u();
-      }
-      L.promoted = dev_.alloc<double>(std::max<std::size_t>(total, 1));
-      pbase = L.promoted.data();
-      std::vector<PromoteMeta> pm;
-      std::size_t off = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        const std::size_t elems =
-            static_cast<std::size_t>(fr.s()) * fr.s() +
-            2 * static_cast<std::size_t>(fr.s()) * fr.u();
-        pm.push_back({f11f(id), pbase + off, elems});
-        off += elems;
-      }
-      promote_fp32(dev_, stream, std::move(pm));
-    }
-    L.stage = dev_.alloc<double>(stage_elems);
-    L.pgather = dev_.alloc<int>(pg_total);
-    L.f11_p = dev_.alloc<const double*>(bsz);
-    L.l21_p = dev_.alloc<const double*>(bsz);
-    L.u12_p = dev_.alloc<const double*>(bsz);
-    L.top_p = dev_.alloc<double*>(bsz);
-    L.bot_p = dev_.alloc<double*>(bsz);
-    L.f11_ld = dev_.alloc<int>(bsz);
-    L.l21_ld = dev_.alloc<int>(bsz);
-    L.u12_ld = dev_.alloc<int>(bsz);
-    L.stage_ld = dev_.alloc<int>(bsz);
-    L.s_vec = dev_.alloc<int>(bsz);
-    L.u_vec = dev_.alloc<int>(bsz);
-    L.nrhs_vec = dev_.alloc<int>(bsz);
     L.metas = std::make_shared<std::vector<ManyMeta>>();
-    L.metas->reserve(bsz);
-    std::size_t so = 0, po = 0;
-    std::size_t i = 0;
-    for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-      const int s = fr.s(), u = fr.u(), dim = fr.dim();
-      if (s == 0) continue;
-      double* st = L.stage.data() + so;
-      int* pg = L.pgather.data() + po;
-      // The sequential pivot swaps of the scalar solve, applied to an
-      // identity index array, yield the gather order that produces the
-      // same permuted vector in one pass.
-      for (int r = 0; r < s; ++r) pg[r] = r;
-      const int* piv = front_ipiv(id);
-      for (int r = 0; r < s; ++r)
-        if (piv[r] != r) std::swap(pg[r], pg[piv[r]]);
-      if (f32) {
+    L.metas->reserve(static_cast<std::size_t>(L.bs));
+    with_type(L.prec, [&]<typename T>(T) {
+      auto& p = std::get<BlockPtrs<T>>(L.blocks);
+      std::size_t so = 0, po = 0, i = 0;
+      for (int id : sym_.levels[lvl]) {
+        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
+        const int s = fr.s(), u = fr.u(), dim = fr.dim();
+        if (s == 0) continue;
+        double* st = L.stage + so;
+        int* pg = L.pgather + po;
+        // The sequential pivot swaps of the scalar solve, applied to an
+        // identity index array, yield the gather order that produces the
+        // same permuted vector in one pass.
+        for (int r = 0; r < s; ++r) pg[r] = r;
+        const int* piv = front_ipiv(id);
+        for (int r = 0; r < s; ++r)
+          if (piv[r] != r) std::swap(pg[r], pg[piv[r]]);
+        const T* f11_t;
+        if constexpr (std::is_same_v<T, float>)
+          f11_t = f11f(id);
+        else
+          f11_t = f11(id);
         const auto ss = static_cast<std::size_t>(s) * s;
         const auto su = static_cast<std::size_t>(s) * u;
-        L.f11_p[i] = pbase;
-        L.u12_p[i] = pbase + ss;
-        L.l21_p[i] = pbase + ss + su;
-        pbase += ss + 2 * su;
-      } else {
-        L.f11_p[i] = f11(id);
-        L.l21_p[i] = l21(id);
-        L.u12_p[i] = u12(id);
+        p.f11[i] = f11_t;
+        p.u12[i] = f11_t + ss;
+        p.l21[i] = f11_t + ss + su;
+        L.top_p[i] = st;
+        L.bot_p[i] = st + s;
+        L.s_vec[i] = s;
+        L.u_vec[i] = u;
+        L.l21_ld[i] = u > 0 ? u : 1;
+        L.stage_ld[i] = dim;
+        L.nrhs_vec[i] = nrhs;
+        L.metas->push_back(
+            {st,
+             upd_storage_.data() + upd_offset_[static_cast<std::size_t>(id)],
+             pg, s, u, fr.sep_begin});
+        so += static_cast<std::size_t>(dim) * static_cast<std::size_t>(nrhs);
+        po += static_cast<std::size_t>(s);
+        ++i;
       }
-      L.top_p[i] = st;
-      L.bot_p[i] = st + s;
-      L.f11_ld[i] = s;
-      L.l21_ld[i] = u > 0 ? u : 1;
-      L.u12_ld[i] = s;
-      L.stage_ld[i] = dim;
-      L.s_vec[i] = s;
-      L.u_vec[i] = u;
-      L.nrhs_vec[i] = nrhs;
-      L.metas->push_back(
-          {st, upd_storage_.data() + upd_offset_[static_cast<std::size_t>(id)],
-           pg, s, u, fr.sep_begin});
-      so += static_cast<std::size_t>(dim) * static_cast<std::size_t>(nrhs);
-      po += static_cast<std::size_t>(s);
-      ++i;
-    }
+    });
   }
 
   many_forward(dev_, stream, lvls, xd, ldx, nrhs);
   many_backward(dev_, stream, lvls, xd, ldx, nrhs);
   dev_.synchronize(stream);
-  std::copy(dx.data(), dx.data() + xelems, x);
+  std::copy(xd, xd + xelems, x);
 }
 
 MultifrontalFactor::HostBlocks MultifrontalFactor::host_blocks(

@@ -150,7 +150,10 @@ class MultifrontalFactor {
   /// root-to-leaves). On real hardware the forward sweep's scatter into
   /// shared ancestor entries would need atomics; the simulator executes
   /// blocks sequentially, and the level schedule already guarantees
-  /// child-before-parent ordering.
+  /// child-before-parent ordering. One device allocation (the x staging)
+  /// and two launches per non-empty level under every precision policy:
+  /// FP32 fronts are read in place, each block widening its factor blocks
+  /// exactly (host_blocks).
   void solve_batched(std::vector<double>& x) const;
 
   /// Interleaved many-RHS solve: X is column-major n x nrhs (ld = n, in
@@ -161,9 +164,12 @@ class MultifrontalFactor {
   /// factor blocks are read once per front per sweep rather than once per
   /// RHS, and the launch count is per-level rather than per-RHS-per-level:
   /// the interleaved batch-solver access pattern ("Efficient Interleaved
-  /// Batch Matrix Solvers for CUDA", PAPERS.md). Device path; per-column
-  /// results agree with solve()/solve_batched() to rounding (blocked
-  /// irrTRSM vs per-vector trsv accumulation order), not bitwise.
+  /// Batch Matrix Solvers for CUDA", PAPERS.md). Each call makes one
+  /// device allocation, an arena for the x staging, stage blocks, pivot
+  /// orders and descriptor arrays; FP32 levels are read in place by the
+  /// float-operand irr_trsm / irr_gemm. Device path; per-column results
+  /// agree with solve()/solve_batched() to rounding (blocked irrTRSM vs
+  /// per-vector trsv accumulation order), not bitwise.
   void solve_many(double* x, int nrhs) const;
   /// Convenience overload: x.size() must equal n * nrhs.
   void solve_many(std::vector<double>& x, int nrhs) const;
@@ -277,10 +283,11 @@ class MultifrontalFactor {
     return ipiv_storage_.data() + ipiv_offset_[static_cast<std::size_t>(f)];
   }
 
-  // Host-solve view of front f's factor blocks, always in double: FP64
-  // fronts return direct store pointers (bit-identical to the
-  // pre-precision path); FP32 fronts promote their contiguous block into
-  // `scratch` first (valid until the next call with the same scratch).
+  // Front f's factor blocks in double, for the host sweeps and the
+  // solve_batched kernel blocks: FP64 fronts return direct store pointers
+  // (bit-identical to the pre-precision path); FP32 fronts widen their
+  // contiguous block exactly into `scratch` first (valid until the next
+  // call with the same scratch).
   struct HostBlocks {
     const double* f11;
     const double* u12;

@@ -17,19 +17,25 @@
 //                     may exceed baseline by at most the per-metric noise
 //                     threshold (default 25% — the medians are wall-clock
 //                     on shared machines; deterministic *_sim_s columns
-//                     use a tight 1e-9 relative tolerance instead)
+//                     use a tight 1e-9 relative tolerance instead).
+//                     *launches, *allocs (device launch and allocation
+//                     event counts, e.g. BENCH_factor's launches, allocs
+//                     and host_allocs, BENCH_service's seq_launches,
+//                     batched_launches and batched_allocs): deterministic,
+//                     so no increase at all is allowed
 //   larger-is-better  *speedup*, *gflops*, *hit_rate*, *ratio*: candidate
 //                     may fall short of baseline by at most the threshold
-//   info-only         counts, sizes, booleans, strings: reported when
-//                     different, never gated
+//   info-only         other counts, sizes, booleans, strings: reported
+//                     when different, never gated
 //
 // The "meta" provenance object (git_sha/generated_utc/hostname) is
 // skipped entirely — it differs between any two honest artifacts.
 //
 // --self-check gates the gate itself: <file> vs itself must pass, and
-// <file> vs a copy with every gated metric perturbed past the threshold
-// must fail. CI runs this against the committed artifacts so a silently
-// broken comparator cannot wave regressions through.
+// <file> vs a copy with every gated metric perturbed past its tolerance
+// (each launch and allocation count raised by one) must fail. CI runs
+// this against the committed artifacts so a silently broken comparator
+// cannot wave regressions through.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -56,19 +62,27 @@ bool contains(const std::string& s, const char* needle) {
   return s.find(needle) != std::string::npos;
 }
 
+/// Device launch and allocation event counts.
+bool is_count(const std::string& key) {
+  return ends_with(key, "launches") || ends_with(key, "allocs");
+}
+
 Metric classify(const std::string& key) {
   if (contains(key, "speedup") || contains(key, "gflops") ||
       contains(key, "hit_rate") || contains(key, "ratio"))
     return Metric::kLargerBetter;
-  if (ends_with(key, "_ns") || ends_with(key, "_s"))
+  if (ends_with(key, "_ns") || ends_with(key, "_s") || is_count(key))
     return Metric::kLargerWorse;
   return Metric::kInfo;
 }
 
-/// Deterministic simulated-seconds columns: equal between honest runs of
-/// the same build, so noise tolerance does not apply.
-bool is_deterministic(const std::string& key) {
-  return ends_with(key, "sim_s");
+/// Relative tolerance of a gated metric. Counts and simulated-seconds
+/// columns are deterministic (equal between honest runs of the same
+/// build), so noise tolerance does not apply to them.
+double tolerance(const std::string& key, double threshold) {
+  if (is_count(key)) return 0.0;
+  if (ends_with(key, "sim_s")) return 1e-9;
+  return threshold;
 }
 
 struct Gate {
@@ -85,7 +99,7 @@ struct Gate {
       return;
     }
     ++compared;
-    const double tol = is_deterministic(key) ? 1e-9 : threshold;
+    const double tol = tolerance(key, threshold);
     char buf[512];
     if (m == Metric::kLargerWorse) {
       if (cand > base * (1.0 + tol) + 1e-300) {
@@ -207,31 +221,41 @@ int run_compare(const Value& base, const Value& cand, double threshold,
   return 0;
 }
 
-/// Multiplies every gated metric past its threshold, in place.
-void perturb(Value& v, const std::string& key, double threshold) {
+/// Moves every gated metric past its tolerance, in place (only the launch
+/// and allocation counts when `counts_only`). Returns the leaves moved.
+int perturb(Value& v, const std::string& key, double threshold,
+            bool counts_only) {
+  int moved = 0;
   switch (v.type) {
     case Value::Type::kObject:
       for (auto& [k, child] : v.fields) {
         if (k == "meta") continue;
-        perturb(child, k, threshold);
+        moved += perturb(child, k, threshold, counts_only);
       }
       break;
     case Value::Type::kArray:
-      for (Value& item : v.items) perturb(item, key, threshold);
+      for (Value& item : v.items)
+        moved += perturb(item, key, threshold, counts_only);
       break;
     case Value::Type::kNumber: {
       const Metric m = classify(key);
-      const double tol =
-          is_deterministic(key) ? 1e-9 : threshold;
-      if (m == Metric::kLargerWorse)
+      const double tol = tolerance(key, threshold);
+      if (is_count(key)) {
+        v.number += 1;
+      } else if (counts_only || m == Metric::kInfo) {
+        break;
+      } else if (m == Metric::kLargerWorse) {
         v.number = v.number * (1.0 + 2 * tol) + 1e-12;
-      else if (m == Metric::kLargerBetter)
+      } else {
         v.number = v.number * (1.0 - std::min(2 * tol, 0.999)) - 1e-12;
+      }
+      ++moved;
       break;
     }
     default:
       break;
   }
+  return moved;
 }
 
 int self_check(const Value& doc, double threshold) {
@@ -241,13 +265,19 @@ int self_check(const Value& doc, double threshold) {
                  "did not pass\n");
     return 1;
   }
-  Value worse = doc;
-  perturb(worse, "", threshold);
-  if (run_compare(doc, worse, threshold, /*quiet=*/true) == 0) {
-    std::fprintf(stderr,
-                 "bench_compare: self-check FAILED — perturbed artifact "
-                 "was not flagged\n");
-    return 1;
+  // Every gated metric moved, then the counts alone: an artifact that
+  // only gains launches or allocations must fail too.
+  for (const bool counts_only : {false, true}) {
+    Value worse = doc;
+    if (perturb(worse, "", threshold, counts_only) == 0 && counts_only)
+      continue;
+    if (run_compare(doc, worse, threshold, /*quiet=*/true) == 0) {
+      std::fprintf(stderr,
+                   "bench_compare: self-check FAILED — perturbed artifact "
+                   "(%s) was not flagged\n",
+                   counts_only ? "launch/allocation counts" : "all metrics");
+      return 1;
+    }
   }
   std::printf("bench_compare: self-check OK [%s]\n",
               doc.string_or("schema", "?").c_str());
