@@ -396,12 +396,13 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                                sequential solve_report() calls vs one
 //                                solve_report_many() (deterministic)
 //   speedup                      seq_sim_s / batched_sim_s; asserted
-//                                >= 1 at nrhs >= 16 and >= 2 at
+//                                >= 1 at every width and >= 2 at
 //                                nrhs >= 64, for both precisions
 //   seq_wall_s, batched_wall_s   host wall clock (report only)
 //   seq_launches, batched_launches
-//                                device launches per phase: per-RHS-per-
-//                                level vs per-level
+//                                device launches per phase: two per
+//                                non-empty level per sweep in both, one
+//                                sweep per RHS vs one per batch
 //   batched_allocs               device allocations of the batched phase:
 //                                one per solve_many sweep (the initial
 //                                solve plus each refinement sweep)

@@ -20,9 +20,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
-#include <type_traits>
-#include <vector>
 
 #include "lapack/types.hpp"
 
@@ -116,33 +113,6 @@ inline LaswpWork dcwi_laswp(int j, int jb, int m_loc, int n_loc) {
   w.wr_off = j + jb;
   w.wr = std::max(0, n_loc - (j + jb));
   return w;
-}
-
-/// The rows x cols operand block at `a` (leading dimension `ld`) as
-/// compute type T. Same type: the block itself. A narrower stored type
-/// (FP32 factor blocks under FP64 right-hand sides): an exact conversion
-/// into per-thread scratch, valid until the thread's next call, and `ld`
-/// becomes `rows`. The blocks of an independent launch may run on
-/// different host threads, hence thread_local. The packed la::gemm and
-/// la::trsm arithmetic does not depend on the leading dimension, so a
-/// kernel reading the widened copy computes bitwise what it computes on
-/// an exactly promoted operand.
-template <typename T, typename TA>
-const T* widen_operand(const TA* a, int& ld, int rows, int cols) {
-  if constexpr (std::is_same_v<TA, T>) {
-    return a;
-  } else {
-    thread_local std::vector<T> buf;
-    const auto r = static_cast<std::size_t>(std::max(rows, 0));
-    buf.resize(r * static_cast<std::size_t>(std::max(cols, 0)));
-    for (int j = 0; j < cols; ++j) {
-      const TA* col = a + static_cast<std::ptrdiff_t>(j) * ld;
-      T* dst = buf.data() + static_cast<std::size_t>(j) * r;
-      for (std::size_t i = 0; i < r; ++i) dst[i] = static_cast<T>(col[i]);
-    }
-    ld = std::max(rows, 1);
-    return buf.data();
-  }
 }
 
 }  // namespace irrlu::batch

@@ -37,14 +37,10 @@ GemmTiles pick_tiles(const gpusim::DeviceModel& model) {
 
 }  // namespace
 
-// Tiles, shared memory and flop weight are T's, so a float-A launch has
-// the LaunchConfig of the double kernel; each block widens its A tile
-// exactly before the product, and records the A traffic at its stored
-// width.
-template <typename T, typename TA>
+template <typename T>
 void irr_gemm(gpusim::Device& dev, gpusim::Stream& stream, la::Trans transA,
               la::Trans transB, int m, int n, int k, T alpha,
-              TA const* const* dA_array, const int* ldda, int Ai, int Aj,
+              T const* const* dA_array, const int* ldda, int Ai, int Aj,
               T const* const* dB_array, const int* lddb, int Bi, int Bj,
               T beta, T* const* dC_array, const int* lddc, int Ci, int Cj,
               const int* m_vec, const int* n_vec, const int* k_vec,
@@ -76,7 +72,7 @@ void irr_gemm(gpusim::Device& dev, gpusim::Stream& stream, la::Trans transA,
     const int en = std::min(kTileN, w.n - col0);
 
     const int lda = ldda[id], ldb = lddb[id], ldc = lddc[id];
-    const TA* A = dA_array[id] + static_cast<std::ptrdiff_t>(Aj) * lda + Ai;
+    const T* A = dA_array[id] + static_cast<std::ptrdiff_t>(Aj) * lda + Ai;
     const T* B = dB_array[id] + static_cast<std::ptrdiff_t>(Bj) * ldb + Bi;
     T* C = dC_array[id] + static_cast<std::ptrdiff_t>(Cj) * ldc + Ci +
            static_cast<std::ptrdiff_t>(col0) * ldc + row0;
@@ -96,23 +92,18 @@ void irr_gemm(gpusim::Device& dev, gpusim::Stream& stream, la::Trans transA,
     if (w.k > 0 && alpha != T{}) {
       // The packed engine does its own (register-file) staging, so the
       // tile goes straight through la::gemm on the op()-adjusted global
-      // pointers (a narrower A tile widened first). Byte accounting
-      // matches the former shared-memory staging loop: every k-chunk
-      // moved (em + en) * ek elements, which telescopes to
-      // (em + en) * w.k, A's at its stored width.
-      const bool a_no = transA == la::Trans::No;
-      int lda_t = lda;
-      const T* At = widen_operand<T>(
-          a_no ? A + row0 : A + static_cast<std::ptrdiff_t>(row0) * lda,
-          lda_t, a_no ? em : w.k, a_no ? w.k : em);
+      // pointers. Byte accounting matches the former shared-memory
+      // staging loop: every k-chunk moved (em + en) * ek elements, which
+      // telescopes to (em + en) * w.k.
+      const T* At = transA == la::Trans::No
+                        ? A + row0
+                        : A + static_cast<std::ptrdiff_t>(row0) * lda;
       const T* Bt = transB == la::Trans::No
                         ? B + static_cast<std::ptrdiff_t>(col0) * ldb
                         : B + col0;
-      la::gemm(transA, transB, em, en, w.k, alpha, At, lda_t, Bt, ldb, T(1),
-               C, ldc);
-      bytes += (static_cast<double>(em) * sizeof(TA) +
-                static_cast<double>(en) * sizeof(T)) *
-               w.k;
+      la::gemm(transA, transB, em, en, w.k, alpha, At, lda, Bt, ldb, T(1), C,
+               ldc);
+      bytes += static_cast<double>(em + en) * w.k * sizeof(T);
       ctx.record(la::gemm_flops(em, en, w.k) * la::flop_weight<T>, bytes);
     } else {
       ctx.record(0.0, bytes);
@@ -120,17 +111,16 @@ void irr_gemm(gpusim::Device& dev, gpusim::Stream& stream, la::Trans transA,
   });
 }
 
-#define IRRLU_INSTANTIATE_IRRGEMM(T, TA)                                      \
-  template void irr_gemm<T, TA>(                                              \
+#define IRRLU_INSTANTIATE_IRRGEMM(T)                                          \
+  template void irr_gemm<T>(                                                  \
       gpusim::Device&, gpusim::Stream&, la::Trans, la::Trans, int, int, int,  \
-      T, TA const* const*, const int*, int, int, T const* const*,            \
-      const int*, int, int, T, T* const*, const int*, int, int, const int*,  \
-      const int*, const int*, int);
+      T, T const* const*, const int*, int, int, T const* const*, const int*, \
+      int, int, T, T* const*, const int*, int, int, const int*, const int*,  \
+      const int*, int);
 
-IRRLU_INSTANTIATE_IRRGEMM(float, float)
-IRRLU_INSTANTIATE_IRRGEMM(double, double)
-IRRLU_INSTANTIATE_IRRGEMM(std::complex<double>, std::complex<double>)
-IRRLU_INSTANTIATE_IRRGEMM(double, float)
+IRRLU_INSTANTIATE_IRRGEMM(float)
+IRRLU_INSTANTIATE_IRRGEMM(double)
+IRRLU_INSTANTIATE_IRRGEMM(std::complex<double>)
 
 #undef IRRLU_INSTANTIATE_IRRGEMM
 

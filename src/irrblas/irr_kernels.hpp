@@ -24,16 +24,11 @@ namespace irrlu::batch {
 
 /// C[id](Ci.., Cj..) = alpha * op(A[id])(..) * op(B[id])(..) + beta * C(..)
 /// for every id; per-matrix effective (m, n, k) inferred by DCWI from
-/// (m, n, k), (m_vec, n_vec, k_vec) and the offsets. A is stored as TA:
-/// T, or float with T = double (FP32 factor blocks applied to FP64
-/// right-hand sides). A float A runs irr_gemm<double>'s tiles,
-/// LaunchConfig and arithmetic on each tile widened exactly, so the result
-/// is bitwise that of the double kernel on a promoted copy of A; only the
-/// recorded A traffic is at FP32 width.
-template <typename T, typename TA = T>
+/// (m, n, k), (m_vec, n_vec, k_vec) and the offsets.
+template <typename T>
 void irr_gemm(gpusim::Device& dev, gpusim::Stream& stream, la::Trans transA,
               la::Trans transB, int m, int n, int k, T alpha,
-              TA const* const* dA_array, const int* ldda, int Ai, int Aj,
+              T const* const* dA_array, const int* ldda, int Ai, int Aj,
               T const* const* dB_array, const int* lddb, int Bi, int Bj,
               T beta, T* const* dC_array, const int* lddc, int Ci, int Cj,
               const int* m_vec, const int* n_vec, const int* k_vec,
@@ -48,15 +43,11 @@ void irr_gemm(gpusim::Device& dev, gpusim::Stream& stream, la::Trans transA,
 /// the offset-carrying interface (no per-level workspace or pointer
 /// arithmetic). m is the order of the triangular system of the largest
 /// matrix, n the maximum number of right-hand sides; m_vec/n_vec the local
-/// counterparts (for Side::Right the triangle order aligns with n). The
-/// triangle is stored as TA: T, or float with T = double and Side::Left
-/// only, which runs irr_trsm<double>'s recursion, base size and launches
-/// with each triangle widened exactly — bitwise the double solve on a
-/// promoted copy of T, with the triangle traffic recorded at FP32 width.
-template <typename T, typename TA = T>
+/// counterparts (for Side::Right the triangle order aligns with n).
+template <typename T>
 void irr_trsm(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
               la::Uplo uplo, la::Trans trans, la::Diag diag, int m, int n,
-              T alpha, TA const* const* dT_array, const int* lddt, int Ti,
+              T alpha, T const* const* dT_array, const int* lddt, int Ti,
               int Tj, T* const* dB_array, const int* lddb, int Bi, int Bj,
               const int* m_vec, const int* n_vec, int batch_size);
 

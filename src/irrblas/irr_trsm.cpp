@@ -10,9 +10,7 @@
 // no pointer arithmetic kernels, fully asynchronous.
 #include <algorithm>
 #include <complex>
-#include <type_traits>
 
-#include "common/error.hpp"
 #include "irrblas/dcwi.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "lapack/blas.hpp"
@@ -42,12 +40,11 @@ int trsm_base_size(const gpusim::DeviceModel& model) {
 
 /// Base kernel: one block per matrix; stages the (<= 32 x 32) effective
 /// triangle in shared memory and substitutes directly into B in global
-/// memory. A triangle stored narrower than B (TA = float, T = double) is
-/// widened exactly per block, under T's launch configuration.
-template <typename T, typename TA>
+/// memory.
+template <typename T>
 void trsm_base(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
                la::Uplo uplo, la::Trans trans, la::Diag diag, int m, int n,
-               T alpha, TA const* const* dT_array, const int* lddt, int Ti,
+               T alpha, T const* const* dT_array, const int* lddt, int Ti,
                int Tj, T* const* dB_array, const int* lddb, int Bi, int Bj,
                const int* m_vec, const int* n_vec, int batch_size) {
   const int base = trsm_base_size<T>(dev.model());
@@ -62,21 +59,19 @@ void trsm_base(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
         dcwi_trsm(side, m, n, Ti, Tj, Bi, Bj, m_vec[id], n_vec[id]);
     if (w.none()) return;
     const int tri = side == la::Side::Left ? w.m : w.n;
-    int ldt = lddt[id];
-    const int ldb = lddb[id];
-    const TA* Tp = dT_array[id] + static_cast<std::ptrdiff_t>(Tj) * ldt + Ti;
+    const int ldt = lddt[id], ldb = lddb[id];
+    const T* Tp = dT_array[id] + static_cast<std::ptrdiff_t>(Tj) * ldt + Ti;
     T* Bp = dB_array[id] + static_cast<std::ptrdiff_t>(Bj) * ldb + Bi;
 
-    // Substitute directly against the global triangle (a narrower one
-    // widened first); la::trsm is ld-independent, so the result is
-    // bitwise what the former shared-memory staging produced. The
-    // LaunchConfig still charges the staging footprint.
-    const T* Tw = widen_operand<T>(Tp, ldt, tri, tri);
-    la::trsm(side, uplo, trans, diag, w.m, w.n, alpha, Tw, ldt, Bp, ldb);
+    // Substitute directly against the global triangle; la::trsm is
+    // ld-independent, so the result is bitwise what the former
+    // shared-memory staging produced. The LaunchConfig still charges the
+    // staging footprint, so simulated time is unchanged.
+    la::trsm(side, uplo, trans, diag, w.m, w.n, alpha, Tp, ldt, Bp, ldb);
 
     ctx.record(la::trsm_flops(tri, side == la::Side::Left ? w.n : w.m) *
                    la::flop_weight<T>,
-               0.5 * tri * tri * sizeof(TA) + 2.0 * w.m * w.n * sizeof(T));
+               (0.5 * tri * tri + 2.0 * w.m * w.n) * sizeof(T));
   });
 }
 
@@ -91,18 +86,12 @@ int split_point(int tri, int base) {
 
 }  // namespace
 
-// T's base size and launch configurations throughout, so a float triangle
-// runs the double schedule.
-template <typename T, typename TA>
+template <typename T>
 void irr_trsm(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
               la::Uplo uplo, la::Trans trans, la::Diag diag, int m, int n,
-              T alpha, TA const* const* dT_array, const int* lddt, int Ti,
+              T alpha, T const* const* dT_array, const int* lddt, int Ti,
               int Tj, T* const* dB_array, const int* lddb, int Bi, int Bj,
               const int* m_vec, const int* n_vec, int batch_size) {
-  if constexpr (!std::is_same_v<TA, T>)
-    IRRLU_CHECK_MSG(side == la::Side::Left,
-                    "irr_trsm: a triangle narrower than B supports "
-                    "Side::Left only");
   if (batch_size <= 0 || m <= 0 || n <= 0) return;
   const int tri = side == la::Side::Left ? m : n;
   const int base = trsm_base_size<T>(dev.model());
@@ -133,7 +122,7 @@ void irr_trsm(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
                const_cast<T const* const*>(dB_array), lddb, Bi + bi, Bj + bj,
                alpha, dB_array, lddb, Bi + ci, Bj + cj, kv_m, kv_n, kv_m,
                batch_size);
-    } else if constexpr (std::is_same_v<TA, T>) {
+    } else {
       irr_gemm(dev, stream, ta, tb, gm, gn, gk, T(-1),
                const_cast<T const* const*>(dB_array), lddb, Bi + ai, Bj + aj,
                dT_array, lddt, Ti + bi, Tj + bj, alpha, dB_array, lddb,
@@ -205,17 +194,16 @@ void irr_trsm(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
   }
 }
 
-#define IRRLU_INSTANTIATE_IRRTRSM(T, TA)                                     \
-  template void irr_trsm<T, TA>(gpusim::Device&, gpusim::Stream&, la::Side,  \
-                                la::Uplo, la::Trans, la::Diag, int, int, T,  \
-                                TA const* const*, const int*, int, int,      \
-                                T* const*, const int*, int, int, const int*, \
-                                const int*, int);
+#define IRRLU_INSTANTIATE_IRRTRSM(T)                                         \
+  template void irr_trsm<T>(gpusim::Device&, gpusim::Stream&, la::Side,      \
+                            la::Uplo, la::Trans, la::Diag, int, int, T,      \
+                            T const* const*, const int*, int, int,           \
+                            T* const*, const int*, int, int, const int*,     \
+                            const int*, int);
 
-IRRLU_INSTANTIATE_IRRTRSM(float, float)
-IRRLU_INSTANTIATE_IRRTRSM(double, double)
-IRRLU_INSTANTIATE_IRRTRSM(std::complex<double>, std::complex<double>)
-IRRLU_INSTANTIATE_IRRTRSM(double, float)
+IRRLU_INSTANTIATE_IRRTRSM(float)
+IRRLU_INSTANTIATE_IRRTRSM(double)
+IRRLU_INSTANTIATE_IRRTRSM(std::complex<double>)
 
 #undef IRRLU_INSTANTIATE_IRRTRSM
 

@@ -93,9 +93,10 @@ void gemv(Trans trans, int m, int n, T alpha, const T* a, int lda, const T* x,
 
 template <typename T>
 void trsv(Uplo uplo, Trans trans, Diag diag, int m, const T* a, int lda,
-          T* x, int incx) {
-  auto X = [&](int i) -> T& {
-    return x[static_cast<std::ptrdiff_t>(i) * incx];
+          T* x, int incx, int nrhs, int ldx) {
+  auto X = [&](int i, int c) -> T& {
+    return x[static_cast<std::ptrdiff_t>(c) * ldx +
+             static_cast<std::ptrdiff_t>(i) * incx];
   };
   auto A = [&](int i, int j) -> T {
     return a[static_cast<std::ptrdiff_t>(j) * lda + i];
@@ -105,18 +106,37 @@ void trsv(Uplo uplo, Trans trans, Diag diag, int m, const T* a, int lda,
   auto E = [&](int i, int j) -> T {
     return trans == Trans::No ? A(i, j) : A(j, i);
   };
+  // Row i of X: x_i <- (x_i - sum_{j in [j0, j1)} E(i, j) x_j) / E(i, i).
+  // Rows outer, columns inner: each element of row i of A is read once
+  // for kCols columns, whose independent substitutions interleave for
+  // instruction-level parallelism. Every column keeps the one-column
+  // operation order, so nrhs does not change its bits; the remainder loop
+  // is the one-column form.
+  constexpr int kCols = 8;
+  auto row = [&](int i, int j0, int j1) {
+    auto finish = [&](T acc) {
+      return diag == Diag::Unit ? acc : acc / E(i, i);
+    };
+    int c = 0;
+    for (; c + kCols <= nrhs; c += kCols) {
+      T acc[kCols];
+      for (int k = 0; k < kCols; ++k) acc[k] = X(i, c + k);
+      for (int j = j0; j < j1; ++j) {
+        const T e = E(i, j);
+        for (int k = 0; k < kCols; ++k) acc[k] -= e * X(j, c + k);
+      }
+      for (int k = 0; k < kCols; ++k) X(i, c + k) = finish(acc[k]);
+    }
+    for (; c < nrhs; ++c) {
+      T acc = X(i, c);
+      for (int j = j0; j < j1; ++j) acc -= E(i, j) * X(j, c);
+      X(i, c) = finish(acc);
+    }
+  };
   if (lower) {
-    for (int i = 0; i < m; ++i) {
-      T acc = X(i);
-      for (int j = 0; j < i; ++j) acc -= E(i, j) * X(j);
-      X(i) = diag == Diag::Unit ? acc : acc / E(i, i);
-    }
+    for (int i = 0; i < m; ++i) row(i, 0, i);
   } else {
-    for (int i = m - 1; i >= 0; --i) {
-      T acc = X(i);
-      for (int j = i + 1; j < m; ++j) acc -= E(i, j) * X(j);
-      X(i) = diag == Diag::Unit ? acc : acc / E(i, i);
-    }
+    for (int i = m - 1; i >= 0; --i) row(i, i + 1, m);
   }
 }
 
@@ -402,7 +422,8 @@ IRRLU_INSTANTIATE_REF(std::complex<double>)
   template void ger<T>(int, int, T, const T*, int, const T*, int, T*, int);   \
   template void gemv<T>(Trans, int, int, T, const T*, int, const T*, int, T,  \
                         T*, int);                                             \
-  template void trsv<T>(Uplo, Trans, Diag, int, const T*, int, T*, int);      \
+  template void trsv<T>(Uplo, Trans, Diag, int, const T*, int, T*, int, int, \
+                        int);                                                 \
   template void gemm<T>(Trans, Trans, int, int, int, T, const T*, int,        \
                         const T*, int, T, T*, int);                           \
   template void trsm<T>(Side, Uplo, Trans, Diag, int, int, T, const T*, int,  \

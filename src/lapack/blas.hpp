@@ -40,10 +40,13 @@ template <typename T>
 void gemv(Trans trans, int m, int n, T alpha, const T* a, int lda, const T* x,
           int incx, T beta, T* y, int incy);
 
-/// Solve op(A) * x = x in place; A triangular m x m.
+/// Solve op(A) * X = X in place for the nrhs columns of X (column c starts
+/// at x + c * ldx, its elements incx apart); A triangular m x m. Every
+/// column gets the one-column operation order, so its bits do not depend
+/// on nrhs.
 template <typename T>
 void trsv(Uplo uplo, Trans trans, Diag diag, int m, const T* a, int lda, T* x,
-          int incx);
+          int incx, int nrhs = 1, int ldx = 0);
 
 // ----- level 3 -----
 

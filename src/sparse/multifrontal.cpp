@@ -1145,20 +1145,33 @@ std::size_t MultifrontalFactor::factor_bytes() const {
          ipiv_storage_.size() * sizeof(int);
 }
 
-void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
-  const int n = static_cast<int>(x.size());
-  // The scope opens before the x staging buffer so the allocation is
-  // tagged "solve" rather than by call site.
-  IRRLU_TRACE_SCOPE(dev_.tracer(), "solve");
-  auto dx = dev_.alloc<double>(static_cast<std::size_t>(n));
-  std::copy(x.begin(), x.end(), dx.data());
+void MultifrontalFactor::solve_many(std::vector<double>& x, int nrhs) const {
+  IRRLU_CHECK_MSG(nrhs >= 0, "solve_many(): negative nrhs");
+  IRRLU_CHECK_MSG(x.size() == static_cast<std::size_t>(n_) *
+                                  static_cast<std::size_t>(nrhs),
+                  "solve_many(): x holds " << x.size() << " elements, want n*"
+                                           << "nrhs = " << n_ << "*" << nrhs);
+  solve_many(x.data(), nrhs);
+}
+
+void MultifrontalFactor::solve_many(double* x, int nrhs) const {
+  if (nrhs <= 0 || n_ == 0) return;
+  // The scope opens before the x staging buffer so the sweep's one
+  // allocation is tagged "solve_many" rather than by call site.
+  IRRLU_TRACE_SCOPE(dev_.tracer(), "solve_many");
+  const int ldx = n_;
+  const std::size_t xelems =
+      static_cast<std::size_t>(n_) * static_cast<std::size_t>(nrhs);
+  auto dx = dev_.alloc<double>(xelems);
+  std::copy(x, x + xelems, dx.data());
   double* xd = dx.data();
   auto& stream = dev_.stream();
 
-  // One block per front with s > 0. FP32 fronts are read in place: the
-  // block widens its factor blocks exactly into per-thread scratch
-  // (host_blocks), so every precision policy pays one allocation per call
-  // and two launches per non-empty level.
+  // One block per front with s > 0, over all nrhs columns. FP32 fronts are
+  // read in place: the block widens its factor blocks exactly into
+  // per-thread scratch (host_blocks) once for all columns, so every
+  // precision policy pays one allocation per call and two launches per
+  // non-empty level.
   struct Meta {
     int id;
     const int* piv;
@@ -1180,12 +1193,12 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
     }
     return metas;
   };
-  // One front's work: the triangle and the off-diagonal block at their
-  // stored width, the x traffic in double.
-  auto record = [](gpusim::BlockCtx& ctx, const Meta& m) {
-    ctx.record(static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u,
+  // One front's work: the triangle and the off-diagonal block read once
+  // at their stored width, the x traffic in double per column.
+  auto record = [nrhs](gpusim::BlockCtx& ctx, const Meta& m) {
+    ctx.record((static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u) * nrhs,
                static_cast<double>(m.s) * (m.s / 2.0 + m.u) * m.elem +
-                   (2.0 * m.u + 2.0 * m.s) * sizeof(double));
+                   (2.0 * m.u + 2.0 * m.s) * sizeof(double) * nrhs);
   };
 
   // Forward sweep, leaves to root: x_s <- L11^{-1} P x_s;
@@ -1198,22 +1211,28 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
     // Serial blocks: fronts of a level share update rows, and the
     // scatter's subtraction order is part of the result.
     dev_.launch(stream, {"mf_solve_fwd", static_cast<int>(metas->size()), 0},
-                [this, metas, xd, record](gpusim::BlockCtx& ctx) {
+                [this, metas, xd, ldx, nrhs, record](gpusim::BlockCtx& ctx) {
       const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
       SolveScratch& sc = solve_scratch();
       const HostBlocks hb = host_blocks(m.id, sc.blocks);
       double* xs = xd + m.sep_begin;  // contiguous separator range
-      for (int r = 0; r < m.s; ++r)
-        if (m.piv[r] != r) std::swap(xs[r], xs[m.piv[r]]);
+      for (int c = 0; c < nrhs; ++c) {
+        double* xc = xs + static_cast<std::ptrdiff_t>(c) * ldx;
+        for (int r = 0; r < m.s; ++r)
+          if (m.piv[r] != r) std::swap(xc[r], xc[m.piv[r]]);
+      }
       la::trsv(la::Uplo::Lower, la::Trans::No, la::Diag::Unit, m.s, hb.f11,
-               m.s, xs, 1);
+               m.s, xs, 1, nrhs, ldx);
       if (m.u > 0) {
         // tmp = L21 * x_s (L21 is u x s, leading dimension u), then
         // scatter (atomics on real hardware).
         double* tmp = sc.vec(static_cast<std::size_t>(m.u));
-        la::gemv(la::Trans::No, m.u, m.s, 1.0, hb.l21, m.u, xs, 1, 0.0, tmp,
-                 1);
-        for (int k = 0; k < m.u; ++k) xd[m.upd[k]] -= tmp[k];
+        for (int c = 0; c < nrhs; ++c) {
+          double* xc = xd + static_cast<std::ptrdiff_t>(c) * ldx;
+          la::gemv(la::Trans::No, m.u, m.s, 1.0, hb.l21, m.u,
+                   xc + m.sep_begin, 1, 0.0, tmp, 1);
+          for (int k = 0; k < m.u; ++k) xc[m.upd[k]] -= tmp[k];
+        }
       }
       record(ctx, m);
     });
@@ -1228,7 +1247,7 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
     dev_.launch(stream,
                 {"mf_solve_bwd", static_cast<int>(metas->size()), 0,
                  gpusim::kIndependentBlocks},
-                [this, metas, xd, record](gpusim::BlockCtx& ctx) {
+                [this, metas, xd, ldx, nrhs, record](gpusim::BlockCtx& ctx) {
       const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
       SolveScratch& sc = solve_scratch();
       const HostBlocks hb = host_blocks(m.id, sc.blocks);
@@ -1237,322 +1256,18 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
         // Gather x[upd], then x_s -= U12 * x_u (U12 is s x u, leading
         // dimension s).
         double* tmp = sc.vec(static_cast<std::size_t>(m.u));
-        for (int k = 0; k < m.u; ++k) tmp[k] = xd[m.upd[k]];
-        la::gemv(la::Trans::No, m.s, m.u, -1.0, hb.u12, m.s, tmp, 1, 1.0, xs,
-                 1);
+        for (int c = 0; c < nrhs; ++c) {
+          double* xc = xd + static_cast<std::ptrdiff_t>(c) * ldx;
+          for (int k = 0; k < m.u; ++k) tmp[k] = xc[m.upd[k]];
+          la::gemv(la::Trans::No, m.s, m.u, -1.0, hb.u12, m.s, tmp, 1, 1.0,
+                   xc + m.sep_begin, 1);
+        }
       }
       la::trsv(la::Uplo::Upper, la::Trans::No, la::Diag::NonUnit, m.s,
-               hb.f11, m.s, xs, 1);
+               hb.f11, m.s, xs, 1, nrhs, ldx);
       record(ctx, m);
     });
   }
-  dev_.synchronize(stream);
-  std::copy(dx.data(), dx.data() + n, x.begin());
-}
-
-namespace {
-
-/// solve_many's per-front gather/scatter metadata (the solve_batched Meta
-/// idiom).
-struct ManyMeta {
-  double* stage;   ///< this front's dim x nrhs staging block (ld = dim)
-  const int* upd;  ///< update-row indices (permuted space)
-  const int* pg;   ///< pivoted gather order for the separator rows
-  int s, u, sep_begin;
-};
-
-/// Pointer arrays to a level's factor blocks, in their stored type.
-template <typename T>
-struct BlockPtrs {
-  const T** f11 = nullptr;
-  const T** l21 = nullptr;
-  const T** u12 = nullptr;
-};
-
-/// One level of solve_many: the gather/scatter metadata of its fronts
-/// with s > 0 and the descriptor arrays of its irrTRSM / irrGEMM calls,
-/// carved from the call's one device allocation. An FP32 level's pointer
-/// arrays address its float blocks, which the kernels read in place.
-struct ManyLevel {
-  int bs = 0;  ///< fronts with s > 0
-  int max_s = 0, max_u = 0;
-  std::size_t stage_elems = 0, pg_elems = 0;
-  Precision prec = Precision::kF64;
-  std::shared_ptr<std::vector<ManyMeta>> metas;
-  double* stage = nullptr;
-  int* pgather = nullptr;  ///< concatenated pivot orders
-  std::variant<BlockPtrs<double>, BlockPtrs<float>> blocks;
-  double** top_p = nullptr;
-  double** bot_p = nullptr;
-  int* s_vec = nullptr;  ///< s, also the F11 and U12 leading dimension
-  int* u_vec = nullptr;
-  int* l21_ld = nullptr;
-  int* stage_ld = nullptr;
-  int* nrhs_vec = nullptr;
-};
-
-/// Bump allocator over one device allocation: a sizing pass (null base)
-/// totals the aligned extents, and a carving pass over the real block
-/// hands out the same extents in the same order.
-class Arena {
- public:
-  explicit Arena(std::byte* base = nullptr) : base_(base) {}
-  template <typename T>
-  T* take(std::size_t count) {
-    used_ = (used_ + alignof(T) - 1) / alignof(T) * alignof(T);
-    T* p = base_ != nullptr ? reinterpret_cast<T*>(base_ + used_) : nullptr;
-    used_ += count * sizeof(T);
-    return p;
-  }
-  std::size_t used() const { return used_; }
-
- private:
-  std::byte* base_;
-  std::size_t used_ = 0;
-};
-
-/// Lays out solve_many's device data: the x staging block, then per level
-/// its stage block and pointer arrays, then per level its pivot orders and
-/// int descriptors. The 8-byte members come first, so the layout needs no
-/// padding. Returns the x staging block.
-double* carve(Arena& a, std::vector<ManyLevel>& lvls, std::size_t xelems) {
-  double* xd = a.take<double>(xelems);
-  for (ManyLevel& L : lvls) {
-    if (L.bs == 0) continue;
-    const auto bs = static_cast<std::size_t>(L.bs);
-    L.stage = a.take<double>(L.stage_elems);
-    L.top_p = a.take<double*>(bs);
-    L.bot_p = a.take<double*>(bs);
-    with_type(L.prec, [&]<typename T>(T) {
-      auto& p = L.blocks.emplace<BlockPtrs<T>>();
-      p.f11 = a.take<const T*>(bs);
-      p.l21 = a.take<const T*>(bs);
-      p.u12 = a.take<const T*>(bs);
-    });
-  }
-  for (ManyLevel& L : lvls) {
-    if (L.bs == 0) continue;
-    const auto bs = static_cast<std::size_t>(L.bs);
-    L.pgather = a.take<int>(L.pg_elems);
-    L.s_vec = a.take<int>(bs);
-    L.u_vec = a.take<int>(bs);
-    L.l21_ld = a.take<int>(bs);
-    L.stage_ld = a.take<int>(bs);
-    L.nrhs_vec = a.take<int>(bs);
-  }
-  return xd;
-}
-
-void many_forward(gpusim::Device& dev, gpusim::Stream& stream,
-                  const std::vector<ManyLevel>& lvls, double* xd, int ldx,
-                  int nrhs) {
-  // Forward sweep, leaves to root: stage <- P x_s; stage <- L11^{-1} stage
-  // (irrTRSM over the level); bottom <- L21 * top (irrGEMM); x[upd] -=
-  // bottom (scatter; atomics on real hardware, sequential blocks in the
-  // simulator — the same contract solve_batched documents).
-  for (int lvl = static_cast<int>(lvls.size()) - 1; lvl >= 0; --lvl) {
-    const ManyLevel& L = lvls[static_cast<std::size_t>(lvl)];
-    if (L.bs == 0) continue;
-    IRRLU_TRACE_SCOPE(dev.tracer(), "fwd");
-    auto metas = L.metas;
-    dev.launch(stream,
-               {"mf_many_gather_fwd", L.bs, 0, gpusim::kIndependentBlocks},
-               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx +
-                           m.sep_begin;
-        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.pg[r]];
-      }
-      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double) +
-                          static_cast<double>(m.s) * sizeof(int));
-    });
-    with_type(L.prec, [&]<typename T>(T) {
-      const auto& p = std::get<BlockPtrs<T>>(L.blocks);
-      batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Lower,
-                      la::Trans::No, la::Diag::Unit, L.max_s, nrhs, 1.0,
-                      p.f11, L.s_vec, 0, 0, L.top_p, L.stage_ld, 0, 0,
-                      L.s_vec, L.nrhs_vec, L.bs);
-      if (L.max_u > 0)
-        batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_u,
-                        nrhs, L.max_s, 1.0, p.l21, L.l21_ld, 0, 0,
-                        const_cast<const double* const*>(L.top_p),
-                        L.stage_ld, 0, 0, 0.0, L.bot_p, L.stage_ld, 0, 0,
-                        L.u_vec, L.nrhs_vec, L.s_vec, L.bs);
-    });
-    dev.launch(stream, {"mf_many_scatter_fwd", L.bs, 0},
-               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
-        for (int k = 0; k < m.u; ++k) xc[m.upd[k]] -= sc[m.s + k];
-      }
-      ctx.record(static_cast<double>(m.u) * nrhs,
-                 (2.0 * m.s + 3.0 * m.u) * nrhs * sizeof(double) +
-                     static_cast<double>(m.u) * sizeof(int));
-    });
-  }
-}
-
-void many_backward(gpusim::Device& dev, gpusim::Stream& stream,
-                   const std::vector<ManyLevel>& lvls, double* xd, int ldx,
-                   int nrhs) {
-  // Backward sweep, root to leaves: top <- x_s, bottom <- x[upd] (gather);
-  // top -= U12 * bottom (irrGEMM); top <- U11^{-1} top (irrTRSM); x_s <-
-  // top (scatter; separator ranges are disjoint, plain stores).
-  for (int lvl = 0; lvl < static_cast<int>(lvls.size()); ++lvl) {
-    const ManyLevel& L = lvls[static_cast<std::size_t>(lvl)];
-    if (L.bs == 0) continue;
-    IRRLU_TRACE_SCOPE(dev.tracer(), "bwd");
-    auto metas = L.metas;
-    dev.launch(stream,
-               {"mf_many_gather_bwd", L.bs, 0, gpusim::kIndependentBlocks},
-               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.sep_begin + r];
-        for (int k = 0; k < m.u; ++k) sc[m.s + k] = xc[m.upd[k]];
-      }
-      ctx.record(0.0, 2.0 * (m.s + m.u) * nrhs * sizeof(double) +
-                          static_cast<double>(m.u) * sizeof(int));
-    });
-    with_type(L.prec, [&]<typename T>(T) {
-      const auto& p = std::get<BlockPtrs<T>>(L.blocks);
-      if (L.max_u > 0)
-        batch::irr_gemm(dev, stream, la::Trans::No, la::Trans::No, L.max_s,
-                        nrhs, L.max_u, -1.0, p.u12, L.s_vec, 0, 0,
-                        const_cast<const double* const*>(L.bot_p),
-                        L.stage_ld, 0, 0, 1.0, L.top_p, L.stage_ld, 0, 0,
-                        L.s_vec, L.nrhs_vec, L.u_vec, L.bs);
-      batch::irr_trsm(dev, stream, la::Side::Left, la::Uplo::Upper,
-                      la::Trans::No, la::Diag::NonUnit, L.max_s, nrhs, 1.0,
-                      p.f11, L.s_vec, 0, 0, L.top_p, L.stage_ld, 0, 0,
-                      L.s_vec, L.nrhs_vec, L.bs);
-    });
-    dev.launch(stream,
-               {"mf_many_scatter_bwd", L.bs, 0, gpusim::kIndependentBlocks},
-               [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const ManyMeta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
-      }
-      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double));
-    });
-  }
-}
-
-}  // namespace
-
-void MultifrontalFactor::solve_many(std::vector<double>& x, int nrhs) const {
-  IRRLU_CHECK_MSG(nrhs >= 0, "solve_many(): negative nrhs");
-  IRRLU_CHECK_MSG(x.size() == static_cast<std::size_t>(n_) *
-                                  static_cast<std::size_t>(nrhs),
-                  "solve_many(): x holds " << x.size() << " elements, want n*"
-                                           << "nrhs = " << n_ << "*" << nrhs);
-  solve_many(x.data(), nrhs);
-}
-
-void MultifrontalFactor::solve_many(double* x, int nrhs) const {
-  if (nrhs <= 0 || n_ == 0) return;
-  // The scope opens before the allocation so the sweep's one buffer is
-  // tagged "solve_many".
-  IRRLU_TRACE_SCOPE(dev_.tracer(), "solve_many");
-  auto& stream = dev_.stream();
-  const int ldx = n_;
-  const std::size_t xelems =
-      static_cast<std::size_t>(n_) * static_cast<std::size_t>(nrhs);
-
-  // Every front of a level stages its dim x nrhs right-hand-side block
-  // once; the triangular solve and the separator/update coupling then run
-  // over the whole level as ONE irregular batch, so the factor blocks are
-  // read once per front per sweep instead of once per RHS. The kernels
-  // read FP32 blocks in place, so the call's one device allocation is an
-  // arena for the x staging, the stage blocks, the pivot orders and the
-  // descriptor arrays: the level shapes size it, then it is carved.
-  std::vector<ManyLevel> lvls(sym_.levels.size());
-  for (std::size_t lvl = 0; lvl < lvls.size(); ++lvl) {
-    ManyLevel& L = lvls[lvl];
-    L.prec = level_prec_[lvl];
-    for (int id : sym_.levels[lvl]) {
-      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-      if (fr.s() == 0) continue;
-      ++L.bs;
-      L.max_s = std::max(L.max_s, fr.s());
-      L.max_u = std::max(L.max_u, fr.u());
-      L.stage_elems += static_cast<std::size_t>(fr.dim()) *
-                       static_cast<std::size_t>(nrhs);
-      L.pg_elems += static_cast<std::size_t>(fr.s());
-    }
-  }
-  Arena sizing;
-  carve(sizing, lvls, xelems);
-  auto arena = dev_.alloc<std::byte>(sizing.used());
-  Arena carver(arena.data());
-  double* xd = carve(carver, lvls, xelems);
-  std::copy(x, x + xelems, xd);
-
-  for (std::size_t lvl = 0; lvl < lvls.size(); ++lvl) {
-    ManyLevel& L = lvls[lvl];
-    if (L.bs == 0) continue;
-    L.metas = std::make_shared<std::vector<ManyMeta>>();
-    L.metas->reserve(static_cast<std::size_t>(L.bs));
-    with_type(L.prec, [&]<typename T>(T) {
-      auto& p = std::get<BlockPtrs<T>>(L.blocks);
-      std::size_t so = 0, po = 0, i = 0;
-      for (int id : sym_.levels[lvl]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        const int s = fr.s(), u = fr.u(), dim = fr.dim();
-        if (s == 0) continue;
-        double* st = L.stage + so;
-        int* pg = L.pgather + po;
-        // The sequential pivot swaps of the scalar solve, applied to an
-        // identity index array, yield the gather order that produces the
-        // same permuted vector in one pass.
-        for (int r = 0; r < s; ++r) pg[r] = r;
-        const int* piv = front_ipiv(id);
-        for (int r = 0; r < s; ++r)
-          if (piv[r] != r) std::swap(pg[r], pg[piv[r]]);
-        const T* f11_t;
-        if constexpr (std::is_same_v<T, float>)
-          f11_t = f11f(id);
-        else
-          f11_t = f11(id);
-        const auto ss = static_cast<std::size_t>(s) * s;
-        const auto su = static_cast<std::size_t>(s) * u;
-        p.f11[i] = f11_t;
-        p.u12[i] = f11_t + ss;
-        p.l21[i] = f11_t + ss + su;
-        L.top_p[i] = st;
-        L.bot_p[i] = st + s;
-        L.s_vec[i] = s;
-        L.u_vec[i] = u;
-        L.l21_ld[i] = u > 0 ? u : 1;
-        L.stage_ld[i] = dim;
-        L.nrhs_vec[i] = nrhs;
-        L.metas->push_back(
-            {st,
-             upd_storage_.data() + upd_offset_[static_cast<std::size_t>(id)],
-             pg, s, u, fr.sep_begin});
-        so += static_cast<std::size_t>(dim) * static_cast<std::size_t>(nrhs);
-        po += static_cast<std::size_t>(s);
-        ++i;
-      }
-    });
-  }
-
-  many_forward(dev_, stream, lvls, xd, ldx, nrhs);
-  many_backward(dev_, stream, lvls, xd, ldx, nrhs);
   dev_.synchronize(stream);
   std::copy(xd, xd + xelems, x);
 }
@@ -1573,6 +1288,9 @@ MultifrontalFactor::HostBlocks MultifrontalFactor::host_blocks(
 }
 
 void MultifrontalFactor::solve(std::vector<double>& x) const {
+  IRRLU_CHECK_MSG(x.size() == static_cast<std::size_t>(n_),
+                  "solve(): x holds " << x.size() << " elements, want n = "
+                                      << n_);
   const auto nf = sym_.fronts.size();
   std::vector<double> xs, xu, fbuf;
   // Forward sweep (children before parents — the fronts are in postorder).
@@ -1639,6 +1357,9 @@ void MultifrontalFactor::solve_transpose(std::vector<double>& x) const {
   // backward step. The transpose applies F_0^T ... F_{N-1}^T then
   // B_{N-1}^T ... B_0^T, so each sweep runs in the opposite tree order
   // with the transposed triangular blocks.
+  IRRLU_CHECK_MSG(x.size() == static_cast<std::size_t>(n_),
+                  "solve_transpose(): x holds "
+                      << x.size() << " elements, want n = " << n_);
   const auto nf = sym_.fronts.size();
   std::vector<double> xs, xu, fbuf;
   // B_i^T in postorder: xs <- U11^{-T} xs; x[upd] -= U12^T xs.

@@ -140,42 +140,33 @@ class MultifrontalFactor {
   MultifrontalFactor(gpusim::Device& dev, const CsrMatrix& a_perm,
                      const SymbolicAnalysis& sym, const FactorOptions& opts);
 
-  /// Solves L U x = P b in the permuted space, overwriting x (length n).
-  /// Pivoting is restricted to the fronts' diagonal blocks, matching the
-  /// factorization. Host-side reference implementation.
+  /// Solves L U x = P b in the permuted space, overwriting x (length n;
+  /// other lengths throw). Pivoting is restricted to the fronts' diagonal
+  /// blocks, matching the factorization. Host-side reference
+  /// implementation.
   void solve(std::vector<double>& x) const;
 
-  /// Same solve, executed as level-batched kernels on the device (one
-  /// thread block per front, forward sweep leaves-to-root then backward
-  /// root-to-leaves). On real hardware the forward sweep's scatter into
-  /// shared ancestor entries would need atomics; the simulator executes
-  /// blocks sequentially, and the level schedule already guarantees
-  /// child-before-parent ordering. One device allocation (the x staging)
-  /// and two launches per non-empty level under every precision policy:
-  /// FP32 fronts are read in place, each block widening its factor blocks
-  /// exactly (host_blocks).
-  void solve_batched(std::vector<double>& x) const;
-
-  /// Interleaved many-RHS solve: X is column-major n x nrhs (ld = n, in
-  /// the permuted space, one RHS per column), overwritten with the
-  /// solutions. Each level's fronts run ONE gather, one irrTRSM over the
-  /// s x nrhs separator blocks, one irrGEMM for the separator/update
-  /// coupling and one scatter — instead of nrhs independent sweeps. The
-  /// factor blocks are read once per front per sweep rather than once per
-  /// RHS, and the launch count is per-level rather than per-RHS-per-level:
-  /// the interleaved batch-solver access pattern ("Efficient Interleaved
-  /// Batch Matrix Solvers for CUDA", PAPERS.md). Each call makes one
-  /// device allocation, an arena for the x staging, stage blocks, pivot
-  /// orders and descriptor arrays; FP32 levels are read in place by the
-  /// float-operand irr_trsm / irr_gemm. Device path; per-column results
-  /// agree with solve()/solve_batched() to rounding (blocked irrTRSM vs
-  /// per-vector trsv accumulation order), not bitwise.
+  /// The same solve for nrhs right-hand sides, executed as level-batched
+  /// kernels on the device: X is column-major n x nrhs (ld = n, in the
+  /// permuted space, one RHS per column), overwritten with the solutions.
+  /// Per non-empty level one forward launch (leaves to root) and one
+  /// backward launch (root to leaves), with one thread block per front
+  /// that reads its factor blocks once for all nrhs columns — the
+  /// interleaved batch-solver access pattern ("Efficient Interleaved Batch
+  /// Matrix Solvers for CUDA", PAPERS.md). On real hardware the forward
+  /// sweep's scatter into shared ancestor entries would need atomics; the
+  /// simulator runs those blocks in order, and the level schedule already
+  /// guarantees child-before-parent ordering. One device allocation (the
+  /// x staging) per call under every precision policy: FP32 fronts are
+  /// read in place, each block widening its factor blocks exactly
+  /// (host_blocks). Column j's bits equal those of a one-column call on
+  /// column j alone, so a solution does not depend on its batch.
   void solve_many(double* x, int nrhs) const;
   /// Convenience overload: x.size() must equal n * nrhs.
   void solve_many(std::vector<double>& x, int nrhs) const;
 
-  /// Solves (L U)^T x = b in the permuted space, overwriting x: the
-  /// transpose of solve(), obtained by transposing every per-front
+  /// Solves (L U)^T x = b in the permuted space, overwriting x (length n):
+  /// the transpose of solve(), obtained by transposing every per-front
   /// elimination step and reversing the two sweeps. Host-side; needed by
   /// the Hager condition estimator.
   void solve_transpose(std::vector<double>& x) const;
@@ -284,7 +275,7 @@ class MultifrontalFactor {
   }
 
   // Front f's factor blocks in double, for the host sweeps and the
-  // solve_batched kernel blocks: FP64 fronts return direct store pointers
+  // solve_many kernel blocks: FP64 fronts return direct store pointers
   // (bit-identical to the pre-precision path); FP32 fronts widen their
   // contiguous block exactly into `scratch` first (valid until the next
   // call with the same scratch).

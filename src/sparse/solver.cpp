@@ -187,114 +187,7 @@ bool report_better(const SolveReport& a, const SolveReport& b) {
 
 SolveReport SparseDirectSolver::solve_report(
     const std::vector<double>& b) const {
-  SolveReport rep = solve_report_impl(b);
-  observe_refine_steps(rep.refine_steps);
-  if (rep.status == SolveStatus::kConverged || !opts_.fp64_fallback ||
-      !factor_->has_fp32())
-    return rep;
-  // Classic LU-IR fallback: the FP32 factorization could not deliver the
-  // tolerance — refactor the same prepared matrix in full FP64 and re-run,
-  // keeping whichever result is better (the FP64 one, barring a genuinely
-  // unstable matrix that fails either way).
-  refactor_fp64();
-  SolveReport rep64 = solve_report_impl(b);
-  observe_refine_steps(rep64.refine_steps);
-  if (report_better(rep64, rep)) rep = std::move(rep64);
-  rep.refactored_fp64 = true;
-  return rep;
-}
-
-SolveReport SparseDirectSolver::solve_report_impl(
-    const std::vector<double>& b) const {
-  IRRLU_CHECK_MSG(factor_ != nullptr, "solve_report() requires factor()");
-  const int n = a_.rows();
-  IRRLU_CHECK(static_cast<int>(b.size()) == n);
-
-  auto solve_once = [&](const std::vector<double>& rhs) {
-    // w = P (Dr rhs); z = App^{-1} w; y = P^T z; x[q[j]] = dc[q[j]] y[j].
-    std::vector<double> w(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int oi = ord_.perm[static_cast<std::size_t>(i)];
-      w[static_cast<std::size_t>(i)] =
-          mc64_.dr[static_cast<std::size_t>(oi)] *
-          rhs[static_cast<std::size_t>(oi)];
-    }
-    if (opts_.solve_on_device)
-      factor_->solve_batched(w);
-    else
-      factor_->solve(w);
-    std::vector<double> x(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const int oj = ord_.perm[static_cast<std::size_t>(j)];  // pre-P index
-      const int col = mc64_.col_of_row[static_cast<std::size_t>(oj)];
-      x[static_cast<std::size_t>(col)] =
-          mc64_.dc[static_cast<std::size_t>(col)] *
-          w[static_cast<std::size_t>(j)];
-    }
-    return x;
-  };
-
-  // Phase latency feed for the tracer's histogram registry (simulated
-  // clock; the host-side solve path advances no simulated time and
-  // lands in the underflow bucket).
-  trace::Tracer* tr = factor_->device().tracer();
-  const double t_solve0 = tr != nullptr ? factor_->device().host_time() : 0;
-
-  SolveReport rep;
-  std::vector<double> x = solve_once(b);
-  const double t_refine0 = tr != nullptr ? factor_->device().host_time() : 0;
-  if (tr != nullptr) tr->observe("solve.initial_s", t_refine0 - t_solve0);
-  double berr = a_.componentwise_residual(x.data(), b.data());
-  rep.berr_history.push_back(berr);
-  if (!std::isfinite(berr)) {
-    // The factorization produced NaN/Inf (e.g. an un-boosted zero pivot):
-    // refinement cannot repair that — report a clean structured failure.
-    rep.x = std::move(x);
-    rep.berr = berr;
-    rep.status = SolveStatus::kFailed;
-    return rep;
-  }
-
-  // Adaptive refinement: iterate while the componentwise backward error is
-  // above tolerance, keeping the best iterate seen. Stop on the cap, on
-  // divergence (berr did not decrease — roll back to the best iterate), or
-  // on stagnation (decrease by less than 2x, Higham's rule: further sweeps
-  // would only dither around the attainable accuracy).
-  std::vector<double> best = x;
-  double best_berr = berr;
-  const double tol = std::max(opts_.refine_tolerance, 0.0);
-  std::vector<double> r(static_cast<std::size_t>(n));
-  int steps = 0;
-  while (berr > tol && steps < opts_.max_refine_steps) {
-    a_.multiply(x.data(), r.data());
-    for (int i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)];
-    const std::vector<double> dx = solve_once(r);
-    for (int i = 0; i < n; ++i)
-      x[static_cast<std::size_t>(i)] += dx[static_cast<std::size_t>(i)];
-    ++steps;
-    const double next = a_.componentwise_residual(x.data(), b.data());
-    rep.berr_history.push_back(next);
-    if (!std::isfinite(next) || next >= berr) break;  // diverged
-    const bool stagnated = next > 0.5 * berr;
-    berr = next;
-    if (next < best_berr) {
-      best_berr = next;
-      best = x;
-    }
-    if (stagnated) break;
-  }
-
-  if (tr != nullptr && steps > 0)
-    tr->observe("solve.refine_s", factor_->device().host_time() - t_refine0);
-
-  rep.refine_steps = steps;
-  rep.x = std::move(best);
-  rep.berr = best_berr;
-  rep.status = best_berr <= tol ? SolveStatus::kConverged
-                                : SolveStatus::kDegraded;
-  return rep;
+  return std::move(solve_batch({b}, opts_.solve_on_device).front());
 }
 
 std::vector<double> SparseDirectSolver::solve(
@@ -311,18 +204,27 @@ std::vector<double> SparseDirectSolver::solve(
 
 std::vector<SolveReport> SparseDirectSolver::solve_report_many(
     const std::vector<std::vector<double>>& bs) const {
-  std::vector<SolveReport> reps = solve_report_many_impl(bs);
+  return solve_batch(bs, /*on_device=*/true);
+}
+
+std::vector<SolveReport> SparseDirectSolver::solve_batch(
+    const std::vector<std::vector<double>>& bs, bool on_device) const {
+  IRRLU_CHECK_MSG(factor_ != nullptr, "solving requires factor()");
+  std::vector<SolveReport> reps = refine_batch(bs, on_device);
   for (const SolveReport& r : reps) observe_refine_steps(r.refine_steps);
   const bool any_short = std::any_of(
       reps.begin(), reps.end(),
       [](const SolveReport& r) { return r.status != SolveStatus::kConverged; });
   if (!any_short || !opts_.fp64_fallback || !factor_->has_fp32()) return reps;
-  // One FP64 refactor covers the whole batch; every request is re-solved
+  // Classic LU-IR fallback: the FP32 factorization could not deliver the
+  // tolerance — refactor the same prepared matrix in full FP64 and re-run.
+  // One refactor covers the whole batch; every request is re-solved
   // against the FP64 factors (the converged ones too — the sweep is
-  // batched, so re-running them costs one extra lane each, and the
-  // per-request arbitration below keeps whichever result is better).
+  // batched, so re-running them costs one extra column each), keeping
+  // whichever result is better per request (the FP64 one, barring a
+  // genuinely unstable matrix that fails either way).
   refactor_fp64();
-  std::vector<SolveReport> reps64 = solve_report_many_impl(bs);
+  std::vector<SolveReport> reps64 = refine_batch(bs, on_device);
   for (std::size_t k = 0; k < reps.size(); ++k) {
     observe_refine_steps(reps64[k].refine_steps);
     if (report_better(reps64[k], reps[k])) reps[k] = std::move(reps64[k]);
@@ -331,9 +233,8 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many(
   return reps;
 }
 
-std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
-    const std::vector<std::vector<double>>& bs) const {
-  IRRLU_CHECK_MSG(factor_ != nullptr, "solve_report_many() requires factor()");
+std::vector<SolveReport> SparseDirectSolver::refine_batch(
+    const std::vector<std::vector<double>>& bs, bool on_device) const {
   const int n = a_.rows();
   const int nrhs = static_cast<int>(bs.size());
   std::vector<SolveReport> reps(bs.size());
@@ -341,8 +242,8 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
   for (const auto& b : bs) IRRLU_CHECK(static_cast<int>(b.size()) == n);
   const auto nz = static_cast<std::size_t>(n);
 
-  // Same transforms as solve_report()'s solve_once, applied column-wise:
-  // w = P (Dr rhs); batched sweep; x[q[j]] = dc[q[j]] w[j].
+  // Column-wise transforms around the sweep: w = P (Dr rhs); sweep;
+  // x[q[j]] = dc[q[j]] w[j].
   auto scale_in = [&](const double* rhs, double* w) {
     for (int i = 0; i < n; ++i) {
       const int oi = ord_.perm[static_cast<std::size_t>(i)];
@@ -356,17 +257,44 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
       x[col] = mc64_.dc[static_cast<std::size_t>(col)] * w[j];
     }
   };
+  // One triangular sweep over the first `cols` columns of W: the device
+  // sweep for all of them at once, or the host sweep column by column.
+  std::vector<double> W(nz * static_cast<std::size_t>(nrhs)), w;
+  auto sweep = [&](int cols) {
+    if (on_device) {
+      factor_->solve_many(W.data(), cols);
+      return;
+    }
+    w.resize(nz);
+    for (int k = 0; k < cols; ++k) {
+      double* col = W.data() + static_cast<std::size_t>(k) * nz;
+      std::copy(col, col + nz, w.begin());
+      factor_->solve(w);
+      std::copy(w.begin(), w.end(), col);
+    }
+  };
 
-  // Initial solves for every request: one interleaved sweep.
-  std::vector<double> W(nz * static_cast<std::size_t>(nrhs));
+  // Phase latency feed for the tracer's histogram registry (simulated
+  // clock; the host sweep advances no simulated time and lands in the
+  // underflow bucket).
+  trace::Tracer* tr = factor_->device().tracer();
+  const double t_solve0 = tr != nullptr ? factor_->device().host_time() : 0;
+
+  // Initial solves for every request: one sweep.
   for (int j = 0; j < nrhs; ++j)
     scale_in(bs[static_cast<std::size_t>(j)].data(),
              W.data() + static_cast<std::size_t>(j) * nz);
-  factor_->solve_many(W.data(), nrhs);
+  sweep(nrhs);
+  const double t_refine0 = tr != nullptr ? factor_->device().host_time() : 0;
+  if (tr != nullptr) tr->observe("solve.initial_s", t_refine0 - t_solve0);
 
-  // Requests still refining; they leave the batch individually under
-  // exactly the per-request rules of solve_report() (cap, divergence
-  // rollback, Higham's stagnation rule).
+  // Adaptive refinement, per request: iterate while the componentwise
+  // backward error is above tolerance, keeping the best iterate seen.
+  // A request stops on the cap, on divergence (berr did not decrease —
+  // roll back to the best iterate), or on stagnation (decrease by less
+  // than 2x, Higham's rule: further sweeps would only dither around the
+  // attainable accuracy). Requests leave the batch individually, and only
+  // the still-active residuals are re-solved.
   struct Active {
     int req;
     std::vector<double> x, best;
@@ -383,6 +311,9 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
     SolveReport& rep = reps[ju];
     rep.berr_history.push_back(berr);
     if (!std::isfinite(berr)) {
+      // The factorization produced NaN/Inf (e.g. an un-boosted zero
+      // pivot): refinement cannot repair that — a clean structured
+      // failure.
       rep.x = std::move(x);
       rep.berr = berr;
       rep.status = SolveStatus::kFailed;
@@ -402,6 +333,7 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
     a.berr = a.best_berr = berr;
     act.push_back(std::move(a));
   }
+  const bool refined = !act.empty();
 
   std::vector<double> r(nz);
   while (!act.empty()) {
@@ -416,7 +348,7 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
             b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)];
       scale_in(r.data(), W.data() + static_cast<std::size_t>(k) * nz);
     }
-    factor_->solve_many(W.data(), na);
+    sweep(na);
 
     std::vector<Active> next;
     for (int k = 0; k < na; ++k) {
@@ -454,6 +386,9 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
     }
     act = std::move(next);
   }
+
+  if (tr != nullptr && refined)
+    tr->observe("solve.refine_s", factor_->device().host_time() - t_refine0);
   return reps;
 }
 

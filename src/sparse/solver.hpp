@@ -43,8 +43,9 @@ struct SolverOptions {
   /// Componentwise backward-error target of the refinement loop; roughly
   /// 5x double machine epsilon by default.
   double refine_tolerance = 1e-15;
-  /// Run the triangular solves as level-batched device kernels instead of
-  /// the host-side reference sweep.
+  /// Run solve_report()'s triangular solves as level-batched device
+  /// kernels (MultifrontalFactor::solve_many) instead of the host-side
+  /// reference sweep. solve_report_many() always runs on the device.
   bool solve_on_device = false;
   /// Classic LU-IR safety net (DESIGN.md §14): when the factor precision
   /// policy produced FP32 fronts and a solve cannot reach
@@ -132,7 +133,9 @@ class SparseDirectSolver {
   /// Phase 3: solves A x = b (original, unpermuted space) with adaptive
   /// iterative refinement, returning the solution plus its convergence
   /// diagnostics. Never throws on numerical failure — inspect
-  /// SolveReport::status. Requires factor().
+  /// SolveReport::status. Requires factor(). Runs as a one-request batch
+  /// of solve_report_many()'s refinement loop and FP64 fallback, sweeping
+  /// on the host unless SolverOptions::solve_on_device is set.
   SolveReport solve_report(const std::vector<double>& b) const;
 
   /// Thin legacy wrapper over solve_report(): returns just x, but fails
@@ -151,9 +154,10 @@ class SparseDirectSolver {
   /// stagnation/divergence stops), its own berr history, its own
   /// SolveStatus — requests leave the batch individually as they converge
   /// and only the still-active residuals are re-solved. Always takes the
-  /// device path regardless of SolverOptions::solve_on_device; per-request
-  /// results agree with solve_report() to rounding (blocked batched
-  /// triangular solves vs per-vector substitution), statuses preserved.
+  /// device path regardless of SolverOptions::solve_on_device. A request's
+  /// report does not depend on the other requests of its batch: with
+  /// solve_on_device set it is bitwise solve_report()'s, unless a batch
+  /// fallback refactor (SolveReport::refactored_fp64) re-solved it.
   std::vector<SolveReport> solve_report_many(
       const std::vector<std::vector<double>>& bs) const;
 
@@ -211,10 +215,16 @@ class SparseDirectSolver {
   /// Replaces the current factorization with a full-FP64 one of the same
   /// prepared matrix (the LU-IR fallback step).
   void refactor_fp64() const;
-  /// The pre-fallback solve bodies.
-  SolveReport solve_report_impl(const std::vector<double>& b) const;
-  std::vector<SolveReport> solve_report_many_impl(
-      const std::vector<std::vector<double>>& bs) const;
+  /// The one solve path behind solve_report() (a one-request batch) and
+  /// solve_report_many(): refine_batch(), then the LU-IR FP64-refactor
+  /// fallback when any request falls short of the tolerance.
+  std::vector<SolveReport> solve_batch(
+      const std::vector<std::vector<double>>& bs, bool on_device) const;
+  /// Per-request adaptive refinement over a batch; every sweep runs on the
+  /// device (MultifrontalFactor::solve_many over the still-active
+  /// requests) or, with on_device false, on the host one column at a time.
+  std::vector<SolveReport> refine_batch(
+      const std::vector<std::vector<double>>& bs, bool on_device) const;
   /// Feeds the per-policy refine-step histogram
   /// ("solve.refine_steps.<policy>") when a tracer is attached.
   void observe_refine_steps(int steps) const;

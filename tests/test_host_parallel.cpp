@@ -386,7 +386,7 @@ FactorRun factor_and_solve(Device& dev, const sparse::CsrMatrix& a,
   const auto b = rhs(a.rows(), 11);
   r.x = solver.solve_report(b).x;
   std::vector<double> xd = b;
-  f.solve_batched(xd);
+  f.solve_many(xd, 1);
   r.x_device = xd;
   for (const auto& rep : solver.solve_report_many({b, rhs(a.rows(), 12),
                                                    rhs(a.rows(), 13)}))

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -536,6 +537,36 @@ TEST(Gemv, BetaZeroOverwritesNaNs) {
     EXPECT_DOUBLE_EQ(ys[0], 3.0);
     EXPECT_DOUBLE_EQ(ys[2], 4.0);
   }
+}
+
+TEST(Trsv, ManyColumnsMatchOneColumnBitwise) {
+  // Each column of a many-column solve must carry the bits of a
+  // one-column solve on that column alone, for every triangle, transpose,
+  // diagonal and stride, and for widths on either side of the interleave.
+  const int m = 37, lda = 41, incx = 2, ldx = 80;
+  Rng rng(17);
+  std::vector<double> a(static_cast<std::size_t>(lda) * m);
+  for (double& v : a) v = rng.uniform(-1, 1);
+  for (int i = 0; i < m; ++i) a[static_cast<std::size_t>(i) * lda + i] = 4.0;
+  for (la::Uplo uplo : {la::Uplo::Lower, la::Uplo::Upper})
+    for (la::Trans trans : {la::Trans::No, la::Trans::Yes})
+      for (la::Diag diag : {la::Diag::Unit, la::Diag::NonUnit})
+        for (int nrhs : {1, 3, 8, 13}) {
+          std::vector<double> x(static_cast<std::size_t>(ldx) * nrhs);
+          for (double& v : x) v = rng.uniform(-1, 1);
+          std::vector<double> many = x;
+          la::trsv(uplo, trans, diag, m, a.data(), lda, many.data(), incx,
+                   nrhs, ldx);
+          for (int c = 0; c < nrhs; ++c) {
+            std::vector<double> one(x.begin() + c * ldx,
+                                    x.begin() + (c + 1) * ldx);
+            la::trsv(uplo, trans, diag, m, a.data(), lda, one.data(), incx);
+            EXPECT_EQ(std::memcmp(one.data(), many.data() + c * ldx,
+                                  ldx * sizeof(double)),
+                      0)
+                << "nrhs " << nrhs << " column " << c;
+          }
+        }
 }
 
 TEST(Rng, DeterministicAcrossRuns) {

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -26,7 +24,6 @@
 #include "sparse/csr.hpp"
 #include "sparse/precision.hpp"
 #include "sparse/solver.hpp"
-#include "trace/trace.hpp"
 
 namespace la = irrlu::la;
 using namespace irrlu::batch;
@@ -185,198 +182,6 @@ TEST(Fp32Kernels, StagedLaswpRangeIsBitIdenticalToStrided) {
                                 bs);
   dev.synchronize_all();
   EXPECT_EQ(batch_max_diff_f(A, B), 0.0f);
-}
-
-// ---------------------------------------------------------------------------
-// FP32 A operand under FP64 B/C: bitwise the FP64 kernel on a promoted copy
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// (kernel, blocks, shared memory, flops) of every launch `run` issues.
-using LaunchSig = std::tuple<std::string, int, std::size_t, double>;
-
-template <typename F>
-std::vector<LaunchSig> launches_of(Device& dev, F&& run) {
-  irrlu::trace::Tracer tr;
-  dev.set_tracer(&tr);
-  run();
-  dev.synchronize_all();
-  dev.set_tracer(nullptr);
-  std::vector<LaunchSig> out;
-  for (const auto& l : tr.launches())
-    out.emplace_back(std::string(tr.kernel_name(l.name_id)), l.blocks,
-                     l.smem_bytes, l.flops);
-  return out;
-}
-
-/// Random float batch and its exact FP64 promotion, rows[i] x cols[i] each
-/// (the rows include any leading-dimension padding).
-struct PromotedPair {
-  VBatch<float> f;
-  VBatch<double> d;
-  PromotedPair(Device& dev, const std::vector<int>& rows,
-               const std::vector<int>& cols, Rng& rng)
-      : f(dev, rows, cols), d(dev, rows, cols) {
-    f.fill_uniform(rng);
-    for (int i = 0; i < f.batch_size(); ++i) {
-      auto vf = f.view(i);
-      auto vd = d.view(i);
-      for (int j = 0; j < vf.cols(); ++j)
-        for (int r = 0; r < vf.rows(); ++r)
-          vd(r, j) = static_cast<double>(vf(r, j));
-    }
-  }
-};
-
-bool same_batch_bits(const VBatch<double>& a, const VBatch<double>& b) {
-  for (int i = 0; i < a.batch_size(); ++i) {
-    auto va = a.view(i);
-    auto vb = b.view(i);
-    for (int j = 0; j < va.cols(); ++j)
-      if (va.rows() > 0 &&
-          std::memcmp(&va(0, j), &vb(0, j), va.rows() * sizeof(double)) != 0)
-        return false;
-  }
-  return true;
-}
-
-/// Device copy of a host int vector (the local-dimension arrays).
-irrlu::gpusim::DeviceBuffer<int> device_ints(Device& dev,
-                                             const std::vector<int>& v) {
-  auto buf = dev.alloc<int>(v.size());
-  std::copy(v.begin(), v.end(), buf.data());
-  return buf;
-}
-
-std::vector<int> plus(const std::vector<int>& v, int pad) {
-  std::vector<int> out(v);
-  for (int& x : out) x += pad;
-  return out;
-}
-
-int max_of(const std::vector<int>& v) {
-  return *std::max_element(v.begin(), v.end());
-}
-
-}  // namespace
-
-TEST(MixedOperand, FloatAGemmIsBitwisePromotedDoubleGemm) {
-  // LIBXSMM wrap-test shapes (SNIPPETS.md snippet 1): an odd 24x23x21
-  // product with leading dimension 32, k = 257 past the packed engine's
-  // KC = 256, and an irregular batch that mixes both with empty members.
-  struct Case {
-    std::vector<int> m, n, k;
-    int pad;
-    double alpha, beta;
-  };
-  const std::vector<Case> cases = {
-      {{24}, {23}, {21}, 8, -1.0, 0.5},
-      {{65}, {16}, {257}, 7, 1.0, 0.0},
-      {{24, 65, 5, 0, 33, 17}, {23, 16, 1, 7, 0, 40}, {21, 257, 3, 9, 40, 0},
-       3, -1.0, 0.5},
-  };
-  Rng rng(83);
-  for (la::Trans ta : {la::Trans::No, la::Trans::Yes}) {
-    for (const Case& c : cases) {
-      SCOPED_TRACE(::testing::Message()
-                   << "transA=" << (ta == la::Trans::No ? "N" : "T")
-                   << " batch=" << c.m.size() << " m0=" << c.m[0]);
-      Device dev(DeviceModel::a100());
-      const int bs = static_cast<int>(c.m.size());
-      const bool a_no = ta == la::Trans::No;
-      PromotedPair A(dev, plus(a_no ? c.m : c.k, c.pad), a_no ? c.k : c.m,
-                     rng);
-      VBatch<double> B(dev, plus(c.k, c.pad), c.n);
-      B.fill_uniform(rng);
-      VBatch<double> Cd(dev, plus(c.m, c.pad), c.n);
-      Cd.fill_uniform(rng);
-      VBatch<double> Cf(dev, plus(c.m, c.pad), c.n);
-      Cf.copy_from(Cd);
-      const auto mv = device_ints(dev, c.m), nv = device_ints(dev, c.n),
-                 kv = device_ints(dev, c.k);
-      const auto double_run = launches_of(dev, [&] {
-        irr_gemm<double>(dev, dev.stream(), ta, la::Trans::No, max_of(c.m),
-                         max_of(c.n), max_of(c.k), c.alpha,
-                         const_cast<double const* const*>(A.d.ptrs()),
-                         A.d.lda(), 0, 0,
-                         const_cast<double const* const*>(B.ptrs()), B.lda(),
-                         0, 0, c.beta, Cd.ptrs(), Cd.lda(), 0, 0, mv.data(),
-                         nv.data(), kv.data(), bs);
-      });
-      const auto float_run = launches_of(dev, [&] {
-        irr_gemm(dev, dev.stream(), ta, la::Trans::No, max_of(c.m),
-                 max_of(c.n), max_of(c.k), c.alpha,
-                 const_cast<float const* const*>(A.f.ptrs()), A.f.lda(), 0, 0,
-                 const_cast<double const* const*>(B.ptrs()), B.lda(), 0, 0,
-                 c.beta, Cf.ptrs(), Cf.lda(), 0, 0, mv.data(), nv.data(),
-                 kv.data(), bs);
-      });
-      EXPECT_TRUE(same_batch_bits(Cd, Cf));
-      EXPECT_EQ(float_run, double_run);  // the double kernel's launches
-    }
-  }
-}
-
-TEST(MixedOperand, FloatTriangleTrsmIsBitwisePromotedDoubleTrsm) {
-  // Side::Left over both triangles and diagonals (and both transposes):
-  // order 24 stays in one base block, 65 and 257 recurse through the
-  // irrGEMM updates; leading dimensions are padded throughout.
-  struct Case {
-    std::vector<int> tri, nrhs;
-    int pad;
-  };
-  const std::vector<Case> cases = {
-      {{24}, {23}, 8},
-      {{65}, {16}, 7},
-      {{24, 65, 5, 0, 33, 257}, {23, 16, 1, 7, 12, 3}, 3},
-  };
-  Rng rng(89);
-  for (la::Uplo uplo : {la::Uplo::Lower, la::Uplo::Upper})
-    for (la::Diag diag : {la::Diag::Unit, la::Diag::NonUnit})
-      for (la::Trans trans : {la::Trans::No, la::Trans::Yes})
-        for (const Case& c : cases) {
-          SCOPED_TRACE(::testing::Message()
-                       << "uplo=" << static_cast<int>(uplo)
-                       << " diag=" << static_cast<int>(diag)
-                       << " trans=" << static_cast<int>(trans)
-                       << " batch=" << c.tri.size() << " tri0=" << c.tri[0]);
-          Device dev(DeviceModel::a100());
-          const int bs = static_cast<int>(c.tri.size());
-          PromotedPair T(dev, plus(c.tri, c.pad), c.tri, rng);
-          // A dominant diagonal (exact in both types) keeps the
-          // substitution tame at order 257.
-          for (int i = 0; i < bs; ++i) {
-            auto vf = T.f.view(i);
-            auto vd = T.d.view(i);
-            for (int j = 0; j < vf.cols(); ++j) {
-              vf(j, j) = 4.0f;
-              vd(j, j) = 4.0;
-            }
-          }
-          VBatch<double> Bd(dev, plus(c.tri, c.pad), c.nrhs);
-          Bd.fill_uniform(rng);
-          VBatch<double> Bf(dev, plus(c.tri, c.pad), c.nrhs);
-          Bf.copy_from(Bd);
-          const auto tv = device_ints(dev, c.tri),
-                     nv = device_ints(dev, c.nrhs);
-          const auto double_run = launches_of(dev, [&] {
-            irr_trsm<double>(dev, dev.stream(), la::Side::Left, uplo, trans,
-                             diag, max_of(c.tri), max_of(c.nrhs), -1.5,
-                             const_cast<double const* const*>(T.d.ptrs()),
-                             T.d.lda(), 0, 0, Bd.ptrs(), Bd.lda(), 0, 0,
-                             tv.data(), nv.data(), bs);
-          });
-          const auto float_run = launches_of(dev, [&] {
-            irr_trsm(dev, dev.stream(), la::Side::Left, uplo, trans, diag,
-                     max_of(c.tri), max_of(c.nrhs), -1.5,
-                     const_cast<float const* const*>(T.f.ptrs()), T.f.lda(),
-                     0, 0, Bf.ptrs(), Bf.lda(), 0, 0, tv.data(), nv.data(),
-                     bs);
-          });
-          EXPECT_TRUE(same_batch_bits(Bd, Bf));
-          EXPECT_EQ(float_run, double_run);
-        }
 }
 
 // ---------------------------------------------------------------------------

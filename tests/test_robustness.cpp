@@ -341,7 +341,7 @@ TEST(SolverRegression, TraceCountersCarryRobustnessDiagnostics) {
 // ----------------------------------------------------- the failure envelope
 
 /// Parameterized over the solve path: host reference sweep vs the
-/// level-batched device kernels (solve_batched) — the device path must
+/// level-batched device kernels (solve_many) — the device path must
 /// honor the exact same no-silent-garbage contract.
 class RobustnessEnvelope : public ::testing::TestWithParam<bool> {
  protected:

@@ -15,6 +15,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fem/mesh.hpp"
+#include "fem/nedelec.hpp"
 #include "gpusim/device.hpp"
 #include "service/solver_service.hpp"
 #include "sparse/csr.hpp"
@@ -48,6 +50,12 @@ CsrMatrix perturbed_laplacian(int k, unsigned seed) {
   Rng rng(seed);
   for (auto& v : a.val()) v *= 1.0 + 0.1 * rng.uniform(-1, 1);
   return a;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 SolveRequest make_req(std::string tenant, CsrMatrix a, unsigned rhs_seed) {
@@ -170,6 +178,62 @@ TEST(SolveMany, EmptyBatchIsANoOp) {
   solver.analyze(laplacian2d(4, 4));
   solver.factor(dev);
   EXPECT_TRUE(solver.solve_report_many({}).empty());
+}
+
+TEST(SolveMany, RequestIndependentOfBatch) {
+  // Each block of the device sweep runs every column in the one-column
+  // operation order, so a request's report is bitwise the one it gets
+  // alone, whatever else shares its batch. The claim excludes FP64
+  // fallbacks: a batch fallback re-solves every request of the batch.
+  for (const auto& [nt, nc] : {std::pair{12, 4}, std::pair{384, 2}}) {
+    const double omega = 16.0;
+    const irrlu::fem::EdgeSystem sys = irrlu::fem::assemble_maxwell(
+        irrlu::fem::HexMesh::torus(nt, nc, nc), omega,
+        irrlu::fem::paper_maxwell_load(omega, omega / 1.05));
+    const int n = sys.a.rows();
+    for (PrecisionPolicy p : {PrecisionPolicy::kF64, PrecisionPolicy::kF32,
+                              PrecisionPolicy::kAdaptive}) {
+      SCOPED_TRACE(std::to_string(nt) + "x" + std::to_string(nc) + " " +
+                   to_string(p));
+      Device dev(DeviceModel::a100());
+      SolverOptions opts;
+      opts.nd.leaf_size = 16;
+      opts.factor.precision = p;
+      opts.solve_on_device = true;
+      SparseDirectSolver solver(opts);
+      solver.analyze(sys.a);
+      solver.factor(dev);
+      for (int nrhs : {1, 3, 16}) {
+        SCOPED_TRACE("nrhs " + std::to_string(nrhs));
+        std::vector<std::vector<double>> bs;
+        for (int j = 0; j < nrhs; ++j)
+          bs.push_back(random_rhs(n, 300u + static_cast<unsigned>(j)));
+        const auto many = solver.solve_report_many(bs);
+        ASSERT_EQ(many.size(), bs.size());
+        for (int j = 0; j < nrhs; ++j) {
+          const auto ju = static_cast<std::size_t>(j);
+          const SolveReport one = solver.solve_report(bs[ju]);
+          ASSERT_FALSE(many[ju].refactored_fp64 || one.refactored_fp64);
+          EXPECT_TRUE(same_bits(many[ju].x, one.x)) << "rhs " << j;
+          EXPECT_TRUE(same_bits(many[ju].berr_history, one.berr_history))
+              << "rhs " << j;
+          EXPECT_EQ(many[ju].refine_steps, one.refine_steps) << "rhs " << j;
+          EXPECT_EQ(many[ju].status, one.status) << "rhs " << j;
+        }
+        // The raw sweep: column j of one call against column j alone.
+        std::vector<double> X;
+        for (const auto& b : bs) X.insert(X.end(), b.begin(), b.end());
+        solver.numeric().solve_many(X, nrhs);
+        for (int j = 0; j < nrhs; ++j) {
+          std::vector<double> x = bs[static_cast<std::size_t>(j)];
+          solver.numeric().solve_many(x, 1);
+          const auto col = X.begin() + static_cast<std::ptrdiff_t>(j) * n;
+          EXPECT_TRUE(same_bits(std::vector<double>(col, col + n), x))
+              << "column " << j;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

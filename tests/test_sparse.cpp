@@ -463,7 +463,7 @@ TEST(DeviceSolve, LaunchCountScalesWithLevelsNotFronts) {
   solver.factor(dev);
   std::vector<double> x(static_cast<std::size_t>(a.rows()), 1.0);
   const long before = dev.launch_count();
-  solver.numeric().solve_batched(x);
+  solver.numeric().solve_many(x, 1);
   const long solve_launches = dev.launch_count() - before;
   const long levels = static_cast<long>(solver.symbolic().levels.size());
   const long fronts = static_cast<long>(solver.symbolic().fronts.size());
@@ -472,18 +472,17 @@ TEST(DeviceSolve, LaunchCountScalesWithLevelsNotFronts) {
 }
 
 TEST(DeviceSolve, ManyRhsSweepAllocatesOnce) {
-  // solve_many carves its x staging, stage blocks, pivot orders and
-  // descriptor arrays from one device allocation, and FP32 levels are read
-  // in place, so the sweep's schedule does not depend on the factor
-  // precision. solve_batched pays one allocation and two launches per
-  // non-empty level under every policy.
+  // solve_many stages x in one device allocation and runs one forward and
+  // one backward launch per non-empty level at every width; FP32 levels
+  // are read in place, so the sweep's schedule does not depend on the
+  // factor precision.
   const auto mesh = fem::HexMesh::torus(12, 4, 4);
   const double omega = 16.0;
   const fem::EdgeSystem sys = fem::assemble_maxwell(
       mesh, omega, fem::paper_maxwell_load(omega, omega / 1.05));
   const int n = sys.a.rows();
   using Schedule = std::vector<std::pair<std::string, int>>;
-  std::map<int, Schedule> f64_schedule;  // keyed by nrhs; 0 = solve_batched
+  std::map<int, Schedule> f64_schedule;  // keyed by nrhs
   for (PrecisionPolicy p : {PrecisionPolicy::kF64, PrecisionPolicy::kF32,
                             PrecisionPolicy::kAdaptive}) {
     SCOPED_TRACE(to_string(p));
@@ -498,40 +497,49 @@ TEST(DeviceSolve, ManyRhsSweepAllocatesOnce) {
     const MultifrontalFactor& f = solver.numeric();
     ASSERT_EQ(f.has_fp32(), p != PrecisionPolicy::kF64);
     dev.set_tracer(&tracer);
-    // Runs one sweep; checks that it allocates once, promotes no level,
-    // and launches what the FP64 factor's sweep launches.
-    auto check = [&](int nrhs, auto&& sweep) {
-      SCOPED_TRACE("nrhs " + std::to_string(nrhs));
-      const long allocs = dev.alloc_count();
-      const std::size_t first = tracer.launches().size();
-      sweep();
-      EXPECT_EQ(dev.alloc_count() - allocs, 1);
-      Schedule s;
-      for (std::size_t i = first; i < tracer.launches().size(); ++i) {
-        const auto& l = tracer.launches()[i];
-        s.emplace_back(std::string(tracer.kernel_name(l.name_id)), l.blocks);
-        EXPECT_NE(s.back().first, "mf_promote");
-      }
-      if (p == PrecisionPolicy::kF64)
-        f64_schedule[nrhs] = s;
-      else
-        EXPECT_EQ(s, f64_schedule[nrhs]);
-      return s;
-    };
-    for (int nrhs : {1, 3, 16}) {
-      std::vector<double> x(static_cast<std::size_t>(n) * nrhs);
-      Rng rng(static_cast<unsigned>(40 + nrhs));
-      for (double& v : x) v = rng.uniform(-1, 1);
-      check(nrhs, [&] { f.solve_many(x, nrhs); });
-    }
     long levels = 0;
     for (const auto& lvl : solver.symbolic().levels)
       levels += std::any_of(lvl.begin(), lvl.end(), [&](int id) {
         return solver.symbolic().fronts[static_cast<std::size_t>(id)].s() > 0;
       });
-    std::vector<double> x = random_rhs(n, 45);
-    const Schedule s = check(0, [&] { f.solve_batched(x); });
-    EXPECT_EQ(static_cast<long>(s.size()), 2 * levels);
+    for (int nrhs : {1, 3, 16}) {
+      SCOPED_TRACE("nrhs " + std::to_string(nrhs));
+      std::vector<double> x(static_cast<std::size_t>(n) * nrhs);
+      Rng rng(static_cast<unsigned>(40 + nrhs));
+      for (double& v : x) v = rng.uniform(-1, 1);
+      const long allocs = dev.alloc_count();
+      const std::size_t first = tracer.launches().size();
+      f.solve_many(x, nrhs);
+      EXPECT_EQ(dev.alloc_count() - allocs, 1);
+      Schedule s;
+      for (std::size_t i = first; i < tracer.launches().size(); ++i) {
+        const auto& l = tracer.launches()[i];
+        s.emplace_back(std::string(tracer.kernel_name(l.name_id)), l.blocks);
+      }
+      EXPECT_EQ(static_cast<long>(s.size()), 2 * levels);
+      if (p == PrecisionPolicy::kF64)
+        f64_schedule[nrhs] = s;
+      else
+        EXPECT_EQ(s, f64_schedule[nrhs]);
+    }
+  }
+}
+
+TEST(DeviceSolve, RejectsWrongLengthVector) {
+  // Every sweep indexes x by the factor's order, so a vector of another
+  // length must be rejected before anything is written.
+  const CsrMatrix a = laplacian2d(9, 8);
+  Device dev(DeviceModel::a100());
+  SparseDirectSolver solver;
+  solver.analyze(a);
+  solver.factor(dev);
+  const MultifrontalFactor& f = solver.numeric();
+  for (int len : {a.rows() - 1, a.rows() + 1}) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<double> x(static_cast<std::size_t>(len), 1.0);
+    EXPECT_THROW(f.solve(x), irrlu::Error);
+    EXPECT_THROW(f.solve_transpose(x), irrlu::Error);
+    EXPECT_THROW(f.solve_many(x, 1), irrlu::Error);
   }
 }
 
