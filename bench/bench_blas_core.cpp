@@ -20,7 +20,6 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "gpusim/device.hpp"
-#include "irrblas/dispatch.hpp"
 #include "irrblas/interleaved.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
@@ -133,13 +132,13 @@ Result run_class(const ShapeClass& c, int rep_scale) {
 }
 
 /// One interleaved (SoA) leaf class: `batch` same-shape matrices with the
-/// batch index innermost (DESIGN.md §12). The contender is the dispatch-
-/// cached interleaved launch (irr_*_ilv, warm cache); the baseline is the
-/// strided engine path the multifrontal router would otherwise take for
-/// the same fronts — irr_getrf / irr_trsm / irr_gemm on the simulated
-/// device, whose per-matrix block scheduling is exactly the overhead the
-/// SoA layout amortizes (the paper's small-size regime). Same math, same
-/// bits (asserted; the ctest suite pins this contract at every size).
+/// batch index innermost (DESIGN.md §12). The contender is the interleaved
+/// launch (irr_*_ilv); the baseline is the strided engine path the
+/// multifrontal router would otherwise take for the same fronts —
+/// irr_getrf / irr_trsm / irr_gemm on the simulated device, whose
+/// per-matrix block scheduling is exactly the overhead the SoA layout
+/// amortizes (the paper's small-size regime). Same math, same bits
+/// (asserted; the ctest suite pins this contract at every size).
 struct IlvClass {
   std::string name;
   std::string op;  // "gemm" | "trsm" | "getf2"
@@ -200,7 +199,6 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
   const int bs = c.batch;
   Device dev(DeviceModel::a100());
   auto& stream = dev.stream();
-  batch::KernelCache cache;
   const auto sizes = [bs](int d) {
     return std::vector<int>(static_cast<std::size_t>(bs), d);
   };
@@ -224,8 +222,8 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
     cc0.copy_from(cc);
     res.ilv_ns = median_ns_for(c.flops(), rep_scale, [&] {
       std::copy(ci0.begin(), ci0.end(), ci.data());
-      batch::irr_gemm_ilv<T>(dev, stream, cache, c.m, c.n, c.k, -1.0,
-                             ai.view(), bi.view(), 1.0, ci.view(), bs);
+      batch::irr_gemm_ilv<T>(dev, stream, c.m, c.n, c.k, -1.0, ai.view(),
+                             bi.view(), 1.0, ci.view(), bs);
     });
     res.strided_ns = median_ns_for(c.flops(), rep_scale, [&] {
       cc.copy_from(cc0);
@@ -255,8 +253,8 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
     b0.copy_from(b);
     res.ilv_ns = median_ns_for(c.flops(), rep_scale, [&] {
       std::copy(bi0.begin(), bi0.end(), bi.data());
-      batch::irr_trsm_ilv<T>(dev, stream, cache, c.side, c.uplo, c.diag, c.m,
-                             c.n, 1.0, ti.view(), bi.view(), bs);
+      batch::irr_trsm_ilv<T>(dev, stream, c.side, c.uplo, c.diag, c.m, c.n,
+                             1.0, ti.view(), bi.view(), bs);
     });
     res.strided_ns = median_ns_for(c.flops(), rep_scale, [&] {
       b.copy_from(b0);
@@ -280,7 +278,7 @@ IlvResult run_ilv_class_t(const IlvClass& c, int rep_scale) {
         piv_str(dev, sizes(c.m), sizes(c.n));
     res.ilv_ns = median_ns_for(c.flops(), rep_scale, [&] {
       std::copy(ai0.begin(), ai0.end(), ai.data());
-      batch::irr_getf2_ilv<T>(dev, stream, cache, ai.view(), c.m, c.n, bs,
+      batch::irr_getf2_ilv<T>(dev, stream, ai.view(), c.m, c.n, bs,
                               piv_ilv.ptrs(), piv_ilv.info());
     });
     const batch::IrrLuOptions lu;  // nb = 32 >= leaf dims: fused panel path

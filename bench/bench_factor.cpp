@@ -71,12 +71,9 @@ struct IlvConfig {
 };
 
 /// The interleaved experiment of one mesh point: routing on vs off (both
-/// with the pool), the dispatch-cache traffic of the refactor loop, and
-/// the factor-bits identity between the two sides.
+/// with the pool) and the factor-bits identity between the two sides.
 struct IlvExperiment {
   IlvConfig cfg[2];  // [0] = routing on, [1] = routing off
-  long refactor_hits = 0, refactor_misses = 0;
-  double refactor_hit_rate = 0;
   bool bits_identical = false;
 };
 
@@ -147,8 +144,7 @@ int main(int argc, char** argv) {
   TextTable table({"point", "N", "pool", "factor (ms)", "refactor med (ms)",
                    "host allocs", "pool hits", "hit rate"});
   TextTable ilv_table({"point", "N", "refactor strided (ms)",
-                       "refactor ilv (ms)", "wall speedup", "sim speedup",
-                       "disp hit rate"});
+                       "refactor ilv (ms)", "wall speedup", "sim speedup"});
   TextTable prec_table({"point", "N", "f64 sim (ms)", "f32 sim (ms)",
                         "sim speedup", "f32 status", "f32 steps",
                         "f32 berr"});
@@ -358,10 +354,7 @@ int main(int argc, char** argv) {
     // Interleaved leaf-routing A/B (DESIGN.md §12): same solver, pool on
     // both sides, SoA leaf routing on vs off, with the same A/B pairing as
     // the pool experiment. The factor bits are asserted identical between
-    // the two sides, and the refactor loop — the sequence-of-systems
-    // pattern the solver-owned kernel cache exists for — must resolve its
-    // kernels almost entirely without rebuilding (hit rate >= 0.9;
-    // deterministic, so a miss-heavy loop exits nonzero).
+    // the two sides.
     {
       std::vector<double> ifactor_t[2], irefactor_t[2];
       std::unique_ptr<gpusim::Device> idevs[2];
@@ -388,15 +381,9 @@ int main(int argc, char** argv) {
         }
       IlvExperiment& ex = pt.ilv;
       for (int k = 0; k < repeats; ++k)
-        for (int i = 0; i < 2; ++i) {
+        for (int i = 0; i < 2; ++i)
           irefactor_t[i].push_back(
               wall_s([&] { isolvers[i]->refactor(*idevs[i], sys.a); }));
-          if (i == 0) {
-            const sparse::FactorReport& rep = isolvers[0]->numeric().report();
-            ex.refactor_hits += rep.dispatch_hits;
-            ex.refactor_misses += rep.dispatch_misses;
-          }
-        }
       for (int i = 0; i < 2; ++i) {
         IlvConfig& r = ex.cfg[i];
         r.enabled = i == 0;
@@ -405,11 +392,6 @@ int main(int argc, char** argv) {
         r.factor_sim_s = isolvers[i]->numeric().factor_seconds();
         r.launches = idevs[i]->launch_count();
       }
-      const long total = ex.refactor_hits + ex.refactor_misses;
-      ex.refactor_hit_rate =
-          total > 0 ? static_cast<double>(ex.refactor_hits) /
-                          static_cast<double>(total)
-                    : 0.0;
       const auto& f_on = isolvers[0]->numeric();
       const auto& f_off = isolvers[1]->numeric();
       ex.bits_identical =
@@ -421,14 +403,6 @@ int main(int argc, char** argv) {
                      "FAIL: N=%d interleaved factor bits differ from the "
                      "strided path\n",
                      pt.n);
-        ok = false;
-      }
-      if (total > 0 && ex.refactor_hit_rate < 0.9) {
-        std::fprintf(stderr,
-                     "FAIL: N=%d interleaved refactor dispatch hit rate "
-                     "%.3f < 0.9 (%ld hits, %ld misses)\n",
-                     pt.n, ex.refactor_hit_rate, ex.refactor_hits,
-                     ex.refactor_misses);
         ok = false;
       }
       ilv_table.add_row(
@@ -443,8 +417,7 @@ int main(int argc, char** argv) {
           TextTable::fmt(ex.cfg[0].factor_sim_s > 0
                              ? ex.cfg[1].factor_sim_s / ex.cfg[0].factor_sim_s
                              : 0.0,
-                         2),
-          TextTable::fmt(ex.refactor_hit_rate, 3));
+                         2));
       for (int i = 0; i < 2; ++i) {
         isolvers[i].reset();
         isessions[i].reset();
@@ -512,27 +485,6 @@ int main(int argc, char** argv) {
                  "FAIL: family-wide FP32 simulated factor speedup %.3f < "
                  "1.5 (f64 %.6e s vs f32 %.6e s)\n",
                  family_prec_speedup, prec_sim_f64, prec_sim_f32);
-    ok = false;
-  }
-
-  // Family-wide dispatch traffic: the refactor loop must exist (at least
-  // one point routes fronts through the dispatch cache) and must resolve
-  // its kernels almost entirely from the cache.
-  long agg_hits = 0, agg_misses = 0;
-  for (const PointResult& pt : points) {
-    agg_hits += pt.ilv.refactor_hits;
-    agg_misses += pt.ilv.refactor_misses;
-  }
-  const long agg_total = agg_hits + agg_misses;
-  const double agg_rate =
-      agg_total > 0
-          ? static_cast<double>(agg_hits) / static_cast<double>(agg_total)
-          : 0.0;
-  if (agg_total == 0 || agg_rate < 0.9) {
-    std::fprintf(stderr,
-                 "FAIL: family-wide interleaved refactor dispatch hit rate "
-                 "%.3f < 0.9 (%ld hits, %ld misses)\n",
-                 agg_rate, agg_hits, agg_misses);
     ok = false;
   }
 
@@ -635,9 +587,6 @@ int main(int argc, char** argv) {
              ? pt.ilv.cfg[1].factor_sim_s / pt.ilv.cfg[0].factor_sim_s
              : 0.0,
          "%.4f");
-    w.kv_int("refactor_dispatch_hits", pt.ilv.refactor_hits);
-    w.kv_int("refactor_dispatch_misses", pt.ilv.refactor_misses);
-    w.kv("refactor_dispatch_hit_rate", pt.ilv.refactor_hit_rate, "%.6f");
     w.kv_bool("factor_bits_identical", pt.ilv.bits_identical);
     w.end_object();
     w.key("precision");
@@ -671,8 +620,8 @@ int main(int argc, char** argv) {
   if (ok) {
     std::printf("pool on/off simulated timelines identical; host mallocs "
                 "strictly lower with the pool; interleaved factor bits "
-                "identical to strided with refactor dispatch hit rate >= "
-                "0.9; FP32 LU-IR converged wherever FP64 does");
+                "identical to strided; FP32 LU-IR converged wherever FP64 "
+                "does");
     if (quick)
       std::printf(" (family sim speedup %.2fx; the >= 1.5x assertion "
                   "needs the full family's fat anchors).\n",

@@ -254,8 +254,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //
 // The interleaved_* rows (layout "interleaved", DESIGN.md §12) time one
 // whole batch of `batch` same-shape leaf-class matrices per call: the
-// contender ("engine") is the dispatch-cached SoA launch (irr_*_ilv, warm
-// KernelCache), the baseline ("naive") is the strided engine batch path
+// contender ("engine") is the SoA launch (irr_*_ilv, one make_* kernel
+// handle per call), the baseline ("naive") is the strided engine batch path
 // (irr_gemm/irr_trsm/irr_getrf) on the same simulated device — i.e. what
 // the multifrontal leaf levels would otherwise run. The medians cover the
 // batch, so ns and gflops compare directly row-to-row; speedup is the SoA
@@ -321,11 +321,6 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //     refactor_speedup         routing-off / routing-on refactor medians
 //                              (wall clock — report, do not gate)
 //     sim_speedup              routing-off / routing-on factor_sim_s
-//     refactor_dispatch_hits / _misses
-//                              KernelCache traffic summed over the
-//                              routing-on refactor loop
-//     refactor_dispatch_hit_rate   hits / (hits + misses) over that loop;
-//                              1.0 when the refactors build no kernel
 //     factor_bits_identical    routing-on factor bytes == routing-off
 //   precision         FP32-vs-FP64 LU-IR A/B on the same point
 //                     (DESIGN.md §14; fresh solver per config, pool on):
@@ -358,16 +353,16 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //
 // The torus family mixes fat 3D points (ntheta x ncross x ncross with
 // ncross >= 6), whose fronts exceed the routable class sizes — the
-// interleaved columns are neutral there and the dispatch counters are
-// zero — with thin-tube points (ncross == 2) whose assembly trees consist
+// interleaved columns are neutral there and no ilv_* kernel launches —
+// with thin-tube points (ncross == 2) whose assembly trees consist
 // entirely of small fronts, the paper's deep-level regime where the SoA
 // routing has material coverage.
 //
 // The driver itself exits nonzero when any deterministic invariant fails
 // (sim time / launches / allocs / peak differ between pool configs, the
-// pool does not reduce host_allocs, the interleaved factor bits differ
-// from strided, or the family-wide refactor dispatch hit rate falls below
-// 0.9); ctest runs it as bench_factor_smoke.
+// pool does not reduce host_allocs, or the interleaved factor bits differ
+// from strided), and on the precision conditions above; ctest runs it as
+// bench_factor_smoke.
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -51,7 +52,7 @@ void ilv_launch(gpusim::Device& dev, gpusim::Stream& stream, const char* name,
     la::mk::ilv::Args a = d.args;
     a.lane0 = d.lane0 + bs.off;
     a.lane1 = std::min(d.lane0 + d.lanes, a.lane0 + kIlvLaneChunk);
-    d.kern->fn(*d.kern, a);
+    d.kern.fn(d.kern, a);
     const int nl = a.lane1 - a.lane0;
     ctx.record(d.flops_per_lane * nl, d.bytes_per_lane * nl);
   });
@@ -171,12 +172,22 @@ void ilv_laswp(gpusim::Device& dev, gpusim::Stream& stream,
   });
 }
 
+namespace {
+
+/// Kernel-body precision of an element type.
 template <typename T>
-IlvOpDesc ilv_getf2_op(KernelCache& cache, const IlvViewT<T>& a, int m,
-                       int n, int lanes, int* const* ipiv, int* info,
-                       double tau, const double* anorm, int* boost) {
+constexpr la::mk::ilv::Prec kPrecOf =
+    std::is_same_v<T, float> ? la::mk::ilv::Prec::kF32
+                             : la::mk::ilv::Prec::kF64;
+
+}  // namespace
+
+template <typename T>
+IlvOpDesc ilv_getf2_op(const IlvViewT<T>& a, int m, int n, int lanes,
+                       int* const* ipiv, int* info, double tau,
+                       const double* anorm, int* boost) {
   IlvOpDesc d;
-  d.kern = cache.resolve(getf2_key(m, n, kMicroPrecOf<T>));
+  d.kern = la::mk::ilv::make_getf2(m, n, kPrecOf<T>);
   d.args.batch = a.batch;
   d.args.c = a.data;
   d.args.ldc = a.ld;
@@ -193,16 +204,15 @@ IlvOpDesc ilv_getf2_op(KernelCache& cache, const IlvViewT<T>& a, int m,
 }
 
 template <typename T>
-IlvOpDesc ilv_trsm_op(KernelCache& cache, la::Side side, la::Uplo uplo,
-                      la::Diag diag, int m, int n, double alpha,
-                      const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes) {
+IlvOpDesc ilv_trsm_op(la::Side side, la::Uplo uplo, la::Diag diag, int m,
+                      int n, double alpha, const IlvViewT<T>& t,
+                      const IlvViewT<T>& b, int lanes) {
   IRRLU_CHECK(t.batch == b.batch);
   const bool left = side == la::Side::Left;
   const int tri = left ? m : n;
   IlvOpDesc d;
-  d.kern = cache.resolve(trsm_key(left, uplo == la::Uplo::Lower,
-                                  diag == la::Diag::Unit, m, n,
-                                  kMicroPrecOf<T>));
+  d.kern = la::mk::ilv::make_trsm(left, uplo == la::Uplo::Lower,
+                                  diag == la::Diag::Unit, m, n, kPrecOf<T>);
   d.args.batch = b.batch;
   d.args.alpha = alpha;
   d.args.a = t.data;
@@ -217,12 +227,12 @@ IlvOpDesc ilv_trsm_op(KernelCache& cache, la::Side side, la::Uplo uplo,
 }
 
 template <typename T>
-IlvOpDesc ilv_gemm_op(KernelCache& cache, int m, int n, int k, double alpha,
-                      const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
-                      const IlvViewT<T>& c, int lanes) {
+IlvOpDesc ilv_gemm_op(int m, int n, int k, double alpha, const IlvViewT<T>& a,
+                      const IlvViewT<T>& b, double beta, const IlvViewT<T>& c,
+                      int lanes) {
   IRRLU_CHECK(a.batch == c.batch && b.batch == c.batch);
   IlvOpDesc d;
-  d.kern = cache.resolve(gemm_key(m, n, k, kMicroPrecOf<T>));
+  d.kern = la::mk::ilv::make_gemm(m, n, k, kPrecOf<T>);
   d.args.batch = c.batch;
   d.args.alpha = alpha;
   d.args.beta = beta;
@@ -241,34 +251,31 @@ IlvOpDesc ilv_gemm_op(KernelCache& cache, int m, int n, int k, double alpha,
 
 template <typename T>
 void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                   KernelCache& cache, const IlvViewT<T>& a, int m, int n,
-                   int lanes, int* const* ipiv, int* info, double tau,
+                   const IlvViewT<T>& a, int m, int n, int lanes,
+                   int* const* ipiv, int* info, double tau,
                    const double* anorm, int* boost) {
   if (lanes <= 0) return;
   ilv_launch(dev, stream, "ilv_getf2",
-             {ilv_getf2_op(cache, a, m, n, lanes, ipiv, info, tau, anorm,
-                           boost)});
+             {ilv_getf2_op(a, m, n, lanes, ipiv, info, tau, anorm, boost)});
 }
 
 template <typename T>
-void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  KernelCache& cache, int m, int n, int k, double alpha,
-                  const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
-                  const IlvViewT<T>& c, int lanes) {
+void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream, int m, int n,
+                  int k, double alpha, const IlvViewT<T>& a,
+                  const IlvViewT<T>& b, double beta, const IlvViewT<T>& c,
+                  int lanes) {
   if (lanes <= 0) return;
   ilv_launch(dev, stream, "ilv_gemm",
-             {ilv_gemm_op(cache, m, n, k, alpha, a, b, beta, c, lanes)});
+             {ilv_gemm_op(m, n, k, alpha, a, b, beta, c, lanes)});
 }
 
 template <typename T>
-void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  KernelCache& cache, la::Side side, la::Uplo uplo,
-                  la::Diag diag, int m, int n, double alpha,
+void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
+                  la::Uplo uplo, la::Diag diag, int m, int n, double alpha,
                   const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes) {
   if (lanes <= 0) return;
   ilv_launch(dev, stream, "ilv_trsm",
-             {ilv_trsm_op(cache, side, uplo, diag, m, n, alpha, t, b,
-                          lanes)});
+             {ilv_trsm_op(side, uplo, diag, m, n, alpha, t, b, lanes)});
 }
 
 #define IRRLU_INSTANTIATE_ILV(T)                                             \
@@ -278,28 +285,27 @@ void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
                               std::vector<IlvPackDescT<T>>);                 \
   template void ilv_laswp<T>(gpusim::Device&, gpusim::Stream&,               \
                              std::vector<IlvLaswpDescT<T>>);                 \
-  template IlvOpDesc ilv_getf2_op<T>(KernelCache&, const IlvViewT<T>&, int,  \
-                                     int, int, int* const*, int*, double,    \
+  template IlvOpDesc ilv_getf2_op<T>(const IlvViewT<T>&, int, int, int,      \
+                                     int* const*, int*, double,              \
                                      const double*, int*);                   \
-  template IlvOpDesc ilv_trsm_op<T>(KernelCache&, la::Side, la::Uplo,        \
-                                    la::Diag, int, int, double,              \
-                                    const IlvViewT<T>&, const IlvViewT<T>&,  \
-                                    int);                                    \
-  template IlvOpDesc ilv_gemm_op<T>(KernelCache&, int, int, int, double,     \
+  template IlvOpDesc ilv_trsm_op<T>(la::Side, la::Uplo, la::Diag, int, int,  \
+                                    double, const IlvViewT<T>&,              \
+                                    const IlvViewT<T>&, int);                \
+  template IlvOpDesc ilv_gemm_op<T>(int, int, int, double,                   \
                                     const IlvViewT<T>&, const IlvViewT<T>&,  \
                                     double, const IlvViewT<T>&, int);        \
   template void irr_getf2_ilv<T>(gpusim::Device&, gpusim::Stream&,           \
-                                 KernelCache&, const IlvViewT<T>&, int, int, \
-                                 int, int* const*, int*, double,             \
-                                 const double*, int*);                       \
-  template void irr_gemm_ilv<T>(gpusim::Device&, gpusim::Stream&,            \
-                                KernelCache&, int, int, int, double,         \
+                                 const IlvViewT<T>&, int, int, int,          \
+                                 int* const*, int*, double, const double*,   \
+                                 int*);                                      \
+  template void irr_gemm_ilv<T>(gpusim::Device&, gpusim::Stream&, int, int,  \
+                                int, double, const IlvViewT<T>&,             \
+                                const IlvViewT<T>&, double,                  \
+                                const IlvViewT<T>&, int);                    \
+  template void irr_trsm_ilv<T>(gpusim::Device&, gpusim::Stream&, la::Side,  \
+                                la::Uplo, la::Diag, int, int, double,        \
                                 const IlvViewT<T>&, const IlvViewT<T>&,      \
-                                double, const IlvViewT<T>&, int);            \
-  template void irr_trsm_ilv<T>(gpusim::Device&, gpusim::Stream&,            \
-                                KernelCache&, la::Side, la::Uplo, la::Diag,  \
-                                int, int, double, const IlvViewT<T>&,        \
-                                const IlvViewT<T>&, int);
+                                int);
 
 IRRLU_INSTANTIATE_ILV(double)
 IRRLU_INSTANTIATE_ILV(float)

@@ -1,8 +1,7 @@
 // Launch layer for the interleaved (SoA) batch layout: packs strided
-// fronts into per-size-class SoA buffers, runs the dispatch-cached
-// batch-axis-vectorized kernels (lapack/microkernel_ilv.hpp) over them,
-// and unpacks the results — with honest simulated-cost accounting.
-// DESIGN.md §12.
+// fronts into per-size-class SoA buffers, runs the batch-axis-vectorized
+// kernels (lapack/microkernel_ilv.hpp) over them, and unpacks the
+// results — with honest simulated-cost accounting. DESIGN.md §12.
 //
 // The launch grid is lanes-first: every descriptor contributes
 // ceil(lanes / kIlvLaneChunk) blocks, and one launch may span several
@@ -17,11 +16,31 @@
 #include <vector>
 
 #include "gpusim/device.hpp"
-#include "irrblas/dispatch.hpp"
 #include "irrblas/vbatch.hpp"
+#include "lapack/microkernel_ilv.hpp"
 #include "lapack/types.hpp"
 
 namespace irrlu::batch {
+
+/// Policy knobs for routing multifrontal leaf/small size classes through
+/// the interleaved layout (consumed by the kBatched engine; see
+/// DESIGN.md §12). Off by default: the strided path stays the reference
+/// and the default simulated output is unchanged by this layer.
+struct InterleavedOptions {
+  bool enabled = false;
+  /// Largest separator (s) and update (u) extent routed. The default is
+  /// the measured crossover against the strided engine: the SoA
+  /// microkernels win >= 2.6x at dims <= 12 on the host
+  /// (BENCH_blas.json interleaved_* rows) and stay ahead in simulated
+  /// device time through 16 once the level-wide descriptor group
+  /// amortizes the allocations, while fronts in the 20-32 range cost
+  /// more than they save on both clocks (BENCH_factor.json). Raising it
+  /// is always *correct* — the engine additionally clamps to 32, above
+  /// which the strided path switches to blocked/recursive algorithms
+  /// whose operation order the interleaved kernels do not mirror, so the
+  /// bitwise-identity contract would break.
+  int max_class_dim = 16;
+};
 
 /// Lanes per simulated block (= the microkernels' vector grain).
 inline constexpr int kIlvLaneChunk = 8;
@@ -30,7 +49,7 @@ inline constexpr int kIlvLaneChunk = 8;
 /// (possibly multi-class) fused stage launch. `args.lane0/lane1` are
 /// filled per block by the launcher; everything else is caller-set.
 struct IlvOpDesc {
-  const la::mk::ilv::Kernel* kern = nullptr;
+  la::mk::ilv::Kernel kern;
   la::mk::ilv::Args args;
   int lane0 = 0;  ///< first lane of this op within the class buffers
   int lanes = 0;  ///< lanes processed
@@ -109,32 +128,31 @@ inline void ilv_laswp(gpusim::Device& dev, gpusim::Stream& stream,
 }
 
 // ---------------------------------------------------------------------------
-// Stage descriptors: resolve the kernel through `cache` and fill one size
-// class's arguments and per-lane cost. The multifrontal level pipeline
-// collects one per class into a fused stage launch; the single-class
-// wrappers below issue one each.
+// Stage descriptors: select the kernel with la::mk::ilv::make_* and fill
+// one size class's arguments and per-lane cost. The multifrontal level
+// pipeline collects one per class into a fused stage launch; the
+// single-class wrappers below issue one each.
 // ---------------------------------------------------------------------------
 
 /// LU with partial pivoting of every lane's m x n matrix in `a`;
 /// per-lane ipiv/info (and optional boosting) as in irr_getf2_fused.
 template <typename T>
-IlvOpDesc ilv_getf2_op(KernelCache& cache, const IlvViewT<T>& a, int m,
-                       int n, int lanes, int* const* ipiv, int* info,
-                       double tau = 0.0, const double* anorm = nullptr,
-                       int* boost = nullptr);
+IlvOpDesc ilv_getf2_op(const IlvViewT<T>& a, int m, int n, int lanes,
+                       int* const* ipiv, int* info, double tau = 0.0,
+                       const double* anorm = nullptr, int* boost = nullptr);
 
 /// Triangular solve per lane (Trans::No): op(T) X = alpha B (Left) or
 /// X op(T) = alpha B (Right), B overwritten, B is m x n.
 template <typename T>
-IlvOpDesc ilv_trsm_op(KernelCache& cache, la::Side side, la::Uplo uplo,
-                      la::Diag diag, int m, int n, double alpha,
-                      const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes);
+IlvOpDesc ilv_trsm_op(la::Side side, la::Uplo uplo, la::Diag diag, int m,
+                      int n, double alpha, const IlvViewT<T>& t,
+                      const IlvViewT<T>& b, int lanes);
 
 /// C = alpha * A * B + beta * C per lane (Trans::No both sides).
 template <typename T>
-IlvOpDesc ilv_gemm_op(KernelCache& cache, int m, int n, int k, double alpha,
-                      const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
-                      const IlvViewT<T>& c, int lanes);
+IlvOpDesc ilv_gemm_op(int m, int n, int k, double alpha, const IlvViewT<T>& a,
+                      const IlvViewT<T>& b, double beta, const IlvViewT<T>& c,
+                      int lanes);
 
 // ---------------------------------------------------------------------------
 // Single-class convenience wrappers (tests, benchmarks): one stage
@@ -143,20 +161,19 @@ IlvOpDesc ilv_gemm_op(KernelCache& cache, int m, int n, int k, double alpha,
 
 template <typename T>
 void irr_getf2_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                   KernelCache& cache, const IlvViewT<T>& a, int m, int n,
-                   int lanes, int* const* ipiv, int* info, double tau = 0.0,
+                   const IlvViewT<T>& a, int m, int n, int lanes,
+                   int* const* ipiv, int* info, double tau = 0.0,
                    const double* anorm = nullptr, int* boost = nullptr);
 
 template <typename T>
-void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  KernelCache& cache, int m, int n, int k, double alpha,
-                  const IlvViewT<T>& a, const IlvViewT<T>& b, double beta,
-                  const IlvViewT<T>& c, int lanes);
+void irr_gemm_ilv(gpusim::Device& dev, gpusim::Stream& stream, int m, int n,
+                  int k, double alpha, const IlvViewT<T>& a,
+                  const IlvViewT<T>& b, double beta, const IlvViewT<T>& c,
+                  int lanes);
 
 template <typename T>
-void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream,
-                  KernelCache& cache, la::Side side, la::Uplo uplo,
-                  la::Diag diag, int m, int n, double alpha,
+void irr_trsm_ilv(gpusim::Device& dev, gpusim::Stream& stream, la::Side side,
+                  la::Uplo uplo, la::Diag diag, int m, int n, double alpha,
                   const IlvViewT<T>& t, const IlvViewT<T>& b, int lanes);
 
 }  // namespace irrlu::batch

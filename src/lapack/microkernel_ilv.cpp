@@ -623,7 +623,6 @@ Kernel make_gemm(int m, int n, int k, Prec prec) {
   } else {
     IRRLU_ILV_SPEC16(kd, gemm_fn, k, double);
   }
-  kd.spec = k >= 1 && k <= 16 ? k : 0;
   return kd;
 }
 
@@ -649,7 +648,6 @@ Kernel make_trsm(bool left, bool lower, bool unit, int m, int n, Prec prec) {
       IRRLU_ILV_SPEC16(kd, trsm_right_fn, tri, double);
     }
   }
-  kd.spec = tri >= 1 && tri <= 16 ? tri : 0;
   return kd;
 }
 

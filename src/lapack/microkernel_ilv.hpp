@@ -7,10 +7,10 @@
 // which on the host turns every inner loop into a vectorizable sweep and
 // on the simulated device makes every access coalesced.
 //
-// The kernels here are pure host math over that layout; launch wrappers,
-// cost accounting and the dispatch cache live in src/irrblas. Each entry
-// point processes a lane slice [lane0, lane1) of the class, which is how
-// the device wrappers grid the batch into lane-chunk blocks.
+// The kernels here are pure host math over that layout; launch wrappers
+// and cost accounting live in src/irrblas. Each entry point processes a
+// lane slice [lane0, lane1) of the class, which is how the device
+// wrappers grid the batch into lane-chunk blocks.
 //
 // Bitwise contract (what tests/test_interleaved.cpp asserts): for every
 // lane, the results are bit-identical to running the strided engine path
@@ -67,9 +67,9 @@ struct Kernel;
 /// specialization pins down, the generic fallbacks consume them all.
 using Fn = void (*)(const Kernel& k, const Args& a);
 
-/// Self-descriptive kernel handle, the value type of the dispatch cache
-/// (libxsmm idiom: one resolved handle per (op, shape), reused across
-/// calls without re-deciding anything).
+/// Self-descriptive kernel handle (libxsmm idiom: the make_* builders
+/// resolve the body for one (op, shape, precision) with one switch over
+/// function pointers; launch descriptors hold the handle by value).
 struct Kernel {
   Fn fn = nullptr;
   int m = 0, n = 0, k = 0;  ///< problem shape (k = 0 for trsm/getf2)
@@ -77,7 +77,6 @@ struct Kernel {
   bool lower = false;       ///< trsm effective triangle
   bool unit = false;        ///< trsm diagonal
   Prec prec = Prec::kF64;   ///< element type the body operates on
-  int spec = 0;  ///< pinned compile-time dimension, 0 = generic fallback
 };
 
 /// C (m x n) = alpha * A (m x k) * B (k x n) + beta * C, Trans::No both

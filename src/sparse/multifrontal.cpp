@@ -15,7 +15,6 @@
 #include "lapack/blas.hpp"
 #include "lapack/flops.hpp"
 #include "lapack/lapack.hpp"
-#include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
 namespace irrlu::sparse {
@@ -295,8 +294,7 @@ SolveScratch& solve_scratch() {
 
 /// Mirrors a factorization's diagnostics into the tracer's counters (the
 /// summary JSON's "counters" object).
-void trace_counters(trace::Tracer& tr, const FactorReport& r, bool routed,
-                    std::size_t cached_kernels) {
+void trace_counters(trace::Tracer& tr, const FactorReport& r) {
   tr.add_counter("factor.boosted_pivots",
                  static_cast<double>(r.boosted_pivots));
   tr.add_counter("factor.zero_pivot_fronts",
@@ -324,11 +322,6 @@ void trace_counters(trace::Tracer& tr, const FactorReport& r, bool routed,
                      r.level_precision[l] == Precision::kF32 ? 32.0 : 64.0);
     }
   }
-  if (routed) {
-    tr.add_counter("dispatch.hits", static_cast<double>(r.dispatch_hits));
-    tr.add_counter("dispatch.misses", static_cast<double>(r.dispatch_misses));
-    tr.max_counter("dispatch.cached", static_cast<double>(cached_kernels));
-  }
 }
 
 /// Fronts of one level routed to the interleaved layout, bucketed by exact
@@ -354,8 +347,6 @@ class MultifrontalFactor::Pipeline {
   /// Runs the engine's driver over the whole assembly tree.
   void run(Engine engine);
 
-  bool routes_interleaved() const { return use_ilv_; }
-  batch::KernelCache& kernel_cache() { return kcache_; }
   const std::vector<std::unique_ptr<FrontGroup>>& groups() const {
     return groups_;
   }
@@ -388,8 +379,6 @@ class MultifrontalFactor::Pipeline {
   gpusim::Stream& stream_;
   const SymbolicAnalysis& sym_;
   const FactorOptions& opts_;
-  batch::KernelCache local_cache_;  ///< when the caller passed none
-  batch::KernelCache& kcache_;
   /// Interleaved routing (batched engine only). The cap is clamped to 32:
   /// above it the strided path switches to blocked panels / recursive
   /// TRSM whose operation order the interleaved kernels do not mirror
@@ -417,8 +406,6 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
       stream_(mf.dev_.stream()),
       sym_(mf.sym_),
       opts_(opts),
-      kcache_(opts.dispatch_cache != nullptr ? *opts.dispatch_cache
-                                             : local_cache_),
       use_ilv_(opts.interleaved.enabled && opts.engine == Engine::kBatched),
       ilv_cap_(std::min(opts.interleaved.max_class_dim, 32)),
       storage_(mf.dev_, mf.sym_, mode, mf.level_prec_) {
@@ -915,7 +902,7 @@ void MultifrontalFactor::Pipeline::factor_interleaved(
     batch::ilv_pack<T>(dev_, stream_, copies(g.anorm.data()));
     stage("ilv_getf2", false, [&](const Slab& sl) {
       return batch::ilv_getf2_op(
-          kcache_, sl.view, sl.s, sl.s, sl.count, g.ipiv.data() + sl.base,
+          sl.view, sl.s, sl.s, sl.count, g.ipiv.data() + sl.base,
           g.info.data() + sl.base, norms ? opts_.pivot_tau : 0.0,
           at(g.anorm.data(), sl), at(g.boost.data(), sl));
     });
@@ -934,17 +921,17 @@ void MultifrontalFactor::Pipeline::factor_interleaved(
       batch::ilv_laswp<T>(dev_, stream_, std::move(descs));
     }
     stage("ilv_trsm_l", true, [&](const Slab& sl) {
-      return batch::ilv_trsm_op(kcache_, la::Side::Left, la::Uplo::Lower,
+      return batch::ilv_trsm_op(la::Side::Left, la::Uplo::Lower,
                                 la::Diag::Unit, sl.s, sl.u, 1.0, sl.view,
                                 sl.view.subview(0, sl.s), sl.count);
     });
     stage("ilv_trsm_r", true, [&](const Slab& sl) {
-      return batch::ilv_trsm_op(kcache_, la::Side::Right, la::Uplo::Upper,
+      return batch::ilv_trsm_op(la::Side::Right, la::Uplo::Upper,
                                 la::Diag::NonUnit, sl.u, sl.s, 1.0, sl.view,
                                 sl.view.subview(sl.s, 0), sl.count);
     });
     stage("ilv_schur", true, [&](const Slab& sl) {
-      return batch::ilv_gemm_op(kcache_, sl.u, sl.u, sl.s, -1.0,
+      return batch::ilv_gemm_op(sl.u, sl.u, sl.s, -1.0,
                                 sl.view.subview(sl.s, 0),
                                 sl.view.subview(0, sl.s), 1.0,
                                 sl.view.subview(sl.s, sl.s), sl.count);
@@ -1079,13 +1066,8 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   const long l0 = dev.launch_count();
   const long s0 = dev.sync_count();
   const double w0 = dev.sync_wait_seconds();
-  // Launch-record window of this factorization, for the critical-path
-  // rollup below (the trace may already hold earlier work).
-  const std::size_t trace_l0 =
-      dev.tracer() != nullptr ? dev.tracer()->launches().size() : 0;
 
   Pipeline pipe(*this, a_perm, mode, opts);
-  const batch::KernelCache::Stats dstats0 = pipe.kernel_cache().stats();
   pipe.run(opts.engine);
 
   factor_seconds_ = dev.synchronize_all() - t0;
@@ -1116,27 +1098,9 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
       ++report_.fp32_fronts;
   report_.measured_peak_bytes = peak_bytes_;
   report_.predicted_peak_bytes = sym.predicted_peak_bytes(mode, level_prec_);
-  const batch::KernelCache& kcache = pipe.kernel_cache();
-  report_.dispatch_hits = kcache.stats().hits - dstats0.hits;
-  report_.dispatch_misses = kcache.stats().misses - dstats0.misses;
   n_ = a_perm.rows();
   anorm1_ = a_perm.norm_1();
-  if (auto* tr = dev.tracer()) {
-    trace_counters(*tr, report_, pipe.routes_interleaved(), kcache.size());
-    // Top critical-path contributors of this factorization's launch
-    // window (what-if replays skipped — they are the exporter's job).
-    trace::AnalysisOptions aopts;
-    aopts.what_ifs = false;
-    aopts.min_launch = trace_l0;
-    const trace::Analysis an = trace::analyze_trace(*tr, dev.model(), aopts);
-    if (an.valid) {
-      for (std::size_t i = 0; i < an.kernels.size() && i < 3; ++i) {
-        if (an.kernels[i].seconds <= 0) break;
-        report_.critical_path_top.push_back(
-            {an.kernels[i].name, an.kernels[i].seconds});
-      }
-    }
-  }
+  if (auto* tr = dev.tracer()) trace_counters(*tr, report_);
 }
 
 std::size_t MultifrontalFactor::factor_bytes() const {

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "gpusim/device.hpp"
-#include "irrblas/dispatch.hpp"
+#include "irrblas/interleaved.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "sparse/precision.hpp"
 #include "sparse/symbolic.hpp"
@@ -66,19 +66,14 @@ struct FactorOptions {
   double pivot_tau = 1e-10;
   /// Interleaved (SoA) leaf routing (DESIGN.md §12): with enabled = true,
   /// the batched engine packs each level's small fronts into
-  /// per-(s, u)-class SoA buffers and factors them with the dispatch-cached
-  /// batch-axis-vectorized kernels — one launch per pipeline stage for the
-  /// whole level, coalesced row swaps. Factor bits are identical to the
+  /// per-(s, u)-class SoA buffers and factors them with the batch-axis-
+  /// vectorized kernels — one launch per pipeline stage for the whole
+  /// level, coalesced row swaps. Factor bits are identical to the
   /// strided path (FP32 ones only in builds without -march=native
   /// kernels, DESIGN.md §12); simulated time and traffic differ (that is
   /// the point), so the default is off and the default output stays
   /// byte-identical.
   batch::InterleavedOptions interleaved;
-  /// Kernel registry the interleaved routing resolves through. Null uses a
-  /// constructor-local transient cache (kernels rebuilt per factorization);
-  /// callers that refactor repeatedly (SparseDirectSolver, and so the
-  /// service sessions) pass a long-lived cache so later factorizations hit.
-  batch::KernelCache* dispatch_cache = nullptr;
   /// Front-factorization precision policy (classic LU-IR, DESIGN.md §14):
   /// kF64 factors every level in double — bit-identical to the
   /// pre-precision code path; kF32 factors every level in single (half the
@@ -109,20 +104,6 @@ struct FactorReport {
   /// summary.
   std::size_t predicted_peak_bytes = 0;
   std::size_t measured_peak_bytes = 0;
-  /// Dispatch-cache traffic of this factorization (all zero when the
-  /// interleaved routing is off): resolutions served from the cache and
-  /// resolutions that built a kernel.
-  long dispatch_hits = 0;
-  long dispatch_misses = 0;
-  /// Top kernels on the critical path of this factorization's launch
-  /// window (up to 3, by on-path seconds, descending). Filled only when
-  /// a tracer was attached and the trace replayed cleanly (see
-  /// trace/analysis.hpp); empty otherwise.
-  struct PathContributor {
-    std::string name;
-    double seconds = 0;
-  };
-  std::vector<PathContributor> critical_path_top;
   /// Precision policy this factorization ran under and the precision each
   /// level actually used (index = level, level 0 = root). With the default
   /// kF64 policy every entry is kF64 and fp32_fronts is 0.

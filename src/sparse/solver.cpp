@@ -104,15 +104,9 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
   analyzed_ = true;
 }
 
-FactorOptions SparseDirectSolver::factor_options() const {
-  FactorOptions fo = opts_.factor;
-  if (fo.dispatch_cache == nullptr) fo.dispatch_cache = &kcache_;
-  return fo;
-}
-
 void SparseDirectSolver::build_factor(gpusim::Device& dev) {
   factor_ = std::make_unique<MultifrontalFactor>(dev, a_prep_, sym_,
-                                                 factor_options());
+                                                 opts_.factor);
   // Factor-time escalation: pivot growth of this magnitude already wiped
   // out FP32's relative accuracy, so refinement from the FP32 factors
   // would fail anyway — refactor in FP64 up front instead of paying a
@@ -123,7 +117,7 @@ void SparseDirectSolver::build_factor(gpusim::Device& dev) {
 }
 
 void SparseDirectSolver::refactor_fp64() const {
-  FactorOptions fo = factor_options();
+  FactorOptions fo = opts_.factor;
   fo.precision = PrecisionPolicy::kF64;
   gpusim::Device& dev = factor_->device();
   factor_ = std::make_unique<MultifrontalFactor>(dev, a_prep_, sym_, fo);

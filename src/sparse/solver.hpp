@@ -186,13 +186,6 @@ class SparseDirectSolver {
 
   const SymbolicAnalysis& symbolic() const { return sym_; }
   const MultifrontalFactor& numeric() const { return *factor_; }
-  /// Solver-owned interleaved-kernel registry (see FactorOptions): it
-  /// lives as long as the solver, so a same-pattern refactor() builds no
-  /// kernel — and a service session that owns this solver gets
-  /// pattern-keyed kernel reuse by construction. Cumulative across
-  /// factor()/refactor() calls; per-factorization deltas are in
-  /// numeric().report().
-  const batch::KernelCache& dispatch_cache() const { return kcache_; }
   std::vector<LevelStats> level_stats() const;
   /// Whether the last analyze() actually applied MC64 scaling (false when
   /// disabled by options *or* when MC64 found the matrix structurally
@@ -203,11 +196,6 @@ class SparseDirectSolver {
   const AnalyzeTimings& analyze_timings() const { return analyze_timings_; }
 
  private:
-  /// opts_.factor augmented with the solver-owned dispatch cache (unless
-  /// the caller wired their own). Const because the LU-IR fallback
-  /// re-factors from const solve paths — the cache it touches is mutable
-  /// solver-internal machinery.
-  FactorOptions factor_options() const;
   /// Factor with the configured policy; escalates to FP64 when the
   /// mixed-precision factorization's measured pivot growth exceeds
   /// growth_refactor_threshold (see SolverOptions).
@@ -233,9 +221,6 @@ class SparseDirectSolver {
   void prepare_values();
 
   const SolverOptions opts_;
-  /// Dispatch registry and the factorization are mutable: the LU-IR FP64
-  /// fallback rebuilds the factor inside const solve calls.
-  mutable batch::KernelCache kcache_;  ///< interleaved-kernel registry
   CsrMatrix a_;        ///< original matrix
   CsrMatrix a_prep_;   ///< scaled, column-permuted, symmetrically permuted
   /// Source of one a_prep_ entry: its entry index in a_ and the MC64
@@ -247,6 +232,8 @@ class SparseDirectSolver {
   ordering::Mc64Result mc64_;
   ordering::Ordering ord_;
   SymbolicAnalysis sym_;
+  /// Mutable: the LU-IR FP64 fallback rebuilds the factor inside const
+  /// solve calls.
   mutable std::unique_ptr<MultifrontalFactor> factor_;
   bool analyzed_ = false;
   bool mc64_active_ = false;  ///< per-analysis state, not a user option

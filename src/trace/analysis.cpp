@@ -558,13 +558,12 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
   for (const CritNode& cn : a.path) {
     a.critical_path_seconds += cn.contribution;
     on_path[cn.launch] = 1;
-    if (cn.launch < opts.min_launch) continue;
     add_contribution(kern, cn.kernel, cn);
     add_contribution(scop, scope_or_none(cn.scope), cn);
   }
   // Slack: execution of a class that the path fully overlaps — how much
   // that class could slip without (to first order) moving the makespan.
-  for (std::size_t i = opts.min_launch; i < L.size(); ++i) {
+  for (std::size_t i = 0; i < L.size(); ++i) {
     if (on_path[i]) continue;
     const double dur = L[i].sim_end - L[i].sim_start;
     auto& kc = kern[tracer.kernel_name(L[i].name_id)];

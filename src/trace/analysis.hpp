@@ -22,6 +22,10 @@
 // is trusted: a trace with dropped records, a mid-trace reset_timeline(),
 // or records from before the tracer attached fails the fidelity check
 // and yields `valid == false` with a caveat instead of wrong numbers.
+//
+// The analysis runs when a trace is exported (the text report and the
+// summary JSON, trace/report.hpp), over every record of the trace. Its
+// cost grows with the trace, so nothing runs it per factorization.
 #pragma once
 
 #include <cstddef>
@@ -143,10 +147,6 @@ struct AnalysisOptions {
   /// How many top kernels/scopes get what-if projections (and how many
   /// rows the text report prints).
   int top_k = 3;
-  /// Restrict the contribution/slack rollups (and FactorReport's top-3)
-  /// to launches with index >= min_launch — the replay itself always
-  /// covers the whole trace, so a mid-trace window stays consistent.
-  std::size_t min_launch = 0;
   bool what_ifs = true;  ///< disable to skip the replays (cheaper)
 };
 

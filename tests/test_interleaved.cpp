@@ -1,9 +1,8 @@
 // Tests for the interleaved (SoA) batch layout (DESIGN.md §12): pack /
-// unpack round trips, bitwise agreement of the dispatch-cached
-// batch-axis-vectorized kernels with the strided engine path, exact
-// dispatch-cache counters, and the multifrontal / solver / service
-// routing — whose factors must be bit-identical with the routing on and
-// off.
+// unpack round trips, bitwise agreement of the batch-axis-vectorized
+// kernels with the strided engine path, and the multifrontal / solver /
+// service routing — whose factors must be bit-identical with the routing
+// on and off, through factor, refactor and the service's cached refactor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "irrblas/autotune.hpp"
-#include "irrblas/dispatch.hpp"
 #include "irrblas/interleaved.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
@@ -43,6 +41,24 @@ bool bits_equal(double a, double b) {
   std::memcpy(&ua, &a, sizeof(ua));
   std::memcpy(&ub, &b, sizeof(ub));
   return ua == ub;
+}
+
+/// Bit-for-bit comparison of two factorizations' FP64 and FP32 stores.
+::testing::AssertionResult factors_bits_equal(
+    const irrlu::sparse::MultifrontalFactor& a,
+    const irrlu::sparse::MultifrontalFactor& b) {
+  if (a.factor_elems() != b.factor_elems() ||
+      a.factor_elems_f32() != b.factor_elems_f32())
+    return ::testing::AssertionFailure() << "factor store sizes differ";
+  if (a.factor_elems() > 0 &&
+      std::memcmp(a.factor_data(), b.factor_data(),
+                  a.factor_elems() * sizeof(double)) != 0)
+    return ::testing::AssertionFailure() << "FP64 factor bits differ";
+  if (a.factor_elems_f32() > 0 &&
+      std::memcmp(a.factor_data_f32(), b.factor_data_f32(),
+                  a.factor_elems_f32() * sizeof(float)) != 0)
+    return ::testing::AssertionFailure() << "FP32 factor bits differ";
+  return ::testing::AssertionSuccess();
 }
 
 /// Bit-for-bit comparison of two same-shape strided batches.
@@ -148,16 +164,12 @@ TEST(InterleavedLayout, EmptyAndDegenerateBatches) {
   InterleavedBatch<double> empty(dev, 4, 4, 0);
   const long launches0 = dev.launch_count();
   ilv_pack(dev, dev.stream(), {});
-  KernelCache cache;
-  irr_getf2_ilv(dev, dev.stream(), cache, empty.view(), 4, 4, 0, nullptr,
-                nullptr);
-  irr_gemm_ilv(dev, dev.stream(), cache, 4, 4, 4, 1.0, empty.view(),
-               empty.view(), 1.0, empty.view(), 0);
-  irr_trsm_ilv(dev, dev.stream(), cache, la::Side::Left, la::Uplo::Lower,
+  irr_getf2_ilv(dev, dev.stream(), empty.view(), 4, 4, 0, nullptr, nullptr);
+  irr_gemm_ilv(dev, dev.stream(), 4, 4, 4, 1.0, empty.view(), empty.view(),
+               1.0, empty.view(), 0);
+  irr_trsm_ilv(dev, dev.stream(), la::Side::Left, la::Uplo::Lower,
                la::Diag::Unit, 4, 4, 1.0, empty.view(), empty.view(), 0);
   EXPECT_EQ(dev.launch_count(), launches0);
-  // Zero-lane wrappers return before even resolving a kernel.
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0);
 
   // Zero-sized matrices with live lanes: kernels run and do nothing.
   InterleavedBatch<double> zero(dev, 0, 0, 3);
@@ -165,10 +177,10 @@ TEST(InterleavedLayout, EmptyAndDegenerateBatches) {
   std::vector<int*> piv{piv_store.data(), piv_store.data() + 1,
                         piv_store.data() + 2};
   std::vector<int> info(3, 0);
-  irr_getf2_ilv(dev, dev.stream(), cache, zero.view(), 0, 0, 3, piv.data(),
+  irr_getf2_ilv(dev, dev.stream(), zero.view(), 0, 0, 3, piv.data(),
                 info.data());
-  irr_gemm_ilv(dev, dev.stream(), cache, 0, 5, 2, 1.0, zero.view(),
-               zero.view(), 0.0, zero.view(), 3);
+  irr_gemm_ilv(dev, dev.stream(), 0, 5, 2, 1.0, zero.view(), zero.view(),
+               0.0, zero.view(), 3);
   dev.synchronize_all();
   EXPECT_EQ(info, (std::vector<int>{0, 0, 0}));
   EXPECT_EQ(piv_store, (std::vector<int>{-1, -1, -1}));
@@ -210,11 +222,10 @@ TEST_P(IlvGetf2Sizes, MatchesStridedBitwise) {
                     a_str.m_vec(), a_str.n_vec(), piv_str.ptrs(),
                     piv_str.info(), batch, lu);
 
-  KernelCache cache;
   InterleavedBatch<double> ilv(dev, n, n, batch);
   pack(dev, a_ilv, ilv);
-  irr_getf2_ilv(dev, dev.stream(), cache, ilv.view(), n, n, batch,
-                piv_ilv.ptrs(), piv_ilv.info());
+  irr_getf2_ilv(dev, dev.stream(), ilv.view(), n, n, batch, piv_ilv.ptrs(),
+                piv_ilv.info());
   unpack(dev, a_ilv, ilv);
   dev.synchronize_all();
 
@@ -264,13 +275,11 @@ TEST(IlvGetf2, BoostedMatchesStridedBitwise) {
                     a_str.m_vec(), a_str.n_vec(), piv_str.ptrs(),
                     piv_str.info(), batch, lu);
 
-  KernelCache cache;
   InterleavedBatch<double> ilv(dev, n, n, batch);
   // The fused pack absmax feeds the boost threshold, as in the engine.
   pack(dev, a_ilv, ilv, anorm_ilv.data());
-  irr_getf2_ilv(dev, dev.stream(), cache, ilv.view(), n, n, batch,
-                piv_ilv.ptrs(), piv_ilv.info(), tau, anorm_ilv.data(),
-                boost_ilv.data());
+  irr_getf2_ilv(dev, dev.stream(), ilv.view(), n, n, batch, piv_ilv.ptrs(),
+                piv_ilv.info(), tau, anorm_ilv.data(), boost_ilv.data());
   unpack(dev, a_ilv, ilv);
   dev.synchronize_all();
 
@@ -322,13 +331,12 @@ TEST_P(IlvTrsmCases, MatchesStridedBitwise) {
                    b_str.ptrs(), b_str.lda(), 0, 0, b_str.m_vec(),
                    b_str.n_vec(), batch);
 
-  KernelCache cache;
   InterleavedBatch<double> ti(dev, tc.tri, tc.tri, batch);
   InterleavedBatch<double> bi(dev, m, n, batch);
   pack(dev, t, ti);
   pack(dev, b_ilv, bi);
-  irr_trsm_ilv(dev, dev.stream(), cache, tc.side, tc.uplo, tc.diag, m, n,
-               tc.alpha, ti.view(), bi.view(), batch);
+  irr_trsm_ilv(dev, dev.stream(), tc.side, tc.uplo, tc.diag, m, n, tc.alpha,
+               ti.view(), bi.view(), batch);
   unpack(dev, b_ilv, bi);
   dev.synchronize_all();
 
@@ -388,15 +396,14 @@ TEST_P(IlvGemmCases, MatchesStridedBitwise) {
                    b.lda(), 0, 0, gc.beta, c_str.ptrs(), c_str.lda(), 0, 0,
                    c_str.m_vec(), c_str.n_vec(), a.n_vec(), batch);
 
-  KernelCache cache;
   InterleavedBatch<double> ai(dev, gc.m, gc.k, batch);
   InterleavedBatch<double> bi(dev, gc.k, gc.n, batch);
   InterleavedBatch<double> ci(dev, gc.m, gc.n, batch);
   pack(dev, a, ai);
   pack(dev, b, bi);
   pack(dev, c_ilv, ci);
-  irr_gemm_ilv(dev, dev.stream(), cache, gc.m, gc.n, gc.k, gc.alpha,
-               ai.view(), bi.view(), gc.beta, ci.view(), batch);
+  irr_gemm_ilv(dev, dev.stream(), gc.m, gc.n, gc.k, gc.alpha, ai.view(),
+               bi.view(), gc.beta, ci.view(), batch);
   unpack(dev, c_ilv, ci);
   dev.synchronize_all();
 
@@ -457,29 +464,6 @@ TEST(IlvLaswp, MatchesHostReference) {
   EXPECT_TRUE(batch_bits_equal(b, ref));
 }
 
-// ------------------------------------------------------- dispatch counters
-
-TEST(DispatchCache, CountersExact) {
-  KernelCache cache;
-  EXPECT_EQ(cache.size(), 0u);
-  const auto* k1 = cache.resolve(gemm_key(4, 4, 2));
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 0);
-  const auto* k2 = cache.resolve(gemm_key(4, 4, 2));
-  EXPECT_EQ(k1, k2);  // stable pointer, served from the map
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 1);
-  // Different op / dims / trsm variants are distinct entries.
-  cache.resolve(getf2_key(4, 4));
-  cache.resolve(gemm_key(4, 4, 3));
-  cache.resolve(trsm_key(true, true, true, 4, 4));
-  cache.resolve(trsm_key(true, false, true, 4, 4));   // flags differ
-  cache.resolve(trsm_key(false, true, true, 4, 4));   // op differs
-  EXPECT_EQ(cache.stats().misses, 6);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.size(), 6u);
-}
-
 // ------------------------------------------- multifrontal / solver routing
 
 TEST(MultifrontalInterleaved, FactorsBitIdenticalToStrided) {
@@ -503,21 +487,16 @@ TEST(MultifrontalInterleaved, FactorsBitIdenticalToStrided) {
 
   const auto& f_off = s_off.numeric();
   const auto& f_on = s_on.numeric();
-  ASSERT_EQ(f_off.factor_elems(), f_on.factor_elems());
-  EXPECT_EQ(std::memcmp(f_off.factor_data(), f_on.factor_data(),
-                        f_off.factor_elems() * sizeof(double)),
-            0);
+  EXPECT_TRUE(factors_bits_equal(f_off, f_on));
   // Numerical diagnostics agree too.
   EXPECT_EQ(f_off.report().boosted_pivots, f_on.report().boosted_pivots);
   EXPECT_EQ(f_off.report().zero_pivot_fronts,
             f_on.report().zero_pivot_fronts);
   EXPECT_TRUE(
       bits_equal(f_off.report().pivot_growth, f_on.report().pivot_growth));
-  // Dispatch counters: zero with the routing off, live with it on.
-  EXPECT_EQ(f_off.report().dispatch_hits + f_off.report().dispatch_misses,
-            0);
-  EXPECT_GT(f_on.report().dispatch_misses, 0);
-  EXPECT_GT(f_on.report().dispatch_hits + f_on.report().dispatch_misses, 0);
+  // Launch profiles: no interleaved getf2 with the routing off, some on.
+  EXPECT_EQ(dev_off.profile().count("ilv_getf2"), 0u);
+  EXPECT_EQ(dev_on.profile().count("ilv_getf2"), 1u);
   // And both factorizations solve the same system to the same quality.
   const std::vector<double> b(400, 1.0);
   const auto x_off = s_off.solve(b);
@@ -527,26 +506,28 @@ TEST(MultifrontalInterleaved, FactorsBitIdenticalToStrided) {
     EXPECT_TRUE(bits_equal(x_off[i], x_on[i])) << i;
 }
 
-TEST(MultifrontalInterleaved, RefactorBuildsNoKernel) {
+TEST(MultifrontalInterleaved, RefactorMatchesStrided) {
   const CsrMatrix a1 = laplacian2d(16, 16, 0.3);
   const CsrMatrix a2 = laplacian2d(16, 16, 0.9);  // same pattern, new values
-  SolverOptions opts;
-  opts.factor.interleaved.enabled = true;
-  opts.factor.interleaved.max_class_dim = 32;  // route every front size
-  Device dev(DeviceModel::a100());
-  SparseDirectSolver solver(opts);
+  SolverOptions off;
+  SolverOptions on = off;
+  on.factor.interleaved.enabled = true;
+  on.factor.interleaved.max_class_dim = 32;  // route every front size
+  Device dev_on(DeviceModel::a100());
+  SparseDirectSolver solver(on);
   solver.analyze(a1);
-  solver.factor(dev);
-  const auto first = solver.numeric().report();
-  EXPECT_GT(first.dispatch_misses, 0);
+  solver.factor(dev_on);
+  solver.refactor(dev_on, a2);
+  ASSERT_EQ(dev_on.profile().count("ilv_getf2"), 1u);
 
-  solver.refactor(dev, a2);
-  const auto second = solver.numeric().report();
-  // Same pattern => the same resolutions, every one served by the
-  // solver-owned cache.
-  EXPECT_EQ(second.dispatch_misses, 0);
-  EXPECT_EQ(second.dispatch_hits,
-            first.dispatch_misses + first.dispatch_hits);
+  // The routed refactor is bitwise the routing-off factor of the same
+  // analyze, factor and refactor sequence.
+  Device dev_off(DeviceModel::a100());
+  SparseDirectSolver twin(off);
+  twin.analyze(a1);
+  twin.factor(dev_off);
+  twin.refactor(dev_off, a2);
+  EXPECT_TRUE(factors_bits_equal(solver.numeric(), twin.numeric()));
 
   // The refactored values are right (not a stale factor).
   const std::vector<double> b(256, 1.0);
@@ -554,7 +535,7 @@ TEST(MultifrontalInterleaved, RefactorBuildsNoKernel) {
   EXPECT_LT(solver.residual(x, b), 1e-12);
 }
 
-TEST(ServiceInterleaved, PatternKeyedDispatchReuse) {
+TEST(ServiceInterleaved, CachedRefactorMatchesStrided) {
   const CsrMatrix a1 = laplacian2d(12, 12, 0.2);
   const CsrMatrix a2 = laplacian2d(12, 12, 0.8);
   Device dev(DeviceModel::a100());
@@ -568,19 +549,23 @@ TEST(ServiceInterleaved, PatternKeyedDispatchReuse) {
   EXPECT_TRUE(r1[0].report.ok());
   const SparseDirectSolver* cached = svc.peek(a1);
   ASSERT_NE(cached, nullptr);
-  const auto first = cached->numeric().report();
-  EXPECT_GT(first.dispatch_misses, 0);
 
   auto r2 = svc.solve({SolveRequest{"t", a2, b, {}}});  // cached pattern
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_TRUE(r2[0].symbolic_cache_hit);
-  // The session's solver refactored through its own kernel cache: every
-  // resolution of the first factorization is a hit, none builds a kernel.
   ASSERT_EQ(svc.peek(a1), cached);
-  const auto& rep = cached->numeric().report();
-  EXPECT_EQ(rep.dispatch_misses, 0);
-  EXPECT_EQ(rep.dispatch_hits, first.dispatch_hits + first.dispatch_misses);
-  EXPECT_EQ(cached->dispatch_cache().stats().misses, first.dispatch_misses);
+  EXPECT_EQ(dev.profile().count("ilv_getf2"), 1u);
+
+  // The session's refactored factor is bitwise that of a routing-off
+  // solver run through the same analyze, factor and refactor.
+  SolverOptions off = so.solver;
+  off.factor.interleaved.enabled = false;
+  Device dev_off(DeviceModel::a100());
+  SparseDirectSolver twin(off);
+  twin.analyze(a1);
+  twin.factor(dev_off);
+  twin.refactor(dev_off, a2);
+  EXPECT_TRUE(factors_bits_equal(cached->numeric(), twin.numeric()));
 }
 
 // ---------------------------------------------------- autotune regression

@@ -977,7 +977,7 @@ TEST(FactorSchedule, UnchangedFromParent) {
     solver.factor(dev);
     hash_factor(h, solver.numeric());
     // The interleaved configurations do route fronts.
-    EXPECT_EQ(solver.numeric().report().dispatch_misses > 0, c.interleaved);
+    EXPECT_EQ(dev.profile().count("ilv_getf2") > 0, c.interleaved);
     solver.refactor(dev, a);  // same pattern
     hash_factor(h, solver.numeric());
     hash_trace(h, tracer);
