@@ -43,15 +43,16 @@ int main(int argc, char** argv) {
                 : engine == "rightlooking" ? sparse::Engine::kRightLooking
                                            : sparse::Engine::kBatched;
   opts.factor.memory = sparse::MemoryMode::kStackedLevels;
-  sparse::SparseDirectSolver solver(opts);
-  solver.analyze(a);
 
+  // The device outlives the solver: the factor's buffers are freed into it.
   const std::string device = args.get_string("device", "a100");
   gpusim::Device dev(device == "mi100"
                          ? gpusim::DeviceModel::mi100()
                          : device == "cpu"
                                ? gpusim::DeviceModel::xeon6140x2()
                                : gpusim::DeviceModel::a100());
+  sparse::SparseDirectSolver solver(opts);
+  solver.analyze(a);
   solver.factor(dev);
 
   Rng rng(1);

@@ -1,6 +1,6 @@
 // Lowest-order nodal (Q1) finite elements on hex meshes: assembly of
 // stiffness + mass operators for Poisson / Helmholtz model problems, with
-// Dirichlet elimination. Used by examples and as a well-understood
+// Dirichlet elimination. Only the tests use it, as a well-understood
 // verification vehicle (manufactured-solution convergence) for the mesh
 // and quadrature machinery that the Maxwell assembly shares.
 #pragma once

@@ -294,21 +294,6 @@ void Device::end_launch(Stream& s, const LaunchConfig& cfg) {
   }
 }
 
-Event Device::record(Stream& s) {
-  // Ids are assigned traced or not, so attaching a tracer mid-run cannot
-  // alias an earlier (unrecorded) event's id.
-  const Event e(s.cursor_, next_event_id_++);
-  if (tracer_ != nullptr)
-    tracer_->on_event(/*is_wait=*/false, s.id_, s.cursor_, e.id_);
-  return e;
-}
-
-void Device::wait(Stream& s, const Event& e) {
-  s.cursor_ = std::max(s.cursor_, e.time());
-  if (tracer_ != nullptr)
-    tracer_->on_event(/*is_wait=*/true, s.id_, s.cursor_, e.id_);
-}
-
 void Device::synchronize(Stream& s) {
   ++sync_count_;
   const double before = host_time_;

@@ -110,26 +110,6 @@ class Stream {
   double cursor_ = 0.0;
 };
 
-/// A recorded point on a stream's timeline (cudaEvent analogue). Obtained
-/// from Device::record(); other streams can wait on it, establishing
-/// cross-stream ordering without host synchronization. Each recorded
-/// event carries a device-unique id so an attached tracer can tie a
-/// wait() back to the record() it depends on — the dependency edge the
-/// trace analyzer's DAG replay follows. A default-constructed Event has
-/// id -1 and time 0 (waiting on it is a no-op).
-class Event {
- public:
-  Event() = default;
-  double time() const { return time_; }
-  int id() const { return id_; }
-
- private:
-  friend class Device;
-  Event(double t, int id) : time_(t), id_(id) {}
-  double time_ = 0.0;
-  int id_ = -1;
-};
-
 /// Value of LaunchConfig::independent, for readable braced initializers:
 /// `{"irr_gemm", grid, smem, gpusim::kIndependentBlocks}`.
 inline constexpr bool kIndependentBlocks = true;
@@ -232,12 +212,6 @@ class Device {
   /// Launches that handed blocks to the host pool since the last
   /// reset_timeline() (a host-side observable, like the wall clock).
   long pooled_launch_count() const { return pooled_launch_count_; }
-
-  /// Records the completion point of all work enqueued on `s` so far.
-  Event record(Stream& s);
-  /// Makes future work on `s` start no earlier than `e` (device-side
-  /// dependency; does not block the host).
-  void wait(Stream& s, const Event& e);
 
   /// Host blocks until stream `s` completes; advances host time.
   void synchronize(Stream& s);
@@ -384,7 +358,6 @@ class Device {
   std::map<std::string, std::pair<std::string, unsigned>> launch_sites_;
 
   // --- accounting ---
-  int next_event_id_ = 0;  ///< record() ids; monotone over the lifetime
   long launch_count_ = 0;
   long sync_count_ = 0;
   double sync_wait_seconds_ = 0;

@@ -85,17 +85,9 @@ void irr_getrf(gpusim::Device& dev, gpusim::Stream& stream, int m, int n,
     // --- row interchanges outside the panel (§IV-F) ----------------------
     {
       IRRLU_TRACE_SCOPE(dev.tracer(), "swap");
-      if (opts.laswp_aux_stream != nullptr &&
-          opts.laswp == LaswpMethod::kRehearsal) {
-        irr_laswp_dual(dev, stream, *opts.laswp_aux_stream, j, jb, dA_array,
-                       ldda, m_vec, n_vec,
-                       const_cast<int const* const*>(ipiv_array), batch_size,
-                       laswp_ws);
-      } else {
-        irr_laswp(dev, stream, j, jb, dA_array, ldda, m_vec, n_vec,
-                  const_cast<int const* const*>(ipiv_array), batch_size,
-                  opts.laswp, laswp_ws);
-      }
+      irr_laswp(dev, stream, j, jb, dA_array, ldda, m_vec, n_vec,
+                const_cast<int const* const*>(ipiv_array), batch_size,
+                opts.laswp, laswp_ws);
     }
 
     // --- triangular solve for the U block row ----------------------------

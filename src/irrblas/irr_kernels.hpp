@@ -154,18 +154,6 @@ void irr_laswp(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
                LaswpMethod method = LaswpMethod::kRehearsal,
                int* workspace = nullptr);
 
-/// Concurrent-swap variant (the paper's §VI future-work item: "performing
-/// the right and left swaps simultaneously"): after the rehearsal, the
-/// left widths move on `main` while the right widths move on `aux`,
-/// synchronized with stream events; `main` is re-joined at the end so the
-/// caller's subsequent kernels observe both halves.
-template <typename T>
-void irr_laswp_dual(gpusim::Device& dev, gpusim::Stream& main,
-                    gpusim::Stream& aux, int j, int jb, T* const* dA_array,
-                    const int* ldda, const int* m_vec, const int* n_vec,
-                    int const* const* ipiv_array, int batch_size,
-                    int* workspace = nullptr);
-
 // ---------------------------------------------------------------- irrLU
 
 /// Options for the blocked irregular LU driver.
@@ -173,11 +161,6 @@ struct IrrLuOptions {
   int nb = 32;  ///< panel width (the paper suggests 16-32)
   bool force_columnwise_panel = false;  ///< disable the fused panel
   LaswpMethod laswp = LaswpMethod::kRehearsal;
-  /// When set, the row interchanges run concurrently: left widths on the
-  /// driver's stream and right widths on this auxiliary stream (events
-  /// keep the ordering) — the paper's §VI concurrent-swap idea. Only used
-  /// with LaswpMethod::kRehearsal.
-  gpusim::Stream* laswp_aux_stream = nullptr;
 
   /// Caller-provided device workspaces (optional). When set the driver
   /// performs no allocation at all; when null it draws per-stream scratch
@@ -222,18 +205,6 @@ void irr_geqrf(gpusim::Device& dev, gpusim::Stream& stream, int m, int n,
                T* const* dA_array, const int* ldda, const int* m_vec,
                const int* n_vec, T* const* tau_array, int batch_size,
                int nb = 32);
-
-/// Batched solve after irr_getrf: op(A[id]) X = B[id] for every id, using
-/// the factors and pivots produced by the driver. B[id] is n_loc x
-/// nrhs_loc; required dims are the maxima. Composed entirely of
-/// irr_laswp_range and irr_trsm calls — the same building blocks as the
-/// factorization, demonstrating the interface's composability.
-template <typename T>
-void irr_getrs(gpusim::Device& dev, gpusim::Stream& stream, la::Trans trans,
-               int n, int nrhs, T const* const* dA_array, const int* ldda,
-               const int* n_vec, int const* const* ipiv_array,
-               T* const* dB_array, const int* lddb, const int* nrhs_vec,
-               int batch_size);
 
 // ------------------------------------------------------------- auxiliaries
 

@@ -61,39 +61,11 @@ void laswp_looped(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
   }
 }
 
-enum class MoveRange { kBoth, kLeftOnly, kRightOnly };
-
-/// Phase-1 rehearsal kernel (shared by the single- and dual-stream paths).
-template <typename T>
-void laswp_rehearse_kernel(gpusim::Device& dev, gpusim::Stream& stream,
-                           int j, int jb, const int* m_vec, const int* n_vec,
-                           int const* const* ipiv_array, int batch_size,
-                           int* ws);
-
-/// Phase-2 move kernel over the selected column range(s).
-template <typename T>
-void laswp_move_kernel(gpusim::Device& dev, gpusim::Stream& stream, int j,
-                       int jb, T* const* dA_array, const int* ldda,
-                       const int* m_vec, const int* n_vec, int batch_size,
-                       const int* ws, MoveRange range);
-
 template <typename T>
 void laswp_rehearsal(gpusim::Device& dev, gpusim::Stream& stream, int j,
                      int jb, T* const* dA_array, const int* ldda,
                      const int* m_vec, const int* n_vec,
-                     int const* const* ipiv_array, int batch_size,
-                     int* ws) {
-  laswp_rehearse_kernel<T>(dev, stream, j, jb, m_vec, n_vec, ipiv_array,
-                           batch_size, ws);
-  laswp_move_kernel<T>(dev, stream, j, jb, dA_array, ldda, m_vec, n_vec,
-                       batch_size, ws, MoveRange::kBoth);
-}
-
-template <typename T>
-void laswp_rehearse_kernel(gpusim::Device& dev, gpusim::Stream& stream,
-                           int j, int jb, const int* m_vec, const int* n_vec,
-                           int const* const* ipiv_array, int batch_size,
-                           int* ws) {
+                     int const* const* ipiv_array, int batch_size, int* ws) {
   const int stride = 1 + 4 * jb;  // per-matrix workspace ints
 
   // Phase 1 — rehearse the swaps on auxiliary index columns: build the
@@ -125,16 +97,9 @@ void laswp_rehearse_kernel(gpusim::Device& dev, gpusim::Stream& stream,
     }
     ctx.record(0.0, (2.0 * w.rows + 2.0 * *w_cnt) * sizeof(int));
   });
-}
 
-template <typename T>
-void laswp_move_kernel(gpusim::Device& dev, gpusim::Stream& stream, int j,
-                       int jb, T* const* dA_array, const int* ldda,
-                       const int* m_vec, const int* n_vec, int batch_size,
-                       const int* ws, MoveRange range) {
-  const int stride = 1 + 4 * jb;
   // Phase 2 — move each touched row exactly once, through shared-memory
-  // column chunks, over the selected width(s).
+  // column chunks, over both widths.
   const std::size_t move_smem =
       std::min(kMoveSmemBytes, dev.model().shared_mem_per_block);
   const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size, move_smem,
@@ -168,11 +133,11 @@ void laswp_move_kernel(gpusim::Device& dev, gpusim::Stream& stream, int j,
       }
     };
     double width = 0;
-    if (range != MoveRange::kRightOnly && w.wl > 0) {
+    if (w.wl > 0) {
       move_range(0, w.wl);
       width += w.wl;
     }
-    if (range != MoveRange::kLeftOnly && w.wr > 0) {
+    if (w.wr > 0) {
       move_range(w.wr_off, w.wr);
       width += w.wr;
     }
@@ -209,33 +174,6 @@ void irr_laswp(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
 }
 
 template <typename T>
-void irr_laswp_dual(gpusim::Device& dev, gpusim::Stream& main,
-                    gpusim::Stream& aux, int j, int jb, T* const* dA_array,
-                    const int* ldda, const int* m_vec, const int* n_vec,
-                    int const* const* ipiv_array, int batch_size,
-                    int* workspace) {
-  if (batch_size <= 0 || jb <= 0) return;
-  int* ws = workspace;
-  if (ws == nullptr) {
-    // Keyed by the main stream: the aux stream only reads the rehearsal
-    // output after the event fence below.
-    ws = dev.workspace<int>("irrlaswp.s" + std::to_string(main.id()),
-                            irr_laswp_workspace_size(batch_size, jb));
-  }
-  laswp_rehearse_kernel<T>(dev, main, j, jb, m_vec, n_vec, ipiv_array,
-                           batch_size, ws);
-  // The aux stream may move the right widths only after the rehearsal.
-  const gpusim::Event rehearsed = dev.record(main);
-  dev.wait(aux, rehearsed);
-  laswp_move_kernel<T>(dev, main, j, jb, dA_array, ldda, m_vec, n_vec,
-                       batch_size, ws, MoveRange::kLeftOnly);
-  laswp_move_kernel<T>(dev, aux, j, jb, dA_array, ldda, m_vec, n_vec,
-                       batch_size, ws, MoveRange::kRightOnly);
-  // Re-join: subsequent work on the main stream sees both halves done.
-  dev.wait(main, dev.record(aux));
-}
-
-template <typename T>
 void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
                             int k0, int k1, int w, T* const* dA_array,
                             const int* ldda, int c0, const int* m_vec,
@@ -251,7 +189,7 @@ void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
   }
 
   // Phase 1 — rehearse the chain [k0, k1) on auxiliary index columns:
-  // identical bookkeeping to laswp_rehearse_kernel, but over an explicit
+  // identical bookkeeping to laswp_rehearsal's, but over an explicit
   // pivot range rather than a DCWI-inferred panel.
   dev.launch(stream,
              {"irr_laswp_rehearse", batch_size, 0, gpusim::kIndependentBlocks},
@@ -281,7 +219,7 @@ void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
   });
 
   // Phase 2 — move each touched row exactly once over the [c0, c0+w)
-  // column range, through shared-memory chunks (cf. laswp_move_kernel).
+  // column range, through shared-memory chunks (cf. laswp_rehearsal).
   const std::size_t move_smem =
       std::min(kMoveSmemBytes, dev.model().shared_mem_per_block);
   const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size, move_smem,
@@ -322,10 +260,6 @@ void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
   template void irr_laswp<T>(gpusim::Device&, gpusim::Stream&, int, int,    \
                              T* const*, const int*, const int*, const int*, \
                              int const* const*, int, LaswpMethod, int*);    \
-  template void irr_laswp_dual<T>(gpusim::Device&, gpusim::Stream&,         \
-                                  gpusim::Stream&, int, int, T* const*,     \
-                                  const int*, const int*, const int*,       \
-                                  int const* const*, int, int*);            \
   template void irr_laswp_range_staged<T>(                                  \
       gpusim::Device&, gpusim::Stream&, int, int, int, T* const*,           \
       const int*, int, const int*, const int*, int const* const*, int,      \

@@ -8,6 +8,9 @@ namespace irrlu::ordering {
 
 namespace {
 
+constexpr int kCoarsenTo = 80;  ///< stop coarsening below this many vertices
+constexpr int kFmPasses = 8;    ///< max FM refinement passes per level
+
 /// Heavy-edge matching: visits vertices in random order, matching each
 /// unmatched vertex to its unmatched neighbor with the heaviest edge.
 /// Returns match[v] (== v for unmatched) and the number of coarse vertices.
@@ -355,9 +358,9 @@ Bisection bisect_recursive(const Graph& g, Rng& rng,
                            const BisectOptions& opts, FmWork& ws) {
   Bisection out;
   const int n = g.num_vertices();
-  if (n <= opts.coarsen_to) {
+  if (n <= kCoarsenTo) {
     initial_partition(g, rng, out.side);
-    for (int p = 0; p < opts.fm_passes; ++p)
+    for (int p = 0; p < kFmPasses; ++p)
       if (fm_pass(g, out.side, opts.balance, ws) <= 0) break;
     return out;
   }
@@ -375,7 +378,7 @@ Bisection bisect_recursive(const Graph& g, Rng& rng,
     out.side[static_cast<std::size_t>(v)] =
         coarse_bis.side[static_cast<std::size_t>(
             cmap[static_cast<std::size_t>(v)])];
-  for (int p = 0; p < opts.fm_passes; ++p)
+  for (int p = 0; p < kFmPasses; ++p)
     if (fm_pass(g, out.side, opts.balance, ws) <= 0) break;
   return out;
 }

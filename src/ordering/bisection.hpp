@@ -18,8 +18,6 @@
 namespace irrlu::ordering {
 
 struct BisectOptions {
-  int coarsen_to = 80;       ///< stop coarsening below this many vertices
-  int fm_passes = 8;         ///< max FM refinement passes per level
   double balance = 0.15;     ///< allowed part-weight imbalance fraction
   std::uint64_t seed = 1;    ///< tie-breaking randomness
 };

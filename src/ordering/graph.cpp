@@ -149,29 +149,4 @@ Graph Graph::induced_subgraph(const std::vector<int>& vertices,
   return s;
 }
 
-int Graph::components(std::vector<int>& comp) const {
-  comp.assign(static_cast<std::size_t>(n_), -1);
-  int nc = 0;
-  std::vector<int> stack;
-  for (int s = 0; s < n_; ++s) {
-    if (comp[static_cast<std::size_t>(s)] >= 0) continue;
-    stack.push_back(s);
-    comp[static_cast<std::size_t>(s)] = nc;
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (int k = ptr_[static_cast<std::size_t>(v)];
-           k < ptr_[static_cast<std::size_t>(v) + 1]; ++k) {
-        const int u = adj_[static_cast<std::size_t>(k)];
-        if (comp[static_cast<std::size_t>(u)] < 0) {
-          comp[static_cast<std::size_t>(u)] = nc;
-          stack.push_back(u);
-        }
-      }
-    }
-    ++nc;
-  }
-  return nc;
-}
-
 }  // namespace irrlu::ordering

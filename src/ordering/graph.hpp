@@ -48,9 +48,6 @@ class Graph {
   Graph induced_subgraph(const std::vector<int>& vertices,
                          std::vector<int>& local_of) const;
 
-  /// Connected components: returns component id per vertex and the count.
-  int components(std::vector<int>& comp) const;
-
   // Internal: used by the coarsener.
   void set_weights(std::vector<int> vwgt, std::vector<int> ewgt);
 

@@ -27,16 +27,7 @@ int nd_recurse(const Graph& g, const std::vector<int>& vertices,
     return static_cast<int>(out.tree.size()) - 1;
   };
 
-  if (sn <= opts.leaf_size) {
-    std::vector<int> lp;
-    if (opts.md_on_leaves) {
-      lp = minimum_degree(sub);
-    } else {
-      lp.resize(static_cast<std::size_t>(sn));
-      std::iota(lp.begin(), lp.end(), 0);
-    }
-    return make_leaf(lp);
-  }
+  if (sn <= opts.leaf_size) return make_leaf(minimum_degree(sub));
 
   const Bisection bis = bisect(sub, opts.bisect);
   std::vector<int> part0, part1, sep;
@@ -50,10 +41,7 @@ int nd_recurse(const Graph& g, const std::vector<int>& vertices,
   }
   // Degenerate separators (empty part) would recurse forever; fall back to
   // minimum degree for such pathological subgraphs.
-  if (part0.empty() || part1.empty()) {
-    std::vector<int> lp = minimum_degree(sub);
-    return make_leaf(lp);
-  }
+  if (part0.empty() || part1.empty()) return make_leaf(minimum_degree(sub));
   const int lid = nd_recurse(g, part0, local_of, opts, out);
   const int rid = nd_recurse(g, part1, local_of, opts, out);
   SepTreeNode node;

@@ -13,8 +13,7 @@
 namespace irrlu::ordering {
 
 struct NDOptions {
-  int leaf_size = 48;      ///< subgraphs at most this big are leaves
-  bool md_on_leaves = true;  ///< order leaves by minimum degree
+  int leaf_size = 48;  ///< subgraphs at most this big are leaves
   BisectOptions bisect;
 };
 

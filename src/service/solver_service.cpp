@@ -75,13 +75,6 @@ const sparse::SparseDirectSolver* SolverService::peek(
   return nullptr;
 }
 
-void SolverService::clear_cache() {
-  const auto dropped = static_cast<long>(sessions_.size());
-  sessions_.clear();
-  stats_.evictions += dropped;
-  bump("service.evictions", static_cast<double>(dropped));
-}
-
 void SolverService::bump(const char* name, double v) {
   if (auto* t = dev_.tracer()) t->add_counter(name, v);
 }

@@ -170,8 +170,6 @@ class SolverService {
   /// Device bytes held by cached factors (the "resident" term admission
   /// control budgets against).
   std::size_t resident_factor_bytes() const;
-  /// Drops every cached session (counts toward ServiceStats::evictions).
-  void clear_cache();
 
   /// Read-only view of the cached per-pattern solver holding `a`'s
   /// sparsity pattern under `precision` (unset = the service default

@@ -39,15 +39,6 @@ void CsrMatrix::multiply(const double* x, double* y) const {
   }
 }
 
-void CsrMatrix::multiply_transpose(const double* x, double* y) const {
-  for (int j = 0; j < n_; ++j) y[j] = 0;
-  for (int i = 0; i < n_; ++i)
-    for (int k = ptr_[static_cast<std::size_t>(i)];
-         k < ptr_[static_cast<std::size_t>(i) + 1]; ++k)
-      y[ind_[static_cast<std::size_t>(k)]] +=
-          val_[static_cast<std::size_t>(k)] * x[i];
-}
-
 double CsrMatrix::norm_inf() const {
   double best = 0;
   for (int i = 0; i < n_; ++i) {

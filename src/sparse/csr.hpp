@@ -35,9 +35,6 @@ class CsrMatrix {
   /// y = A x.
   void multiply(const double* x, double* y) const;
 
-  /// y = A^T x.
-  void multiply_transpose(const double* x, double* y) const;
-
   /// Normwise relative residual
   /// ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
   double residual(const double* x, const double* b) const;

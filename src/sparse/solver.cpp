@@ -59,28 +59,7 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
       ordering::Graph::from_pattern(n, aq.ptr().data(), aq.ind().data());
   analyze_timings_.graph_s = timer.seconds();
   timer.reset();
-  if (opts_.ordering == OrderingMethod::kNestedDissection) {
-    ord_ = ordering::nested_dissection(g, opts_.nd);
-  } else {
-    // Elimination-tree route: any permutation works.
-    ord_ = ordering::Ordering{};
-    switch (opts_.ordering) {
-      case OrderingMethod::kMinimumDegree:
-        ord_.perm = ordering::minimum_degree(g);
-        break;
-      case OrderingMethod::kRcm:
-        ord_.perm = ordering::rcm(g);
-        break;
-      default:
-        ord_.perm.resize(static_cast<std::size_t>(n));
-        std::iota(ord_.perm.begin(), ord_.perm.end(), 0);
-        break;
-    }
-    ord_.iperm.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      ord_.iperm[static_cast<std::size_t>(
-          ord_.perm[static_cast<std::size_t>(i)])] = i;
-  }
+  ord_ = ordering::nested_dissection(g, opts_.nd);
   analyze_timings_.nd_s = timer.seconds();
   timer.reset();
   a_prep_ = aq.permute_symmetric(ord_.perm);
@@ -97,9 +76,7 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
   prepare_values();
   analyze_timings_.permute_s = timer.seconds();
   timer.reset();
-  sym_ = opts_.ordering == OrderingMethod::kNestedDissection
-             ? SymbolicAnalysis::build(a_prep_, ord_)
-             : SymbolicAnalysis::build_from_etree(a_prep_);
+  sym_ = SymbolicAnalysis::build(a_prep_, ord_);
   analyze_timings_.symbolic_s = timer.seconds();
   analyzed_ = true;
 }
@@ -384,23 +361,6 @@ std::vector<SolveReport> SparseDirectSolver::refine_batch(
   if (tr != nullptr && refined)
     tr->observe("solve.refine_s", factor_->device().host_time() - t_refine0);
   return reps;
-}
-
-std::vector<std::vector<double>> SparseDirectSolver::solve(
-    const std::vector<std::vector<double>>& bs) const {
-  std::vector<SolveReport> reps = solve_report_many(bs);
-  std::vector<std::vector<double>> xs;
-  xs.reserve(reps.size());
-  for (std::size_t k = 0; k < reps.size(); ++k) {
-    IRRLU_CHECK_MSG(
-        reps[k].status != SolveStatus::kFailed,
-        "solve(bs): request " << k << " of " << reps.size()
-                              << " is numerically unusable (solution contains "
-                                 "NaN/Inf) — use solve_report_many() for "
-                                 "non-throwing structured results");
-    xs.push_back(std::move(reps[k].x));
-  }
-  return xs;
 }
 
 double SparseDirectSolver::residual(const std::vector<double>& x,

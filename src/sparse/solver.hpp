@@ -21,19 +21,8 @@
 
 namespace irrlu::sparse {
 
-/// Fill-reducing ordering used in phase 1. Nested dissection builds the
-/// assembly tree from its separator tree; the other orderings go through
-/// the elimination-tree + fundamental-supernode path.
-enum class OrderingMethod {
-  kNestedDissection,
-  kMinimumDegree,
-  kRcm,
-  kNatural,  ///< no reordering (for comparisons/tests)
-};
-
 struct SolverOptions {
   bool use_mc64 = true;  ///< matching + scaling before ordering
-  OrderingMethod ordering = OrderingMethod::kNestedDissection;
   ordering::NDOptions nd;
   FactorOptions factor;
   /// Cap on adaptive iterative refinement sweeps in solve(): refinement
@@ -105,7 +94,7 @@ struct LevelStats {
 struct AnalyzeTimings {
   double mc64_s = 0;      ///< MC64 matching and scaling
   double graph_s = 0;     ///< column permutation and Graph::from_pattern
-  double nd_s = 0;        ///< fill-reducing ordering (ND or the etree route)
+  double nd_s = 0;        ///< nested dissection
   double permute_s = 0;   ///< symmetric permutation and value preparation
   double symbolic_s = 0;  ///< symbolic analysis (fronts, assembly tree)
 };
@@ -159,18 +148,6 @@ class SparseDirectSolver {
   /// solve_on_device set it is bitwise solve_report()'s, unless a batch
   /// fallback refactor (SolveReport::refactored_fp64) re-solved it.
   std::vector<SolveReport> solve_report_many(
-      const std::vector<std::vector<double>>& bs) const;
-
-  /// Solves for several right-hand sides against the same factorization
-  /// (the "multiple source terms" reuse the paper's introduction
-  /// motivates). Since PR 7 this routes through solve_report_many() — one
-  /// batched interleaved sweep per refinement step — rather than looping
-  /// scalar solve() calls; results can differ from the old loop in the
-  /// last bits (solve path + accumulation order), never in status. Throws
-  /// irrlu::Error naming the first failed request if any factorization
-  /// proves numerically unusable; use solve_report_many() for the
-  /// non-throwing structured results.
-  std::vector<std::vector<double>> solve(
       const std::vector<std::vector<double>>& bs) const;
 
   /// Normwise relative residual of a solution:

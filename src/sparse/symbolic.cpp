@@ -232,101 +232,4 @@ SymbolicAnalysis SymbolicAnalysis::build(const CsrMatrix& a_perm,
   return sym;
 }
 
-std::vector<int> elimination_tree(const CsrMatrix& a_perm) {
-  const int n = a_perm.rows();
-  // Liu's algorithm with path compression (ancestor array) over the
-  // symmetrized pattern: process row i, walking from each k (< i, with
-  // A(i,k) or A(k,i) nonzero) toward the root, attaching to i.
-  const ordering::Graph g = ordering::Graph::from_pattern(
-      n, a_perm.ptr().data(), a_perm.ind().data());
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  std::vector<int> ancestor(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < n; ++i) {
-    for (int p = g.ptr()[static_cast<std::size_t>(i)];
-         p < g.ptr()[static_cast<std::size_t>(i) + 1]; ++p) {
-      int k = g.adj()[static_cast<std::size_t>(p)];
-      if (k >= i) continue;
-      // Walk up, compressing to i.
-      while (k != -1 && k != i) {
-        const int next = ancestor[static_cast<std::size_t>(k)];
-        ancestor[static_cast<std::size_t>(k)] = i;
-        if (next == -1) {
-          parent[static_cast<std::size_t>(k)] = i;
-          break;
-        }
-        k = next;
-      }
-    }
-  }
-  return parent;
-}
-
-SymbolicAnalysis SymbolicAnalysis::build_from_etree(const CsrMatrix& a_perm) {
-  SymbolicAnalysis sym;
-  const int n = a_perm.rows();
-  if (n == 0) return sym;
-  sym.pattern_nnz = a_perm.nnz();
-  const std::vector<int> parent = elimination_tree(a_perm);
-
-  // Column structures of L via row-subtree walks: for every entry (i, k)
-  // with k < i (symmetrized), add i to struct(j) for every j on the etree
-  // path k -> ... below i. O(|L|) with marking.
-  const ordering::Graph g = ordering::Graph::from_pattern(
-      n, a_perm.ptr().data(), a_perm.ind().data());
-  std::vector<std::vector<int>> cstruct(static_cast<std::size_t>(n));
-  std::vector<int> mark(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < n; ++i) {
-    mark[static_cast<std::size_t>(i)] = i;
-    for (int p = g.ptr()[static_cast<std::size_t>(i)];
-         p < g.ptr()[static_cast<std::size_t>(i) + 1]; ++p) {
-      int k = g.adj()[static_cast<std::size_t>(p)];
-      if (k >= i) continue;
-      while (k != -1 && mark[static_cast<std::size_t>(k)] != i) {
-        mark[static_cast<std::size_t>(k)] = i;
-        cstruct[static_cast<std::size_t>(k)].push_back(i);
-        k = parent[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-  for (auto& s : cstruct) std::sort(s.begin(), s.end());
-
-  // Fundamental supernodes: columns j and j+1 merge when parent(j) == j+1
-  // and struct(j) == {j+1} ∪ struct(j+1).
-  std::vector<int> snode_of(static_cast<std::size_t>(n));
-  std::vector<int> begins = {0};
-  for (int j = 1; j < n; ++j) {
-    const auto& prev = cstruct[static_cast<std::size_t>(j - 1)];
-    const bool chain =
-        parent[static_cast<std::size_t>(j - 1)] == j &&
-        static_cast<int>(prev.size()) ==
-            static_cast<int>(cstruct[static_cast<std::size_t>(j)].size()) + 1;
-    if (!chain) begins.push_back(j);
-  }
-  begins.push_back(n);
-  const int ns = static_cast<int>(begins.size()) - 1;
-  for (int s = 0; s < ns; ++s)
-    for (int j = begins[static_cast<std::size_t>(s)];
-         j < begins[static_cast<std::size_t>(s) + 1]; ++j)
-      snode_of[static_cast<std::size_t>(j)] = s;
-
-  sym.fronts.resize(static_cast<std::size_t>(ns));
-  for (int s = 0; s < ns; ++s) {
-    Front& f = sym.fronts[static_cast<std::size_t>(s)];
-    f.sep_begin = begins[static_cast<std::size_t>(s)];
-    f.sep_end = begins[static_cast<std::size_t>(s) + 1];
-    // Update set: the structure of the supernode's last column.
-    f.upd = cstruct[static_cast<std::size_t>(f.sep_end - 1)];
-    const int last_parent = parent[static_cast<std::size_t>(f.sep_end - 1)];
-    f.parent = last_parent < 0 ? -1 : snode_of[static_cast<std::size_t>(
-                                          last_parent)];
-    if (f.parent >= 0)
-      sym.fronts[static_cast<std::size_t>(f.parent)].children.push_back(s);
-  }
-  // Supernodes are numbered by their first column, so children (all of
-  // whose columns precede the parent's) come first: postorder holds.
-  sym.root = ns - 1;
-  finalize(sym);
-  return sym;
-}
-
 }  // namespace irrlu::sparse

@@ -77,19 +77,6 @@ struct SymbolicAnalysis {
   /// must already be in nested-dissection order) and the separator tree.
   static SymbolicAnalysis build(const CsrMatrix& a_perm,
                                 const ordering::Ordering& ord);
-
-  /// Ordering-agnostic path: builds the assembly tree from the elimination
-  /// tree of the (already permuted) pattern, grouping columns into
-  /// fundamental supernodes. Works for minimum-degree, RCM, natural, or
-  /// any other fill-reducing ordering — the route supernodal solvers take
-  /// when no separator tree is available (§III-A's "rows and columns with
-  /// equivalent sparsity structure are grouped together in so-called
-  /// supernodes").
-  static SymbolicAnalysis build_from_etree(const CsrMatrix& a_perm);
 };
-
-/// Liu's elimination-tree algorithm on the symmetrized pattern of the
-/// permuted matrix: parent[j] = min { i > j : L(i, j) != 0 }, -1 for roots.
-std::vector<int> elimination_tree(const CsrMatrix& a_perm);
 
 }  // namespace irrlu::sparse

@@ -20,7 +20,6 @@ const char* to_string(BindKind k) {
     case BindKind::kStart: return "start";
     case BindKind::kDispatch: return "dispatch";
     case BindKind::kStream: return "stream";
-    case BindKind::kWait: return "wait";
     case BindKind::kSync: return "sync";
     case BindKind::kOccupancy: return "occupancy";
   }
@@ -33,7 +32,7 @@ namespace {
 // Record-stream merge: every Tracer record kind carries a global sequence
 // number; the replay consumes them in that order.
 
-enum class RecKind { kLaunch, kSync, kEvent, kMem };
+enum class RecKind { kLaunch, kSync, kMem };
 
 struct RecRef {
   long seq;
@@ -43,14 +42,12 @@ struct RecRef {
 
 std::vector<RecRef> merged_records(const Tracer& t) {
   std::vector<RecRef> recs;
-  recs.reserve(t.launches().size() + t.syncs().size() + t.events().size() +
+  recs.reserve(t.launches().size() + t.syncs().size() +
                t.mem_events().size());
   for (std::size_t i = 0; i < t.launches().size(); ++i)
     recs.push_back({t.launches()[i].seq, RecKind::kLaunch, i});
   for (std::size_t i = 0; i < t.syncs().size(); ++i)
     recs.push_back({t.syncs()[i].seq, RecKind::kSync, i});
-  for (std::size_t i = 0; i < t.events().size(); ++i)
-    recs.push_back({t.events()[i].seq, RecKind::kEvent, i});
   for (std::size_t i = 0; i < t.mem_events().size(); ++i)
     recs.push_back({t.mem_events()[i].seq, RecKind::kMem, i});
   std::sort(recs.begin(), recs.end(),
@@ -72,7 +69,6 @@ struct LaunchMeta {
   double dispatch_done = 0;
   BindKind via = BindKind::kStart;  ///< what bound the start
   int spred = -1;                   ///< launch that set the stream cursor
-  bool spred_wait = false;          ///< ... through a cross-stream wait
   int hpred = -1;                   ///< previous host-chain launch
   double hanchor = 0;  ///< time hpred's influence entered the host line
   BindKind hvia = BindKind::kStart;  ///< kDispatch (launch) / kSync (join)
@@ -82,11 +78,6 @@ struct Baseline {
   bool ok = false;
   std::string caveat;
   std::vector<LaunchMeta> meta;  ///< aligned with Tracer::launches()
-};
-
-struct EvInfo {
-  double time = 0;
-  int setter = -1;
 };
 
 Baseline run_baseline(const Tracer& t, const gpusim::DeviceModel& m) {
@@ -106,12 +97,10 @@ Baseline run_baseline(const Tracer& t, const gpusim::DeviceModel& m) {
   double host = 0;
   std::vector<double> cursor;
   std::vector<int> setter;
-  std::vector<char> via_wait;
   const auto ensure = [&](int s) {
     if (static_cast<int>(cursor.size()) <= s) {
       cursor.resize(static_cast<std::size_t>(s) + 1, 0.0);
       setter.resize(static_cast<std::size_t>(s) + 1, -1);
-      via_wait.resize(static_cast<std::size_t>(s) + 1, 0);
     }
   };
   struct HostSetter {
@@ -119,7 +108,6 @@ Baseline run_baseline(const Tracer& t, const gpusim::DeviceModel& m) {
     double anchor = 0;
     BindKind via = BindKind::kStart;
   } hs;
-  std::map<int, EvInfo> evs;
 
   for (const RecRef& rr : merged_records(t)) {
     switch (rr.kind) {
@@ -131,35 +119,6 @@ Baseline run_baseline(const Tracer& t, const gpusim::DeviceModel& m) {
           b.caveat = "allocation record does not replay (timeline reset "
                      "mid-trace, or work predates the tracer)";
           return b;
-        }
-        break;
-      }
-      case RecKind::kEvent: {
-        const EventRecord& r = t.events()[rr.index];
-        ensure(r.stream);
-        const auto s = static_cast<std::size_t>(r.stream);
-        if (!r.is_wait) {
-          if (cursor[s] != r.time) {
-            b.caveat = "event record does not replay";
-            return b;
-          }
-          if (r.event_id >= 0) evs[r.event_id] = {cursor[s], setter[s]};
-        } else {
-          EvInfo ev;  // unknown/default events carry time 0 (a no-op wait)
-          if (r.event_id >= 0) {
-            const auto it = evs.find(r.event_id);
-            if (it != evs.end()) ev = it->second;
-          }
-          if (ev.time > cursor[s]) {
-            cursor[s] = ev.time;
-            setter[s] = ev.setter;
-            via_wait[s] = 1;
-          }
-          if (cursor[s] != r.time) {
-            b.caveat = "event wait does not replay (event recorded before "
-                       "the tracer attached?)";
-            return b;
-          }
         }
         break;
       }
@@ -211,11 +170,8 @@ Baseline run_baseline(const Tracer& t, const gpusim::DeviceModel& m) {
         mt.hanchor = hs.anchor;
         mt.hvia = hs.via;
         mt.spred = setter[s];
-        mt.spred_wait = via_wait[s] != 0;
         if (c_stream >= c_disp)
-          mt.via = mt.spred < 0 ? BindKind::kStart
-                   : mt.spred_wait ? BindKind::kWait
-                                   : BindKind::kStream;
+          mt.via = mt.spred < 0 ? BindKind::kStart : BindKind::kStream;
         else
           mt.via = BindKind::kDispatch;
         mt.base_earliest = std::max(c_disp, c_stream);
@@ -226,7 +182,6 @@ Baseline run_baseline(const Tracer& t, const gpusim::DeviceModel& m) {
         }
         cursor[s] = r.sim_end;
         setter[s] = static_cast<int>(rr.index);
-        via_wait[s] = 0;
         hs = {static_cast<int>(rr.index), dd, BindKind::kDispatch};
         break;
       }
@@ -254,7 +209,6 @@ double run_scaled(const Tracer& t, const gpusim::DeviceModel& m,
     if (static_cast<int>(cursor.size()) <= s)
       cursor.resize(static_cast<std::size_t>(s) + 1, 0.0);
   };
-  std::map<int, double> evs;
   double makespan = 0;
 
   for (const RecRef& rr : merged_records(t)) {
@@ -262,22 +216,6 @@ double run_scaled(const Tracer& t, const gpusim::DeviceModel& m,
       case RecKind::kMem:
         if (!t.mem_events()[rr.index].is_free) host += m.alloc_overhead;
         break;
-      case RecKind::kEvent: {
-        const EventRecord& r = t.events()[rr.index];
-        ensure(r.stream);
-        const auto s = static_cast<std::size_t>(r.stream);
-        if (!r.is_wait) {
-          if (r.event_id >= 0) evs[r.event_id] = cursor[s];
-        } else {
-          double et = 0;
-          if (r.event_id >= 0) {
-            const auto it = evs.find(r.event_id);
-            if (it != evs.end()) et = it->second;
-          }
-          cursor[s] = std::max(cursor[s], et);
-        }
-        break;
-      }
       case RecKind::kSync: {
         const SyncRecord& r = t.syncs()[rr.index];
         double joined = 0;
@@ -361,7 +299,6 @@ std::vector<CritNode> walk_path(const Tracer& t, const Baseline& b) {
       cn.occupancy_seconds = mt.extra;
       switch (mt.via) {
         case BindKind::kStream:
-        case BindKind::kWait:
           pred = mt.spred;
           anchor = mt.cursor_before;
           break;
@@ -461,9 +398,7 @@ void fill_streams(Analysis& a, const Tracer& t, const Baseline& b) {
         // whole gap is slot contention.
         g.via = mt.base_earliest <= g.begin ? BindKind::kOccupancy : mt.via;
         long blocker = static_cast<long>(i);
-        if (mt.via == BindKind::kWait && mt.spred >= 0)
-          blocker = mt.spred;
-        else if (mt.via == BindKind::kDispatch && mt.hpred >= 0)
+        if (mt.via == BindKind::kDispatch && mt.hpred >= 0)
           blocker = mt.hpred;
         g.scope = scope_or_none(
             t.scope_path(L[static_cast<std::size_t>(blocker)].scope));

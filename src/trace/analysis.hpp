@@ -1,7 +1,7 @@
 // Trace analytics (DESIGN.md §13): post-processes the Tracer's recorded
-// record stream — launches, stream events, host syncs, allocations, all
-// stamped with one global sequence number — into
-//   (a) a critical-path analysis over the launch/stream/wait dependency
+// record stream — launches, host syncs, allocations, all stamped with one
+// global sequence number — into
+//   (a) a critical-path analysis over the launch/stream/sync dependency
 //       DAG: the longest chain through the simulated timeline, with
 //       per-kernel and per-scope contribution/slack rollups;
 //   (b) per-stream utilization: busy fraction, idle-gap attribution
@@ -12,12 +12,12 @@
 //
 // The replay reconstructs the Device's scheduling semantics from the
 // records alone: host dispatch serialization (host_dispatch_overhead per
-// launch, alloc_overhead per allocation, stream_sync_overhead per join),
-// per-stream in-order cursors, and cross-stream event edges (EventRecord
-// event ids). Occupancy delays — a launch starting after all its explicit
-// constraints because SM slots were busy — are carried as measured
-// per-launch constants, so scaling one kernel class never re-derives the
-// slot schedule (documented approximation). A baseline replay must
+// launch, alloc_overhead per allocation, stream_sync_overhead per join)
+// and per-stream in-order cursors. Occupancy delays — a launch starting
+// after all its explicit constraints because SM slots were busy — are
+// carried as measured per-launch constants, so scaling one kernel class
+// never re-derives the slot schedule (documented approximation). A
+// baseline replay must
 // reproduce the recorded timeline *exactly* (bitwise) before any result
 // is trusted: a trace with dropped records, a mid-trace reset_timeline(),
 // or records from before the tracer attached fails the fidelity check
@@ -51,7 +51,6 @@ enum class BindKind {
   kStart,      ///< nothing — bound by the start of the timeline
   kDispatch,   ///< the serialized host dispatch chain
   kStream,     ///< the previous launch on the same stream
-  kWait,       ///< a cross-stream event (Device::wait)
   kSync,       ///< a host synchronize() joining a stream
   kOccupancy,  ///< SM slots busy with other work
 };
@@ -93,7 +92,9 @@ struct PathContribution {
 struct StreamGap {
   double begin = 0, end = 0;
   BindKind via = BindKind::kStart;
-  std::string scope;  ///< blocker's scope (kWait) / next launch's scope
+  /// Scope of what ended the gap: the dispatching launch (kDispatch), else
+  /// the next launch on the stream.
+  std::string scope;
 };
 
 /// Per-stream busy/idle accounting over the common timeline span

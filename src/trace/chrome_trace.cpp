@@ -123,19 +123,6 @@ void write_chrome_trace(const std::string& path, const Tracer& tracer,
     w.end_object();
   }
 
-  // --- event record/wait instants ----------------------------------------
-  for (const EventRecord& e : tracer.events()) {
-    w.begin_object(true);
-    w.kv("name", e.is_wait ? "event_wait" : "event_record");
-    w.kv("cat", "event");
-    w.kv("ph", "i");
-    w.kv("s", "t");
-    w.kv("ts", e.time * kToMicros, "%.6f");
-    w.kv_int("pid", 1);
-    w.kv_int("tid", e.stream);
-    w.end_object();
-  }
-
   // --- scope spans, derived from attributed launches ----------------------
   const auto& nodes = tracer.scopes();
   std::vector<double> lo(nodes.size(), std::numeric_limits<double>::max());

@@ -2,8 +2,7 @@
 // by tests/tools to validate the emitted file.
 //
 // Layout (Trace Event Format, "JSON object" flavor):
-//   pid 0 "host"    — one track: synchronize() intervals (B/E pairs) and
-//                     Event record/wait instants ("i").
+//   pid 0 "host"    — one track: synchronize() intervals (B/E pairs).
 //   pid 1 "device"  — one track per stream (tid = stream id): every kernel
 //                     launch as a B/E pair in simulated time, with
 //                     blocks/smem/flops/bytes and the scope path as args.

@@ -33,10 +33,6 @@ void Tracer::on_sync(int stream, double host_begin, double host_end) {
   syncs_.push_back({next_seq_++, stream, host_begin, host_end});
 }
 
-void Tracer::on_event(bool is_wait, int stream, double time, int event_id) {
-  events_.push_back({next_seq_++, is_wait, stream, event_id, time});
-}
-
 int Tracer::push_scope(std::string_view label) {
   const int parent = current_scope_;
   auto key = std::make_pair(parent, std::string(label));
@@ -154,37 +150,6 @@ std::string Tracer::scope_path(int id) const {
     path += **it;
   }
   return path;
-}
-
-bool Tracer::scope_within(int id, int ancestor) const {
-  for (int s = id; s >= 0;
-       s = scope_nodes_[static_cast<std::size_t>(s)].parent)
-    if (s == ancestor) return true;
-  return false;
-}
-
-void Tracer::clear() {
-  launches_.clear();
-  syncs_.clear();
-  events_.clear();
-  next_seq_ = 0;
-  dropped_ = 0;
-  max_stream_ = 0;
-  names_.clear();
-  name_ids_.clear();
-  scope_nodes_.clear();
-  scope_ids_.clear();
-  scope_stack_.clear();
-  current_scope_ = -1;
-  counters_.clear();
-  histograms_.clear();
-  mem_events_.clear();
-  dropped_mem_ = 0;
-  mem_tag_names_.clear();
-  mem_tag_ids_.clear();
-  mem_tag_stats_.clear();
-  mem_peak_bytes_ = 0;
-  mem_current_bytes_ = 0;
 }
 
 }  // namespace irrlu::trace

@@ -4,8 +4,8 @@
 //
 // Layering: this header is free of gpusim includes so the trace library
 // sits *below* gpusim. Device holds a `trace::Tracer*` (forward-declared)
-// and feeds it from end_launch/record/wait/synchronize; a null pointer —
-// the default — costs one branch per launch and records nothing.
+// and feeds it from end_launch/synchronize/raw_alloc/raw_free; a null
+// pointer — the default — costs one branch per launch and records nothing.
 //
 // The tracer is pure bookkeeping: it never advances any simulated
 // timeline, so tracing on/off yields bit-identical simulated times (this
@@ -47,18 +47,6 @@ struct SyncRecord {
   int stream = -1;  ///< -1 = synchronize_all
   double host_begin = 0;
   double host_end = 0;
-};
-
-/// One Event operation on a stream timeline (Device::record / wait).
-/// `event_id` names the device Event (assigned by Device::record), so a
-/// wait record points at the record record it depends on — the
-/// cross-stream dependency edge the trace analyzer replays.
-struct EventRecord {
-  long seq = 0;          ///< global record order across all record kinds
-  bool is_wait = false;  ///< false: record(); true: wait()
-  int stream = 0;
-  int event_id = -1;     ///< device-unique Event id; -1 = unknown/default
-  double time = 0;  ///< event time (record) / cursor after the wait (wait)
 };
 
 /// A node in the interned scope tree ("factor" / "level=3" / ...).
@@ -106,7 +94,6 @@ class Tracer {
   int intern_kernel(const char* name);
   void on_launch(const LaunchRecord& r);
   void on_sync(int stream, double host_begin, double host_end);
-  void on_event(bool is_wait, int stream, double time, int event_id = -1);
   int push_scope(std::string_view label);
   void pop_scope(double wall_seconds);
   /// Named telemetry counters (e.g. numerical-robustness diagnostics fed
@@ -138,7 +125,6 @@ class Tracer {
   int current_scope() const { return current_scope_; }
   const std::vector<LaunchRecord>& launches() const { return launches_; }
   const std::vector<SyncRecord>& syncs() const { return syncs_; }
-  const std::vector<EventRecord>& events() const { return events_; }
   const std::vector<ScopeNode>& scopes() const { return scope_nodes_; }
   const std::vector<std::string>& kernel_names() const { return names_; }
   const std::string& kernel_name(int id) const {
@@ -146,8 +132,6 @@ class Tracer {
   }
   /// Full "a/b/c" path of a scope node (empty for id < 0).
   std::string scope_path(int id) const;
-  /// True if `id` is `ancestor` or a descendant of it.
-  bool scope_within(int id, int ancestor) const;
   long dropped_launches() const { return dropped_; }
   int max_stream_seen() const { return max_stream_; }
   const std::map<std::string, double>& counters() const { return counters_; }
@@ -173,12 +157,9 @@ class Tracer {
   std::size_t mem_peak_bytes() const { return mem_peak_bytes_; }
   std::size_t mem_current_bytes() const { return mem_current_bytes_; }
 
-  void clear();
-
  private:
   std::vector<LaunchRecord> launches_;
   std::vector<SyncRecord> syncs_;
-  std::vector<EventRecord> events_;
   std::size_t max_launches_;
   long next_seq_ = 0;  ///< stamped on every recorded record, all kinds
   long dropped_ = 0;

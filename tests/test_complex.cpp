@@ -102,39 +102,6 @@ TEST(ComplexIrrLu, FactorsAndSolvesIrregularBatch) {
   }
 }
 
-TEST(ComplexIrrLu, BatchedGetrsMatchesPerMatrix) {
-  Device dev(DeviceModel::a100());
-  Rng rng(331);
-  const int bs = 8;
-  auto n = rng.uniform_sizes(bs, 1, 50);
-  std::vector<int> rhs(static_cast<std::size_t>(bs), 3);
-  VBatch<cplx> A(dev, n), A0(dev, n);
-  for (int i = 0; i < bs; ++i) fill_complex(A.view(i), rng);
-  A0.copy_from(A);
-  PivotBatch piv(dev, n, n);
-  irr_getrf<cplx>(dev, dev.stream(), 50, 50, A.ptrs(), A.lda(), 0, 0,
-                  A.m_vec(), A.n_vec(), piv.ptrs(), piv.info(), bs);
-  VBatch<cplx> B(dev, n, rhs), B0(dev, n, rhs);
-  for (int i = 0; i < bs; ++i) fill_complex(B.view(i), rng);
-  B0.copy_from(B);
-  irr_getrs<cplx>(dev, dev.stream(), la::Trans::No, 50, 3,
-                  const_cast<cplx const* const*>(A.ptrs()), A.lda(),
-                  A.n_vec(), const_cast<int const* const*>(piv.ptrs()),
-                  B.ptrs(), B.lda(), B.n_vec(), bs);
-  dev.synchronize_all();
-  for (int i = 0; i < bs; ++i)
-    for (int c = 0; c < 3; ++c) {
-      std::vector<cplx> x(static_cast<std::size_t>(n[static_cast<std::size_t>(i)])),
-          b(x.size());
-      for (std::size_t r = 0; r < x.size(); ++r) {
-        x[r] = B.view(i)(static_cast<int>(r), c);
-        b[r] = B0.view(i)(static_cast<int>(r), c);
-      }
-      EXPECT_LT(residual_zgesv(A0.view(i), x.data(), b.data()), 1e-8)
-          << "matrix " << i << " rhs " << c;
-    }
-}
-
 TEST(ComplexIrrTrsm, RecursiveSolve) {
   Device dev(DeviceModel::a100());
   Rng rng(337);

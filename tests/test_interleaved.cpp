@@ -13,7 +13,6 @@
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
-#include "irrblas/autotune.hpp"
 #include "irrblas/interleaved.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
@@ -566,21 +565,4 @@ TEST(ServiceInterleaved, CachedRefactorMatchesStrided) {
   twin.factor(dev_off);
   twin.refactor(dev_off, a2);
   EXPECT_TRUE(factors_bits_equal(cached->numeric(), twin.numeric()));
-}
-
-// ---------------------------------------------------- autotune regression
-
-TEST(Autotune, HonorsSampleBeyondDistinctSizes) {
-  // Regression: the tuner used to cap `sample` at sizes.size() although it
-  // draws with replacement, so single-size batches were tuned on one
-  // matrix regardless of the requested sample.
-  const auto model = DeviceModel::a100();
-  const auto r32 = autotune_panel_width(model, {24}, 32);
-  EXPECT_EQ(r32.sampled, 32);
-  const auto r1 = autotune_panel_width(model, {24}, 1);
-  EXPECT_EQ(r1.sampled, 1);
-  // 32 sampled factorizations really happen: more simulated work.
-  ASSERT_FALSE(r32.seconds.empty());
-  ASSERT_FALSE(r1.seconds.empty());
-  EXPECT_GT(r32.seconds[0], r1.seconds[0]);
 }

@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
-#include "irrblas/autotune.hpp"
 #include "irrblas/dcwi.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
@@ -652,77 +651,6 @@ TEST(IrrLu, FullyAsyncBeforeSynchronize) {
   EXPECT_GT(dev.launch_count(), 5);
 }
 
-TEST(IrrLaswpDual, MatchesSingleStream) {
-  Device dev(DeviceModel::a100());
-  Rng rng(131);
-  const int bs = 20;
-  auto n = rng.uniform_sizes(bs, 17, 90);
-  VBatch<double> A(dev, n), B(dev, n);
-  A.fill_uniform(rng);
-  PivotBatch piv(dev, n, n);
-  const int j = 8, jb = 8;
-  irr_getf2_fused<double>(dev, dev.stream(), 90 - j, jb, A.ptrs(), A.lda(),
-                          j, j, A.m_vec(), A.n_vec(), piv.ptrs(), piv.info(),
-                          bs);
-  B.copy_from(A);
-  irr_laswp<double>(dev, dev.stream(), j, jb, A.ptrs(), A.lda(), A.m_vec(),
-                    A.n_vec(), piv.ptrs(), bs, LaswpMethod::kRehearsal);
-  irr_laswp_dual<double>(dev, dev.stream(0), dev.stream(1), j, jb, B.ptrs(),
-                         B.lda(), B.m_vec(), B.n_vec(), piv.ptrs(), bs);
-  dev.synchronize_all();
-  EXPECT_EQ(batch_max_diff(A, B), 0.0);
-}
-
-TEST(IrrLaswpDual, OverlapsLeftAndRightMoves) {
-  // With both wide left and right parts, the dual-stream variant should
-  // finish faster than the sequential rehearsal method.
-  Device dev(DeviceModel::a100());
-  Rng rng(137);
-  const int bs = 200;
-  std::vector<int> n(bs, 512);
-  const int j = 240, jb = 32;  // wide on both sides of the panel
-  VBatch<double> A(dev, n);
-  A.fill_uniform(rng);
-  PivotBatch piv(dev, n, n);
-  for (int i = 0; i < bs; ++i) {
-    int* ip = const_cast<int*>(piv.ipiv_of(i));
-    for (int r = j; r < j + jb; ++r) ip[r] = rng.uniform_int(r, 511);
-  }
-  auto ws = dev.alloc<int>(irr_laswp_workspace_size(bs, jb));
-
-  dev.reset_timeline();
-  irr_laswp<double>(dev, dev.stream(0), j, jb, A.ptrs(), A.lda(), A.m_vec(),
-                    A.n_vec(), piv.ptrs(), bs, LaswpMethod::kRehearsal,
-                    ws.data());
-  const double t_seq = dev.synchronize_all();
-
-  dev.reset_timeline();
-  irr_laswp_dual<double>(dev, dev.stream(0), dev.stream(1), j, jb, A.ptrs(),
-                         A.lda(), A.m_vec(), A.n_vec(), piv.ptrs(), bs,
-                         ws.data());
-  const double t_dual = dev.synchronize_all();
-  EXPECT_LT(t_dual, 0.95 * t_seq);
-}
-
-TEST(IrrLaswpDual, EventOrderingEnforced) {
-  // A kernel enqueued on main after irr_laswp_dual must start only after
-  // the aux stream's right-half move completed.
-  Device dev(DeviceModel::a100());
-  Rng rng(139);
-  std::vector<int> n = {256};
-  VBatch<double> A(dev, n);
-  A.fill_uniform(rng);
-  PivotBatch piv(dev, n, n);
-  int* ip = const_cast<int*>(piv.ipiv_of(0));
-  for (int r = 8; r < 16; ++r) ip[r] = r + 100;
-  auto ws = dev.alloc<int>(irr_laswp_workspace_size(1, 8));
-  irr_laswp_dual<double>(dev, dev.stream(0), dev.stream(1), 8, 8, A.ptrs(),
-                         A.lda(), A.m_vec(), A.n_vec(), piv.ptrs(), 1,
-                         ws.data());
-  const double aux_done = dev.stream(1).completion_time();
-  EXPECT_GE(dev.stream(0).completion_time(), aux_done);
-}
-
 // ------------------------------------------------------ FP32 instantiation
 
 TEST(IrrLuFloat, FactorsSinglePrecisionBatch) {
@@ -820,73 +748,4 @@ TEST(DcwiFuzz, GemmAgreesWithPerMatrixReferenceUnderRandomOffsets) {
     }
     ASSERT_LT(batch_max_diff(C, Cref), 1e-11) << "trial " << trial;
   }
-}
-
-TEST(IrrLu, ConcurrentSwapOptionMatchesDefault) {
-  Device dev(DeviceModel::a100());
-  Rng rng(149);
-  const int bs = 12;
-  auto n = rng.uniform_sizes(bs, 1, 80);
-  VBatch<double> A(dev, n), B(dev, n);
-  A.fill_uniform(rng);
-  B.copy_from(A);
-  PivotBatch pa(dev, n, n), pb(dev, n, n);
-  irr_getrf<double>(dev, dev.stream(), 80, 80, A.ptrs(), A.lda(), 0, 0,
-                    A.m_vec(), A.n_vec(), pa.ptrs(), pa.info(), bs);
-  IrrLuOptions opts;
-  opts.laswp_aux_stream = &dev.stream(1);
-  irr_getrf<double>(dev, dev.stream(), 80, 80, B.ptrs(), B.lda(), 0, 0,
-                    B.m_vec(), B.n_vec(), pb.ptrs(), pb.info(), bs, opts);
-  dev.synchronize_all();
-  EXPECT_EQ(batch_max_diff(A, B), 0.0);
-  for (int i = 0; i < bs; ++i)
-    for (int c = 0; c < n[static_cast<std::size_t>(i)]; ++c)
-      ASSERT_EQ(pa.ipiv_of(i)[c], pb.ipiv_of(i)[c]);
-}
-
-// ---------------------------------------------------------------- autotune
-
-TEST(Autotune, PicksBestCandidate) {
-  Rng rng(157);
-  const auto sizes = rng.uniform_sizes(500, 1, 256);
-  const auto r = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::a100(), sizes, 48);
-  ASSERT_EQ(r.candidates.size(), r.seconds.size());
-  // The returned nb must be the argmin of the measured times.
-  double best = r.seconds[0];
-  int best_nb = r.candidates[0];
-  for (std::size_t i = 1; i < r.seconds.size(); ++i)
-    if (r.seconds[i] < best) {
-      best = r.seconds[i];
-      best_nb = r.candidates[i];
-    }
-  EXPECT_EQ(r.nb, best_nb);
-  EXPECT_TRUE(std::find(r.candidates.begin(), r.candidates.end(), r.nb) !=
-              r.candidates.end());
-}
-
-TEST(Autotune, DistributionDependent) {
-  // Tiny-matrix batches and large-matrix batches should be allowed to pick
-  // different widths; at minimum the tuner must run and return valid
-  // results on both distributions.
-  Rng rng(163);
-  const auto tiny = rng.uniform_sizes(300, 1, 24);
-  const auto big = rng.uniform_sizes(50, 384, 512);
-  const auto r1 = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::a100(), tiny, 32);
-  const auto r2 = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::a100(), big, 8);
-  EXPECT_GT(r1.nb, 0);
-  EXPECT_GT(r2.nb, 0);
-  for (double t : r1.seconds) EXPECT_GT(t, 0.0);
-  for (double t : r2.seconds) EXPECT_GT(t, 0.0);
-}
-
-TEST(Autotune, CustomCandidates) {
-  Rng rng(167);
-  const auto sizes = rng.uniform_sizes(64, 1, 64);
-  const auto r = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::mi100(), sizes, 16, {4, 12});
-  EXPECT_TRUE(r.nb == 4 || r.nb == 12);
-  EXPECT_EQ(r.candidates, (std::vector<int>{4, 12}));
 }

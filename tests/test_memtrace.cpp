@@ -143,21 +143,6 @@ TEST(MemTrace, EventCapDropsEventsButStatsStayExact) {
   EXPECT_EQ(t.mem_peak_bytes(), 1000u);
 }
 
-TEST(MemTrace, ClearResetsMemoryState) {
-  Device dev(DeviceModel::test_tiny());
-  Tracer t;
-  dev.set_tracer(&t);
-  { auto a = dev.alloc<double>(8); }
-  dev.set_tracer(nullptr);
-  t.clear();
-  EXPECT_TRUE(t.mem_events().empty());
-  EXPECT_TRUE(t.mem_tags().empty());
-  EXPECT_TRUE(t.mem_tag_stats().empty());
-  EXPECT_EQ(t.mem_peak_bytes(), 0u);
-  EXPECT_EQ(t.mem_current_bytes(), 0u);
-  EXPECT_EQ(t.dropped_mem_events(), 0);
-}
-
 // ---------------------------------------------------------------------------
 // Exporters: Chrome counter tracks + summary "memory" object round trip
 // ---------------------------------------------------------------------------

@@ -139,18 +139,6 @@ TEST(Graph, Grid3dDegrees) {
   EXPECT_EQ(g.degree(0), 3);   // corner
 }
 
-TEST(Graph, ComponentsDetected) {
-  // Two disjoint paths.
-  std::vector<int> ptr = {0, 1, 2, 3, 4};
-  std::vector<int> adj = {1, 0, 3, 2};
-  const Graph g = Graph::from_adjacency(4, ptr, adj);
-  std::vector<int> comp;
-  EXPECT_EQ(g.components(comp), 2);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_NE(comp[0], comp[2]);
-}
-
 TEST(Graph, InducedSubgraph) {
   const Graph g = Graph::grid2d(3, 3);
   std::vector<int> local_of(9, -1);

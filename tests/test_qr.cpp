@@ -225,46 +225,3 @@ TEST(IrrGeqrf, GlobalPanelPathOnSmallSharedMemory) {
   // The profile must show the global-path kernel was used.
   EXPECT_GE(dev.profile().count("irr_geqr2_global"), 1u);
 }
-
-TEST(IrrGetrs, SolvesBatchAfterGetrf) {
-  Device dev(DeviceModel::a100());
-  Rng rng(23);
-  const int bs = 20;
-  auto n = rng.uniform_sizes(bs, 1, 70);
-  auto rhs = rng.uniform_sizes(bs, 1, 10);
-  VBatch<double> A(dev, n), A0(dev, n);
-  A.fill_uniform(rng);
-  A0.copy_from(A);
-  PivotBatch piv(dev, n, n);
-  irr_getrf<double>(dev, dev.stream(), 70, 70, A.ptrs(), A.lda(), 0, 0,
-                    A.m_vec(), A.n_vec(), piv.ptrs(), piv.info(), bs);
-  VBatch<double> B(dev, n, rhs), B0(dev, n, rhs);
-  B.fill_uniform(rng);
-  B0.copy_from(B);
-  for (la::Trans tr : {la::Trans::No, la::Trans::Yes}) {
-    B.copy_from(B0);
-    irr_getrs<double>(dev, dev.stream(), tr, 70, 10,
-                      const_cast<double const* const*>(A.ptrs()), A.lda(),
-                      A.n_vec(),
-                      const_cast<int const* const*>(piv.ptrs()), B.ptrs(),
-                      B.lda(), B.n_vec(), bs);
-    dev.synchronize_all();
-    for (int i = 0; i < bs; ++i) {
-      const int ni = n[static_cast<std::size_t>(i)];
-      for (int c = 0; c < rhs[static_cast<std::size_t>(i)]; ++c) {
-        double rmax = 0, bmax = 0;
-        for (int r = 0; r < ni; ++r) {
-          double acc = 0;
-          for (int k = 0; k < ni; ++k)
-            acc += (tr == la::Trans::No ? A0.view(i)(r, k)
-                                        : A0.view(i)(k, r)) *
-                   B.view(i)(k, c);
-          rmax = std::max(rmax, std::abs(acc - B0.view(i)(r, c)));
-          bmax = std::max(bmax, std::abs(B0.view(i)(r, c)));
-        }
-        EXPECT_LT(rmax / (bmax + 1e-300), 1e-7)
-            << "matrix " << i << " rhs " << c;
-      }
-    }
-  }
-}

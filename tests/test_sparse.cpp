@@ -702,12 +702,8 @@ TEST(Solver, AnalyzeTimingsSplitTheAnalyzeWall) {
             wall);
 }
 
-struct ValueMapCase {
-  bool mc64;
-  OrderingMethod ordering;
-};
-
-class RefactorValueMap : public ::testing::TestWithParam<ValueMapCase> {};
+/// Parameter: whether MC64 matching and scaling is on.
+class RefactorValueMap : public ::testing::TestWithParam<bool> {};
 
 TEST_P(RefactorValueMap, MatchesReplayedPreparation) {
   // refactor(a1) after analyze(a0) gathers a1's values through the entry
@@ -715,14 +711,13 @@ TEST_P(RefactorValueMap, MatchesReplayedPreparation) {
   // explicit chain a1.scaled(dr, dc).permute_columns(q)
   // .permute_symmetric(perm), with a0's matching and the ordering
   // replayed through the public API.
-  const ValueMapCase c = GetParam();
+  const bool mc64 = GetParam();
   const CsrMatrix pattern = laplacian2d(12, 12);
   const CsrMatrix a0 = random_values(pattern, 3);
   const CsrMatrix a1 = random_values(pattern, 4);
   const int n = a0.rows();
   SolverOptions opts;
-  opts.use_mc64 = c.mc64;
-  opts.ordering = c.ordering;
+  opts.use_mc64 = mc64;
   opts.nd.leaf_size = 16;
 
   Device dev(DeviceModel::a100());
@@ -730,14 +725,14 @@ TEST_P(RefactorValueMap, MatchesReplayedPreparation) {
   solver.analyze(a0);
   solver.factor(dev);
   solver.refactor(dev, a1);
-  ASSERT_EQ(solver.mc64_active(), c.mc64);
+  ASSERT_EQ(solver.mc64_active(), mc64);
 
   ord::Mc64Result mc;
   mc.col_of_row.resize(static_cast<std::size_t>(n));
   std::iota(mc.col_of_row.begin(), mc.col_of_row.end(), 0);
   mc.dr.assign(static_cast<std::size_t>(n), 1.0);
   mc.dc.assign(static_cast<std::size_t>(n), 1.0);
-  if (c.mc64) {
+  if (mc64) {
     mc = ord::mc64_scaling(n, a0.ptr().data(), a0.ind().data(),
                            a0.val().data());
     std::vector<int> id(static_cast<std::size_t>(n));
@@ -749,29 +744,16 @@ TEST_P(RefactorValueMap, MatchesReplayedPreparation) {
       a1.scaled(mc.dr, mc.dc).permute_columns(mc.col_of_row);
   const ord::Graph g =
       ord::Graph::from_pattern(n, aq.ptr().data(), aq.ind().data());
-  ord::Ordering o;
-  if (c.ordering == OrderingMethod::kNestedDissection) {
-    o = ord::nested_dissection(g, opts.nd);
-  } else {
-    ASSERT_EQ(c.ordering, OrderingMethod::kMinimumDegree);
-    o.perm = ord::minimum_degree(g);
-  }
+  const ord::Ordering o = ord::nested_dissection(g, opts.nd);
   const CsrMatrix a_prep = aq.permute_symmetric(o.perm);
-  const SymbolicAnalysis sym =
-      c.ordering == OrderingMethod::kNestedDissection
-          ? SymbolicAnalysis::build(a_prep, o)
-          : SymbolicAnalysis::build_from_etree(a_prep);
+  const SymbolicAnalysis sym = SymbolicAnalysis::build(a_prep, o);
   Device ref_dev(DeviceModel::a100());
   const MultifrontalFactor ref(ref_dev, a_prep, sym, opts.factor);
   EXPECT_TRUE(same_factor_bits(solver.numeric(), ref));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Preparations, RefactorValueMap,
-    ::testing::Values(
-        ValueMapCase{true, OrderingMethod::kNestedDissection},
-        ValueMapCase{false, OrderingMethod::kNestedDissection},
-        ValueMapCase{true, OrderingMethod::kMinimumDegree}));
+INSTANTIATE_TEST_SUITE_P(Preparations, RefactorValueMap,
+                         ::testing::Values(true, false));
 
 TEST(Hybrid, ThresholdIsGemmScheduleKnobOnly) {
   // The Figure-14 threshold moves only the Schur GEMMs of the larger
@@ -994,92 +976,8 @@ TEST(Solver, MultipleRightHandSides) {
   solver.factor(dev);
   std::vector<std::vector<double>> bs;
   for (int k = 0; k < 4; ++k) bs.push_back(random_rhs(a.rows(), 300 + k));
-  const auto xs = solver.solve(bs);
-  ASSERT_EQ(xs.size(), bs.size());
+  const auto reps = solver.solve_report_many(bs);
+  ASSERT_EQ(reps.size(), bs.size());
   for (std::size_t k = 0; k < bs.size(); ++k)
-    EXPECT_LT(solver.residual(xs[k], bs[k]), 1e-12) << "rhs " << k;
-}
-
-// ---------------------------------------------- etree / generic orderings
-
-TEST(Etree, MatchesBruteForceOnSmallMatrix) {
-  // Arrowhead matrix: every column's first below-diagonal fill connects to
-  // the last row, so parent(j) is the next column sharing structure.
-  const CsrMatrix a = CsrMatrix::from_triplets(
-      4, {{0, 0, 1.}, {1, 1, 1.}, {2, 2, 1.}, {3, 3, 1.},
-          {3, 0, 1.}, {0, 3, 1.}, {3, 1, 1.}, {1, 3, 1.},
-          {2, 1, 1.}, {1, 2, 1.}});
-  const auto parent = elimination_tree(a);
-  // Column 0 connects to 3 -> parent 3. Column 1 connects to 2 and 3 ->
-  // parent 2; column 2 inherits 3 -> parent 3; column 3 is the root.
-  EXPECT_EQ(parent[0], 3);
-  EXPECT_EQ(parent[1], 2);
-  EXPECT_EQ(parent[2], 3);
-  EXPECT_EQ(parent[3], -1);
-}
-
-TEST(Etree, TridiagonalIsAChain) {
-  const CsrMatrix a = laplacian2d(6, 1);  // 1-D chain
-  const auto parent = elimination_tree(a);
-  for (int j = 0; j + 1 < a.rows(); ++j) EXPECT_EQ(parent[j], j + 1);
-  EXPECT_EQ(parent[a.rows() - 1], -1);
-}
-
-TEST(EtreeSymbolic, SupernodesPartitionColumns) {
-  const CsrMatrix a = laplacian2d(9, 9);
-  const SymbolicAnalysis sym = SymbolicAnalysis::build_from_etree(a);
-  int covered = 0;
-  for (std::size_t i = 0; i < sym.fronts.size(); ++i) {
-    const Front& f = sym.fronts[i];
-    covered += f.s();
-    EXPECT_GT(f.s(), 0);
-    if (i > 0) {
-      EXPECT_EQ(f.sep_begin, sym.fronts[i - 1].sep_end);  // consecutive
-    }
-    for (std::size_t k = 0; k < f.upd.size(); ++k)
-      EXPECT_GE(f.upd[k], f.sep_end);
-    for (int c : f.children) EXPECT_LT(c, static_cast<int>(i));  // postorder
-  }
-  EXPECT_EQ(covered, a.rows());
-}
-
-class OrderingMethodParam
-    : public ::testing::TestWithParam<OrderingMethod> {};
-
-TEST_P(OrderingMethodParam, SolvesIndefiniteSystem) {
-  Device dev(DeviceModel::a100());
-  SolverOptions opts;
-  opts.ordering = GetParam();
-  SparseDirectSolver solver(opts);
-  const CsrMatrix a = laplacian2d(12, 12, -1.6);
-  solver.analyze(a);
-  solver.factor(dev);
-  EXPECT_TRUE(solver.numeric().numerically_ok());
-  const auto b = random_rhs(a.rows(), 21);
-  const auto x = solver.solve(b);
-  EXPECT_LT(solver.residual(x, b), 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllOrderings, OrderingMethodParam,
-                         ::testing::Values(OrderingMethod::kNestedDissection,
-                                           OrderingMethod::kMinimumDegree,
-                                           OrderingMethod::kRcm,
-                                           OrderingMethod::kNatural));
-
-TEST(OrderingMethods, FillComparesAsExpected) {
-  // Within the elimination-tree symbolic path (same storage granularity:
-  // fundamental supernodes), minimum degree must beat the natural order on
-  // a 2-D grid. (The ND path amalgamates into dense fronts and its
-  // factor_nnz is not comparable across paths.)
-  const CsrMatrix a = laplacian2d(16, 16);
-  auto nnz_with = [&](OrderingMethod m) {
-    SolverOptions opts;
-    opts.ordering = m;
-    SparseDirectSolver solver(opts);
-    solver.analyze(a);
-    return solver.symbolic().factor_nnz;
-  };
-  const auto natural = nnz_with(OrderingMethod::kNatural);
-  EXPECT_LT(nnz_with(OrderingMethod::kMinimumDegree), natural);
-  EXPECT_LE(nnz_with(OrderingMethod::kRcm), 2 * natural);
+    EXPECT_LT(solver.residual(reps[k].x, bs[k]), 1e-12) << "rhs " << k;
 }
