@@ -1,6 +1,6 @@
 // Host BLAS core perf trajectory: packed micro-kernel engine vs the
 // retained naive reference (la::ref), swept over a Figure-13-style front
-// size distribution.
+// size distribution plus odd padded-ld shapes, in both precisions.
 //
 // Unlike the fig*/table* drivers this benchmark measures *host wall
 // clock*, not simulated device time: the packed engine is a host-side
@@ -43,7 +43,10 @@ const char* tr_name(la::Trans t) { return t == la::Trans::No ? "N" : "T"; }
 /// from thousands of tiny leaves through mid-tree panels to a handful of
 /// large separators near the root; each class is a representative
 /// (separator s, update u) pair mapped onto the GEMM Schur update
-/// (u x u x s) or the TRSM panel solve (s x u).
+/// (u x u x s) or the TRSM panel solve (s x u). The odd classes are
+/// LIBXSMM wrap-test shapes (SNIPPETS.md snippet 1): extents off every
+/// tile multiple with padded leading dimensions, alone and as a batch of
+/// independent same-shape calls.
 struct ShapeClass {
   std::string name;
   std::string op;  // "gemm" | "trsm"
@@ -51,10 +54,15 @@ struct ShapeClass {
   la::Side side = la::Side::Left;
   la::Uplo uplo = la::Uplo::Lower;
   int m = 0, n = 0, k = 0;  // trsm ignores k
+  int ld = 0;               // leading dimension floor (0: tight)
+  int batch = 1;            // independent same-shape calls per timed call
+  double alpha = -1.0, beta = 1.0;  // gemm scalars
+  std::string prec = "f64";         // "f64" | "f32"
   double flops() const {
-    return op == "gemm" ? la::gemm_flops(m, n, k)
+    return batch * (op == "gemm"
+                        ? la::gemm_flops(m, n, k)
                         : la::trsm_flops(side == la::Side::Left ? m : n,
-                                         side == la::Side::Left ? n : m);
+                                         side == la::Side::Left ? n : m));
   }
 };
 
@@ -87,48 +95,65 @@ struct Result {
   double engine_ns, naive_ns;
 };
 
-Result run_class(const ShapeClass& c, int rep_scale) {
+template <typename T>
+Result run_class_t(const ShapeClass& c, int rep_scale) {
   Rng rng(4242);
   Result res{c, 0, 0};
+  const auto fill = [&](std::vector<T>& v) {
+    for (auto& x : v) x = static_cast<T>(rng.uniform(-1, 1));
+  };
+  const auto at = [](std::vector<T>& v, std::size_t stride, int i) {
+    return v.data() + stride * static_cast<std::size_t>(i);
+  };
   if (c.op == "gemm") {
     const int ar = c.transa == la::Trans::No ? c.m : c.k;
     const int ac = c.transa == la::Trans::No ? c.k : c.m;
     const int br = c.transb == la::Trans::No ? c.k : c.n;
     const int bc = c.transb == la::Trans::No ? c.n : c.k;
-    std::vector<double> a(static_cast<std::size_t>(ar) * ac),
-        b(static_cast<std::size_t>(br) * bc),
-        cc(static_cast<std::size_t>(c.m) * c.n, 0.0);
-    for (auto& v : a) v = rng.uniform(-1, 1);
-    for (auto& v : b) v = rng.uniform(-1, 1);
+    const int lda = std::max(ar, c.ld), ldb = std::max(br, c.ld);
+    const int ldc = std::max(c.m, c.ld);
+    const std::size_t sa = static_cast<std::size_t>(lda) * ac;
+    const std::size_t sb = static_cast<std::size_t>(ldb) * bc;
+    const std::size_t sc = static_cast<std::size_t>(ldc) * c.n;
+    std::vector<T> a(sa * c.batch), b(sb * c.batch), cc(sc * c.batch, T(0));
+    fill(a);
+    fill(b);
+    const T alpha = static_cast<T>(c.alpha), beta = static_cast<T>(c.beta);
     res.engine_ns = median_ns_for(c.flops(), rep_scale, [&] {
-      la::gemm(c.transa, c.transb, c.m, c.n, c.k, -1.0, a.data(), ar,
-               b.data(), br, 1.0, cc.data(), c.m);
+      for (int i = 0; i < c.batch; ++i)
+        la::gemm(c.transa, c.transb, c.m, c.n, c.k, alpha, at(a, sa, i), lda,
+                 at(b, sb, i), ldb, beta, at(cc, sc, i), ldc);
     });
     res.naive_ns = median_ns_for(c.flops(), rep_scale, [&] {
-      la::ref::gemm(c.transa, c.transb, c.m, c.n, c.k, -1.0, a.data(), ar,
-                    b.data(), br, 1.0, cc.data(), c.m);
+      for (int i = 0; i < c.batch; ++i)
+        la::ref::gemm(c.transa, c.transb, c.m, c.n, c.k, alpha, at(a, sa, i),
+                      lda, at(b, sb, i), ldb, beta, at(cc, sc, i), ldc);
     });
   } else {
     const int ta = c.side == la::Side::Left ? c.m : c.n;
-    std::vector<double> t(static_cast<std::size_t>(ta) * ta),
+    std::vector<T> t(static_cast<std::size_t>(ta) * ta),
         b0(static_cast<std::size_t>(c.m) * c.n);
-    for (auto& v : t) v = rng.uniform(-1, 1);
-    for (int i = 0; i < ta; ++i)
-      t[static_cast<std::size_t>(i) * ta + i] += 4.0;
-    for (auto& v : b0) v = rng.uniform(-1, 1);
-    std::vector<double> x = b0;
+    fill(t);
+    for (int i = 0; i < ta; ++i) t[static_cast<std::size_t>(i) * ta + i] += 4;
+    fill(b0);
+    std::vector<T> x = b0;
     res.engine_ns = median_ns_for(c.flops(), rep_scale, [&] {
       x = b0;
       la::trsm(c.side, c.uplo, la::Trans::No, la::Diag::NonUnit, c.m, c.n,
-               1.0, t.data(), ta, x.data(), c.m);
+               T(1), t.data(), ta, x.data(), c.m);
     });
     res.naive_ns = median_ns_for(c.flops(), rep_scale, [&] {
       x = b0;
       la::ref::trsm(c.side, c.uplo, la::Trans::No, la::Diag::NonUnit, c.m,
-                    c.n, 1.0, t.data(), ta, x.data(), c.m);
+                    c.n, T(1), t.data(), ta, x.data(), c.m);
     });
   }
   return res;
+}
+
+Result run_class(const ShapeClass& c, int rep_scale) {
+  return c.prec == "f32" ? run_class_t<float>(c, rep_scale)
+                         : run_class_t<double>(c, rep_scale);
 }
 
 /// One interleaved (SoA) leaf class: `batch` same-shape matrices with the
@@ -324,6 +349,23 @@ int main(int argc, char** argv) {
     classes.push_back({std::string("gemm_nn_") + f.tag, "gemm", la::Trans::No,
                        la::Trans::No, la::Side::Left, la::Uplo::Lower, f.u,
                        f.u, f.s});
+  // LIBXSMM wrap-test shapes (m, n, k, ld, batch, alpha, beta), alone and
+  // as a batch.
+  const struct { const char* tag; int m, n, k, ld, batch; double alpha, beta; }
+      odd[] = {{"24x23x21", 24, 23, 21, 32, 999, -1.0, 0.5},
+               {"35x16x20", 35, 16, 20, 35, 1024, 1.0, 0.0}};
+  for (const auto& o : odd)
+    for (int bs : {1, o.batch}) {
+      ShapeClass c{std::string("gemm_odd_") + o.tag, "gemm", la::Trans::No,
+                   la::Trans::No, la::Side::Left, la::Uplo::Lower, o.m, o.n,
+                   o.k};
+      if (bs > 1) c.name += "_batch";
+      c.ld = o.ld;
+      c.batch = bs;
+      c.alpha = o.alpha;
+      c.beta = o.beta;
+      classes.push_back(c);
+    }
   for (la::Trans ta : {la::Trans::No, la::Trans::Yes})
     for (la::Trans tb : {la::Trans::No, la::Trans::Yes}) {
       if (ta == la::Trans::No && tb == la::Trans::No) continue;
@@ -341,16 +383,28 @@ int main(int argc, char** argv) {
                        la::Trans::No, la::Side::Right, la::Uplo::Upper, f.u,
                        f.s, 0});
   }
+  // FP32 twin of every strided class: the element type the mixed-precision
+  // factor levels run through the same engine (DESIGN.md §14).
+  {
+    const std::size_t nd = classes.size();
+    for (std::size_t i = 0; i < nd; ++i) {
+      ShapeClass f = classes[i];
+      f.name += "_f32";
+      f.prec = "f32";
+      classes.push_back(std::move(f));
+    }
+  }
 
-  irrlu::TextTable table({"class", "shape", "engine ns", "naive ns",
-                          "engine GF/s", "speedup"});
+  irrlu::TextTable table({"class", "shape", "batch", "engine ns",
+                          "naive ns", "engine GF/s", "speedup"});
   std::vector<Result> results;
   for (const auto& c : classes) {
     results.push_back(run_class(c, rep_scale));
     const Result& r = results.back();
     char shape[64];
     std::snprintf(shape, sizeof shape, "%dx%dx%d", c.m, c.n, c.k);
-    table.add_row(c.name, shape, irrlu::TextTable::fmt(r.engine_ns, 0),
+    table.add_row(c.name, shape, irrlu::TextTable::fmt(c.batch, 0),
+                  irrlu::TextTable::fmt(r.engine_ns, 0),
                   irrlu::TextTable::fmt(r.naive_ns, 0),
                   irrlu::TextTable::fmt(c.flops() / r.engine_ns, 2),
                   irrlu::TextTable::fmt(r.naive_ns / r.engine_ns, 2));
@@ -433,6 +487,7 @@ int main(int argc, char** argv) {
     w.kv_int("m", c.m);
     w.kv_int("n", c.n);
     w.kv_int("k", c.k);
+    w.kv_int("ld", c.ld);
     w.kv("flops", c.flops(), "%.0f");
     w.kv("engine_median_ns", r.engine_ns, "%.0f");
     w.kv("naive_median_ns", r.naive_ns, "%.0f");
@@ -440,8 +495,8 @@ int main(int argc, char** argv) {
     w.kv("naive_gflops", c.flops() / r.naive_ns, "%.3f");
     w.kv("speedup", r.naive_ns / r.engine_ns, "%.3f");
     w.kv("layout", "strided");
-    w.kv_int("batch", 1);
-    w.kv("prec", "f64");
+    w.kv_int("batch", c.batch);
+    w.kv("prec", c.prec);
     w.end_object();
   }
   for (const IlvResult& r : ilv_results) {

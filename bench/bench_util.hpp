@@ -24,7 +24,9 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/host_pool.hpp"
 #include "lapack/flops.hpp"
+#include "lapack/microkernel.hpp"
 #include "trace/report.hpp"
 #include "trace/session.hpp"
 
@@ -86,8 +88,9 @@ inline std::string bench_git_sha() {
 }
 
 /// Emits the "meta" provenance object every BENCH_*.json carries (see the
-/// schema docs below): the git commit, the UTC generation timestamp, and
-/// the hostname. Call between kv("schema", ...) and the payload keys.
+/// schema docs below): the git commit, the UTC generation timestamp, the
+/// hostname, the host thread count and the packed engine's vector width.
+/// Call between kv("schema", ...) and the payload keys.
 inline void write_bench_meta(json::Writer& w) {
   w.key("meta");
   w.begin_object(/*compact=*/true);
@@ -104,6 +107,8 @@ inline void write_bench_meta(json::Writer& w) {
   host[sizeof host - 1] = '\0';
 #endif
   w.kv("hostname", host);
+  w.kv_int("host_threads", gpusim::default_host_threads());
+  w.kv_int("engine_vector_bytes", la::mk::vector_bytes());
   w.end_object();
 }
 
@@ -225,32 +230,46 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //   generated_utc    ISO-8601 UTC generation time
 //   hostname         machine that produced the numbers (wall-clock columns
 //                    are machine-dependent; compare only same-host runs)
+//   host_threads     worker threads a Device runs independent blocks on
+//                    (gpusim::default_host_threads(), IRRLU_HOST_THREADS)
+//   engine_vector_bytes
+//                    vector register width of the packed engine's tile
+//                    (la::mk::vector_bytes(): 64 AVX-512, 32 AVX, 16
+//                    portable); it sets the tile shape and FP32 speed.
+//                    FP32 factor bits and pivots also differ between
+//                    builds with and without FMA
 //
 // tools/bench_compare ignores "meta" when gating (timestamps and hosts
 // differ between baseline and candidate by construction).
 //
 // Each <class> is one shape class from the Figure-13-style front-size
 // distribution (leaf / mid / sep / root representative (s, u) pairs mapped
-// onto the GEMM Schur update u x u x s and the TRSM panel solves):
+// onto the GEMM Schur update u x u x s and the TRSM panel solves), or one
+// of the gemm_odd_* LIBXSMM wrap-test shapes (24x23x21 at ld 32, 35x16x20
+// at ld 35; "_batch" rows time 999 / 1024 independent calls of the shape):
 //
 //   name             "gemm_nn_mid", "trsm_ll_root", ... (stable key)
 //   op               "gemm" | "trsm" | "getf2"
 //   transa, transb   "N" | "T"       (gemm; "N"/"N" placeholders for trsm)
 //   side, uplo       "L"/"R", "L"/"U" (trsm; placeholders for gemm)
 //   m, n, k          problem extents (k is 0 for trsm/getf2)
-//   flops            operation count for one call (la::*_flops)
+//   ld               leading-dimension floor of the strided rows (0:
+//                    tight; every operand's ld is max(rows, ld))
+//   flops            operation count for one timed call (la::*_flops,
+//                    times batch)
 //   engine_median_ns median wall-clock ns per call through la::gemm/la::trsm
 //   naive_median_ns  same through la::ref::gemm/la::ref::trsm (the pre-
 //                    engine algorithms, compiled with project-default flags)
 //   engine_gflops, naive_gflops    flops / median_ns
 //   speedup          naive_median_ns / engine_median_ns
 //   layout           "strided" | "interleaved"
-//   batch            lanes per call (1 for the strided single-call rows)
+//   batch            matrices per timed call (lanes for the interleaved
+//                    rows; 1 except the gemm_odd_*_batch strided rows)
 //   prec             "f64" | "f32" — element type of both sides of the
-//                    row. The f32 twin rows (DESIGN.md §14) re-run the
-//                    interleaved leaf classes in single precision; the
-//                    ilv-ns ratio f64-row / f32-row is the throughput
-//                    win the FP32 multifrontal levels inherit
+//                    row. Every class has an f32 twin ("_f32" suffix,
+//                    DESIGN.md §14) in single precision; the ns ratio
+//                    f64-row / f32-row is the throughput win the FP32
+//                    multifrontal levels inherit
 //
 // The interleaved_* rows (layout "interleaved", DESIGN.md §12) time one
 // whole batch of `batch` same-shape leaf-class matrices per call: the

@@ -1,12 +1,71 @@
 #include "lapack/microkernel.hpp"
 
 #include <algorithm>
+#include <complex>
 #include <cstddef>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace irrlu::la::mk {
 
 namespace {
+
+// Vector register width of the ISA this file is compiled for (the tile
+// geometry table in the header).
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+#elif defined(__AVX__)
+constexpr int kVecBytes = 32;
+#else
+constexpr int kVecBytes = 16;
+#endif
+
+/// Accumulator registers per tile: enough independent multiply-add chains
+/// to hide FMA latency, and few enough to leave registers for the A column
+/// and the B broadcast on 16-register ISAs.
+constexpr int kAccRegs = 8;
+
+/// Tile rows: one vector register, and at least 8. Taller tiles pad the
+/// 24-row leaf-front GEMMs to 32 rows (a 16-float column lost up to 12%
+/// there on SSE2 and AVX2); shorter ones starve each B broadcast (a 4x4
+/// double tile ran 11% slower than 8x2 on SSE2).
+template <typename T>
+constexpr int tile_mr() {
+  return std::max(8, kVecBytes / static_cast<int>(sizeof(T)));
+}
+
+/// Tile columns that keep the tile at kAccRegs registers.
+template <typename T>
+constexpr int tile_nr() {
+  return kAccRegs * (kVecBytes / static_cast<int>(sizeof(T))) / tile_mr<T>();
+}
+
+// MR, NR, MC and NC may change freely; KC may not: it splits each C
+// element's k-ascending multiply-add chain, so it fixes the result bits.
+template <typename T>
+struct TileTraits;
+
+template <>
+struct TileTraits<float> {
+  static constexpr int MR = tile_mr<float>(), NR = tile_nr<float>();
+  static constexpr int MC = 128, KC = 320, NC = 512;
+};
+
+template <>
+struct TileTraits<double> {
+  static constexpr int MR = tile_mr<double>(), NR = tile_nr<double>();
+  static constexpr int MC = 96, KC = 256, NC = 512;
+};
+
+template <>
+struct TileTraits<std::complex<double>> {
+  static constexpr int MR = 4, NR = 2;
+  static constexpr int MC = 64, KC = 128, NC = 256;
+};
+
+template <typename T>
+using Vec [[gnu::vector_size(kVecBytes)]] = T;
 
 /// Thread-local packing workspace, grown on demand and reused across
 /// calls. Contents never carry information between calls: every pack
@@ -87,21 +146,75 @@ void pack_b(Trans transb, int kc, int nc, const T* b, int ldb, int p0,
   }
 }
 
-/// The register micro-kernel: acc(MR x NR) += pa-panel * pb-panel over kc
-/// steps. acc lives in registers for the constexpr tile sizes; both
-/// panels are read at unit stride.
+/// The register tile: C tile (mr x nr valid of MR x NR, leading dimension
+/// ldc) += alpha * pa-panel * pb-panel over kc steps, both panels read at
+/// unit stride. Real types accumulate in MR / L vectors per tile column
+/// (L lanes each), broadcasting one B element per column per step;
+/// std::complex<double> keeps the scalar loop. Forced inline, with no
+/// addressable accumulator array: the out-of-line form zeroed and spilled
+/// its accumulators through the stack on every tile, which cost small-k
+/// tiles up to a third of their speed (AVX2, 64 x 64 x 16).
 template <typename T, int MR, int NR>
-inline void ukernel(int kc, const T* __restrict pa, const T* __restrict pb,
-                    T* __restrict acc) {
-  for (int p = 0; p < kc; ++p, pa += MR, pb += NR) {
-    for (int j = 0; j < NR; ++j) {
-      const T bpj = pb[j];
-      for (int i = 0; i < MR; ++i) acc[j * MR + i] += pa[i] * bpj;
+[[gnu::always_inline]] inline void tile_kernel(int kc, const T* __restrict pa,
+                                               const T* __restrict pb,
+                                               T alpha, T* __restrict ct,
+                                               int ldc, int mr, int nr) {
+  if constexpr (std::is_floating_point_v<T>) {
+    using V = Vec<T>;
+    constexpr int L = kVecBytes / static_cast<int>(sizeof(T));
+    constexpr int MV = MR / L;
+    static_assert(MV * L == MR);
+    V acc[NR][MV];
+    for (int j = 0; j < NR; ++j)
+      for (int v = 0; v < MV; ++v) acc[j][v] = V{};
+    for (int p = 0; p < kc; ++p, pa += MR, pb += NR) {
+      V a[MV];
+      for (int v = 0; v < MV; ++v) std::memcpy(&a[v], pa + v * L, sizeof(V));
+      for (int j = 0; j < NR; ++j) {
+        const T bpj = pb[j];
+        for (int v = 0; v < MV; ++v) acc[j][v] += a[v] * bpj;
+      }
     }
+    if (mr == MR && nr == NR) {
+      for (int j = 0; j < NR; ++j)
+        for (int v = 0; v < MV; ++v) {
+          T* cp = ct + static_cast<std::ptrdiff_t>(j) * ldc + v * L;
+          V cv;
+          std::memcpy(&cv, cp, sizeof(V));
+          cv += alpha * acc[j][v];
+          std::memcpy(cp, &cv, sizeof(V));
+        }
+    } else {
+      // Store the valid part of the padded tile.
+      for (int j = 0; j < nr; ++j)
+        for (int i = 0; i < mr; ++i)
+          ct[static_cast<std::ptrdiff_t>(j) * ldc + i] +=
+              alpha * acc[j][i / L][i % L];
+    }
+  } else {
+    T acc[MR * NR] = {};
+    for (int p = 0; p < kc; ++p, pa += MR, pb += NR) {
+      for (int j = 0; j < NR; ++j) {
+        const T bpj = pb[j];
+        for (int i = 0; i < MR; ++i) acc[j * MR + i] += pa[i] * bpj;
+      }
+    }
+    for (int j = 0; j < nr; ++j)
+      for (int i = 0; i < mr; ++i)
+        ct[static_cast<std::ptrdiff_t>(j) * ldc + i] +=
+            alpha * acc[j * MR + i];
   }
 }
 
 }  // namespace
+
+int vector_bytes() { return kVecBytes; }
+
+template <typename T>
+TileGeometry tile_geometry() {
+  using TT = TileTraits<T>;
+  return {TT::MR, TT::NR, TT::MC, TT::KC, TT::NC};
+}
 
 template <typename T>
 void gemm_packed(Trans transa, Trans transb, int m, int n, int k, T alpha,
@@ -133,14 +246,8 @@ void gemm_packed(Trans transa, Trans transb, int m, int n, int k, T alpha,
           for (int ir = 0; ir < mc; ir += MR) {
             const int mr = std::min(MR, mc - ir);
             const T* pa = pa_buf + static_cast<std::ptrdiff_t>(ir) * kc;
-            T acc[MR * NR] = {};
-            ukernel<T, MR, NR>(kc, pa, pb, acc);
-            // Store the valid part of the (possibly padded) tile.
-            T* ct = ctile + ir;
-            for (int j = 0; j < nr; ++j)
-              for (int i = 0; i < mr; ++i)
-                ct[static_cast<std::ptrdiff_t>(j) * ldc + i] +=
-                    alpha * acc[j * MR + i];
+            tile_kernel<T, MR, NR>(kc, pa, pb, alpha, ctile + ir, ldc, mr,
+                                   nr);
           }
         }
       }
@@ -456,6 +563,7 @@ void trsm_right_small(Uplo uplo, Trans trans, Diag diag, int m, int n,
 }
 
 #define IRRLU_INSTANTIATE_MK(T)                                             \
+  template TileGeometry tile_geometry<T>();                                 \
   template void gemm_packed<T>(Trans, Trans, int, int, int, T, const T*,    \
                                int, const T*, int, T*, int);                \
   template void ger_unit<T>(int, int, T, const T*, const T*, int, T*, int); \

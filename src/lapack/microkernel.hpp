@@ -10,12 +10,31 @@
 //    into contiguous, zero-padded panels (thread-local buffers, reused
 //    across calls), so all four transpose combinations run at unit
 //    stride;
-//  - an MR x NR register tile (8x4 for double/float, 4x2 for
-//    std::complex<double>) accumulated in registers and written back
-//    once, with edge tiles handled by computing the full padded tile and
-//    storing only the valid part;
+//  - an MR x NR register tile held in GCC vector-extension accumulators
+//    whose width follows the ISA microkernel.cpp is compiled for, written
+//    back once; edge tiles compute the full padded tile and store only
+//    the valid part;
 //  - unrolled multi-column fast paths for the level-2 kernels (ger/gemv)
 //    that dominate the column-wise panel fallback of irrLU.
+//
+// Tile geometry per ISA (vector_bytes() and tile_geometry() report it).
+// A tile column is one vector register but at least 8 elements, and the
+// tile holds eight accumulator registers, which leaves room for the A
+// column and the B broadcast in the register file of every ISA (32
+// registers on AVX-512, 16 otherwise):
+//
+//   ISA (vector bytes)    float MR x NR   double MR x NR
+//   AVX-512 (64)          16 x 8          8 x 8
+//   AVX, AVX2 (32)        8 x 8           8 x 4
+//   portable SSE2 (16)    8 x 4           8 x 2
+//
+// std::complex<double> keeps a scalar 4 x 2 tile. KC, the k-block, is
+// fixed per element type on every ISA: each C element gets one
+// k-ascending `acc += a * b` chain per KC block and one `c += alpha *
+// acc` writeback, so MR, NR, MC and NC never change a result bit. Under
+// -march=native the compiler fuses those multiply-adds wherever the ISA
+// has FMA (the portable build has none), the same contraction the
+// interleaved kernels of microkernel_ilv.cpp get from the same flags.
 //
 // None of this changes simulated device time: the gpusim cost model is
 // driven exclusively by LaunchConfig and BlockCtx::record(), never by how
@@ -23,36 +42,26 @@
 // execution performance").
 #pragma once
 
-#include <complex>
-
 #include "lapack/types.hpp"
 
 namespace irrlu::la::mk {
 
-/// Register-tile geometry and cache-blocking parameters per element type.
-/// MC is a multiple of MR and NC a multiple of NR; KC*(MR+NR) elements
-/// (one A panel + one B panel) are sized to stay resident in L1 while a
-/// packed MC x KC block of A stays in L2.
+/// Bytes per vector register of the engine's register tile: 64 when
+/// microkernel.cpp is compiled for AVX-512, 32 for AVX, 16 otherwise.
+int vector_bytes();
+
+/// Register-tile and cache-block sizes of the engine for one element
+/// type. MC is a multiple of MR and NC a multiple of NR; KC*(MR+NR)
+/// elements (one A panel + one B panel) are sized to stay resident in L1
+/// while a packed MC x KC block of A stays in L2.
+struct TileGeometry {
+  int mr, nr, mc, kc, nc;
+};
+
+/// The geometry gemm_packed<T> runs with in this build (T is float,
+/// double or std::complex<double>).
 template <typename T>
-struct TileTraits;
-
-template <>
-struct TileTraits<float> {
-  static constexpr int MR = 8, NR = 4;
-  static constexpr int MC = 128, KC = 320, NC = 512;
-};
-
-template <>
-struct TileTraits<double> {
-  static constexpr int MR = 8, NR = 4;
-  static constexpr int MC = 96, KC = 256, NC = 512;
-};
-
-template <>
-struct TileTraits<std::complex<double>> {
-  static constexpr int MR = 4, NR = 2;
-  static constexpr int MC = 64, KC = 128, NC = 256;
-};
+TileGeometry tile_geometry();
 
 /// C (m x n, leading dimension ldc) += alpha * op(A) * op(B), inner
 /// dimension k, for any of the four transpose combinations. Assumes the

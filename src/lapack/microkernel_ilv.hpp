@@ -28,12 +28,9 @@ namespace irrlu::la::mk::ilv {
 
 /// Element precision of a kernel body. Every kernel runs its arithmetic
 /// entirely in its own precision (alpha/beta are converted on entry). The
-/// f64 variants are per lane bit-identical to the strided engine path in
-/// every build. The f32 variants are bit-identical to the strided float
-/// path only when microkernel.cpp is built without -march=native
-/// (-DIRRLU_NATIVE_KERNELS=OFF, as in CI): in a native AVX-512 build the
-/// FP32 routed factors differ from the strided ones in some fronts
-/// (DESIGN.md §12).
+/// f64 and f32 variants are per lane bit-identical to the strided engine
+/// path of their type in every build, -march=native included: both
+/// translation units fuse the same multiply-adds (DESIGN.md §12).
 enum class Prec { kF64, kF32 };
 
 /// Arguments of one interleaved kernel call. Pointers are class bases

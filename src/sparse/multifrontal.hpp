@@ -69,9 +69,9 @@ struct FactorOptions {
   /// per-(s, u)-class SoA buffers and factors them with the batch-axis-
   /// vectorized kernels — one launch per pipeline stage for the whole
   /// level, coalesced row swaps. Factor bits are identical to the
-  /// strided path (FP32 ones only in builds without -march=native
-  /// kernels, DESIGN.md §12); simulated time and traffic differ (that is
-  /// the point), so the default is off and the default output stays
+  /// strided path in both precisions and in native and portable builds
+  /// (DESIGN.md §12); simulated time and traffic differ (that is the
+  /// point), so the default is off and the default output stays
   /// byte-identical.
   batch::InterleavedOptions interleaved;
   /// Front-factorization precision policy (classic LU-IR, DESIGN.md §14):

@@ -1,17 +1,19 @@
 // Tests for the interleaved (SoA) batch layout (DESIGN.md §12): pack /
 // unpack round trips, bitwise agreement of the batch-axis-vectorized
-// kernels with the strided engine path, and the multifrontal / solver /
-// service routing — whose factors must be bit-identical with the routing
-// on and off, through factor, refactor and the service's cached refactor.
+// kernels with the strided engine path in both precisions, and the
+// multifrontal / solver / service routing — whose factors must be
+// bit-identical with the routing on and off, through factor, refactor,
+// the service's cached refactor and the FP32 precision policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fem/mesh.hpp"
+#include "fem/nedelec.hpp"
 #include "gpusim/device.hpp"
 #include "irrblas/interleaved.hpp"
 #include "irrblas/irr_kernels.hpp"
@@ -30,16 +32,15 @@ using irrlu::service::SolveRequest;
 using irrlu::service::SolverService;
 using irrlu::sparse::CsrMatrix;
 using irrlu::sparse::laplacian2d;
+using irrlu::sparse::PrecisionPolicy;
 using irrlu::sparse::SolverOptions;
 using irrlu::sparse::SparseDirectSolver;
 
 namespace {
 
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof(ua));
-  std::memcpy(&ub, &b, sizeof(ub));
-  return ua == ub;
+template <typename T>
+bool bits_equal(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
 }
 
 /// Bit-for-bit comparison of two factorizations' FP64 and FP32 stores.
@@ -61,8 +62,9 @@ bool bits_equal(double a, double b) {
 }
 
 /// Bit-for-bit comparison of two same-shape strided batches.
-::testing::AssertionResult batch_bits_equal(const VBatch<double>& a,
-                                            const VBatch<double>& b) {
+template <typename T>
+::testing::AssertionResult batch_bits_equal(const VBatch<T>& a,
+                                            const VBatch<T>& b) {
   for (int i = 0; i < a.batch_size(); ++i) {
     auto va = a.view(i);
     auto vb = b.view(i);
@@ -78,9 +80,10 @@ bool bits_equal(double a, double b) {
 
 /// Packs a uniform strided batch into an interleaved class buffer
 /// through the device pack kernel.
-void pack(Device& dev, const VBatch<double>& src, InterleavedBatch<double>& dst,
+template <typename T>
+void pack(Device& dev, const VBatch<T>& src, InterleavedBatch<T>& dst,
           double* absmax = nullptr) {
-  IlvPackDesc d;
+  IlvPackDescT<T> d;
   d.dst = dst.view();
   d.m = dst.m();
   d.n = dst.n();
@@ -88,12 +91,13 @@ void pack(Device& dev, const VBatch<double>& src, InterleavedBatch<double>& dst,
   d.src = src.ptrs();
   d.src_ld = src.lda();
   d.absmax = absmax;
-  ilv_pack(dev, dev.stream(), {d});
+  ilv_pack<T>(dev, dev.stream(), {d});
 }
 
-void unpack(Device& dev, const VBatch<double>& dst,
-            InterleavedBatch<double>& src, double* absmax = nullptr) {
-  IlvPackDesc d;
+template <typename T>
+void unpack(Device& dev, const VBatch<T>& dst, InterleavedBatch<T>& src,
+            double* absmax = nullptr) {
+  IlvPackDescT<T> d;
   d.dst = src.view();
   d.m = src.m();
   d.n = src.n();
@@ -101,7 +105,7 @@ void unpack(Device& dev, const VBatch<double>& dst,
   d.src = dst.ptrs();
   d.src_ld = dst.lda();
   d.absmax = absmax;
-  ilv_unpack(dev, dev.stream(), {d});
+  ilv_unpack<T>(dev, dev.stream(), {d});
 }
 
 std::vector<int> uniform_sizes(int n, int batch) {
@@ -198,30 +202,31 @@ TEST(InterleavedLayout, EmptyAndDegenerateBatches) {
 
 // --------------------------------------------- kernels vs the strided path
 
-class IlvGetf2Sizes : public ::testing::TestWithParam<int> {};
+// Each kernel case runs in both element types: the f32 kernels keep the
+// same per-lane contract against the strided float engine path.
 
-TEST_P(IlvGetf2Sizes, MatchesStridedBitwise) {
-  const int n = GetParam();
+template <typename T>
+void getf2_matches_strided(int n) {
   const int batch = 33;  // odd: exercises a partial trailing lane chunk
   Device dev(DeviceModel::a100());
   const auto sizes = uniform_sizes(n, batch);
-  VBatch<double> a_str(dev, sizes), a_ilv(dev, sizes);
+  VBatch<T> a_str(dev, sizes), a_ilv(dev, sizes);
   Rng rng(7u + static_cast<unsigned>(n));
   a_str.fill_uniform(rng);
   // One singular lane: info/zero-pivot parity matters too.
   if (n >= 2) {
     auto v = a_str.view(batch / 2);
-    for (int r = 0; r < n; ++r) v(r, 1) = 0.0;
+    for (int r = 0; r < n; ++r) v(r, 1) = T(0);
   }
   a_ilv.copy_from(a_str);
 
   PivotBatch piv_str(dev, sizes, sizes), piv_ilv(dev, sizes, sizes);
   IrrLuOptions lu;  // nb = 32 >= n: the fused-panel engine path
-  irr_getrf<double>(dev, dev.stream(), n, n, a_str.ptrs(), a_str.lda(), 0, 0,
-                    a_str.m_vec(), a_str.n_vec(), piv_str.ptrs(),
-                    piv_str.info(), batch, lu);
+  irr_getrf<T>(dev, dev.stream(), n, n, a_str.ptrs(), a_str.lda(), 0, 0,
+               a_str.m_vec(), a_str.n_vec(), piv_str.ptrs(), piv_str.info(),
+               batch, lu);
 
-  InterleavedBatch<double> ilv(dev, n, n, batch);
+  InterleavedBatch<T> ilv(dev, n, n, batch);
   pack(dev, a_ilv, ilv);
   irr_getf2_ilv(dev, dev.stream(), ilv.view(), n, n, batch, piv_ilv.ptrs(),
                 piv_ilv.info());
@@ -235,6 +240,16 @@ TEST_P(IlvGetf2Sizes, MatchesStridedBitwise) {
       EXPECT_EQ(piv_str.ipiv_of(i)[j], piv_ilv.ipiv_of(i)[j])
           << "lane " << i << " col " << j;
   }
+}
+
+class IlvGetf2Sizes : public ::testing::TestWithParam<int> {};
+
+TEST_P(IlvGetf2Sizes, MatchesStridedBitwise) {
+  getf2_matches_strided<double>(GetParam());
+}
+
+TEST_P(IlvGetf2Sizes, Fp32MatchesStridedBitwise) {
+  getf2_matches_strided<float>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IlvGetf2Sizes,
@@ -303,35 +318,33 @@ struct TrsmCase {
   double alpha;
 };
 
-class IlvTrsmCases : public ::testing::TestWithParam<TrsmCase> {};
-
-TEST_P(IlvTrsmCases, MatchesStridedBitwise) {
-  const TrsmCase tc = GetParam();
+template <typename T>
+void trsm_matches_strided(const TrsmCase& tc) {
   const bool left = tc.side == la::Side::Left;
   const int m = left ? tc.tri : tc.other;
   const int n = left ? tc.other : tc.tri;
   const int batch = 9;
   Device dev(DeviceModel::a100());
 
-  VBatch<double> t(dev, uniform_sizes(tc.tri, batch));
-  VBatch<double> b_str(dev, uniform_sizes(m, batch), uniform_sizes(n, batch));
-  VBatch<double> b_ilv(dev, uniform_sizes(m, batch), uniform_sizes(n, batch));
+  VBatch<T> t(dev, uniform_sizes(tc.tri, batch));
+  VBatch<T> b_str(dev, uniform_sizes(m, batch), uniform_sizes(n, batch));
+  VBatch<T> b_ilv(dev, uniform_sizes(m, batch), uniform_sizes(n, batch));
   Rng rng(19u + static_cast<unsigned>(tc.tri * 64 + tc.other));
   t.fill_uniform(rng);
   for (int i = 0; i < batch; ++i) {
     auto v = t.view(i);
-    for (int d = 0; d < tc.tri; ++d) v(d, d) += 3.0;  // well-scaled solves
+    for (int d = 0; d < tc.tri; ++d) v(d, d) += T(3);  // well-scaled solves
   }
   b_str.fill_uniform(rng);
   b_ilv.copy_from(b_str);
 
-  irr_trsm<double>(dev, dev.stream(), tc.side, tc.uplo, la::Trans::No,
-                   tc.diag, m, n, tc.alpha, t.ptrs(), t.lda(), 0, 0,
-                   b_str.ptrs(), b_str.lda(), 0, 0, b_str.m_vec(),
-                   b_str.n_vec(), batch);
+  irr_trsm<T>(dev, dev.stream(), tc.side, tc.uplo, la::Trans::No, tc.diag, m,
+              n, static_cast<T>(tc.alpha), t.ptrs(), t.lda(), 0, 0,
+              b_str.ptrs(), b_str.lda(), 0, 0, b_str.m_vec(), b_str.n_vec(),
+              batch);
 
-  InterleavedBatch<double> ti(dev, tc.tri, tc.tri, batch);
-  InterleavedBatch<double> bi(dev, m, n, batch);
+  InterleavedBatch<T> ti(dev, tc.tri, tc.tri, batch);
+  InterleavedBatch<T> bi(dev, m, n, batch);
   pack(dev, t, ti);
   pack(dev, b_ilv, bi);
   irr_trsm_ilv(dev, dev.stream(), tc.side, tc.uplo, tc.diag, m, n, tc.alpha,
@@ -340,6 +353,16 @@ TEST_P(IlvTrsmCases, MatchesStridedBitwise) {
   dev.synchronize_all();
 
   EXPECT_TRUE(batch_bits_equal(b_str, b_ilv));
+}
+
+class IlvTrsmCases : public ::testing::TestWithParam<TrsmCase> {};
+
+TEST_P(IlvTrsmCases, MatchesStridedBitwise) {
+  trsm_matches_strided<double>(GetParam());
+}
+
+TEST_P(IlvTrsmCases, Fp32MatchesStridedBitwise) {
+  trsm_matches_strided<float>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -372,32 +395,29 @@ struct GemmCase {
   double alpha, beta;
 };
 
-class IlvGemmCases : public ::testing::TestWithParam<GemmCase> {};
-
-TEST_P(IlvGemmCases, MatchesStridedBitwise) {
-  const GemmCase gc = GetParam();
+template <typename T>
+void gemm_matches_strided(const GemmCase& gc) {
   const int batch = 7;
   Device dev(DeviceModel::a100());
-  VBatch<double> a(dev, uniform_sizes(gc.m, batch), uniform_sizes(gc.k, batch));
-  VBatch<double> b(dev, uniform_sizes(gc.k, batch), uniform_sizes(gc.n, batch));
-  VBatch<double> c_str(dev, uniform_sizes(gc.m, batch),
-                       uniform_sizes(gc.n, batch));
-  VBatch<double> c_ilv(dev, uniform_sizes(gc.m, batch),
-                       uniform_sizes(gc.n, batch));
+  VBatch<T> a(dev, uniform_sizes(gc.m, batch), uniform_sizes(gc.k, batch));
+  VBatch<T> b(dev, uniform_sizes(gc.k, batch), uniform_sizes(gc.n, batch));
+  VBatch<T> c_str(dev, uniform_sizes(gc.m, batch), uniform_sizes(gc.n, batch));
+  VBatch<T> c_ilv(dev, uniform_sizes(gc.m, batch), uniform_sizes(gc.n, batch));
   Rng rng(23u + static_cast<unsigned>(gc.m + 8 * gc.n + 64 * gc.k));
   a.fill_uniform(rng);
   b.fill_uniform(rng);
   c_str.fill_uniform(rng);
   c_ilv.copy_from(c_str);
 
-  irr_gemm<double>(dev, dev.stream(), la::Trans::No, la::Trans::No, gc.m,
-                   gc.n, gc.k, gc.alpha, a.ptrs(), a.lda(), 0, 0, b.ptrs(),
-                   b.lda(), 0, 0, gc.beta, c_str.ptrs(), c_str.lda(), 0, 0,
-                   c_str.m_vec(), c_str.n_vec(), a.n_vec(), batch);
+  irr_gemm<T>(dev, dev.stream(), la::Trans::No, la::Trans::No, gc.m, gc.n,
+              gc.k, static_cast<T>(gc.alpha), a.ptrs(), a.lda(), 0, 0,
+              b.ptrs(), b.lda(), 0, 0, static_cast<T>(gc.beta), c_str.ptrs(),
+              c_str.lda(), 0, 0, c_str.m_vec(), c_str.n_vec(), a.n_vec(),
+              batch);
 
-  InterleavedBatch<double> ai(dev, gc.m, gc.k, batch);
-  InterleavedBatch<double> bi(dev, gc.k, gc.n, batch);
-  InterleavedBatch<double> ci(dev, gc.m, gc.n, batch);
+  InterleavedBatch<T> ai(dev, gc.m, gc.k, batch);
+  InterleavedBatch<T> bi(dev, gc.k, gc.n, batch);
+  InterleavedBatch<T> ci(dev, gc.m, gc.n, batch);
   pack(dev, a, ai);
   pack(dev, b, bi);
   pack(dev, c_ilv, ci);
@@ -407,6 +427,16 @@ TEST_P(IlvGemmCases, MatchesStridedBitwise) {
   dev.synchronize_all();
 
   EXPECT_TRUE(batch_bits_equal(c_str, c_ilv));
+}
+
+class IlvGemmCases : public ::testing::TestWithParam<GemmCase> {};
+
+TEST_P(IlvGemmCases, MatchesStridedBitwise) {
+  gemm_matches_strided<double>(GetParam());
+}
+
+TEST_P(IlvGemmCases, Fp32MatchesStridedBitwise) {
+  gemm_matches_strided<float>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -503,6 +533,54 @@ TEST(MultifrontalInterleaved, FactorsBitIdenticalToStrided) {
   ASSERT_EQ(x_off.size(), x_on.size());
   for (std::size_t i = 0; i < x_off.size(); ++i)
     EXPECT_TRUE(bits_equal(x_off[i], x_on[i])) << i;
+}
+
+// The FP32 precision policies factor their levels through the float
+// engine. Routed fronts must match the strided ones bit for bit in every
+// build, -march=native included: the packed engine and the interleaved
+// kernels fuse the same multiply-adds. Maxwell tubes (every front small,
+// most of them routed) and a fat torus, with the routing cap at the
+// default-sized leaf classes and at the engine clamp.
+TEST(MultifrontalInterleaved, Fp32FactorsBitIdenticalToStrided) {
+  const double omega = 16.0;
+  const struct {
+    int ntheta, ncross;
+  } meshes[] = {{384, 2}, {768, 2}, {12, 6}};
+  for (const auto& mesh : meshes) {
+    const irrlu::fem::EdgeSystem sys = irrlu::fem::assemble_maxwell(
+        irrlu::fem::HexMesh::torus(mesh.ntheta, mesh.ncross, mesh.ncross),
+        omega, irrlu::fem::paper_maxwell_load(omega, omega / 1.05));
+    int routed = 0;  // configurations that sent fronts to the SoA kernels
+    for (PrecisionPolicy policy :
+         {PrecisionPolicy::kF32, PrecisionPolicy::kAdaptive}) {
+      SolverOptions off;
+      off.nd.leaf_size = 16;
+      off.factor.precision = policy;
+      Device dev_off(DeviceModel::a100());
+      SparseDirectSolver s_off(off);
+      s_off.analyze(sys.a);
+      s_off.factor(dev_off);
+      ASSERT_GT(s_off.numeric().report().fp32_fronts, 0);
+      for (int max_dim : {16, 32}) {
+        SCOPED_TRACE(::testing::Message()
+                     << mesh.ntheta << "x" << mesh.ncross << " policy "
+                     << static_cast<int>(policy) << " max_class_dim "
+                     << max_dim);
+        SolverOptions on = off;
+        on.factor.interleaved.enabled = true;
+        on.factor.interleaved.max_class_dim = max_dim;
+        Device dev_on(DeviceModel::a100());
+        SparseDirectSolver s_on(on);
+        s_on.analyze(sys.a);
+        s_on.factor(dev_on);
+        routed += dev_on.profile().count("ilv_getf2") > 0 ? 1 : 0;
+        EXPECT_TRUE(factors_bits_equal(s_off.numeric(), s_on.numeric()));
+      }
+    }
+    // The fat torus has no fronts within the 16 cap, so only some
+    // configurations route there; every mesh must route in at least one.
+    EXPECT_GT(routed, 0) << mesh.ntheta << "x" << mesh.ncross;
+  }
 }
 
 TEST(MultifrontalInterleaved, RefactorMatchesStrided) {

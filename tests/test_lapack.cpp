@@ -1,6 +1,7 @@
 // Unit tests for the single-matrix BLAS/LAPACK substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "lapack/blas.hpp"
 #include "lapack/flops.hpp"
 #include "lapack/lapack.hpp"
+#include "lapack/microkernel.hpp"
 #include "lapack/verify.hpp"
 
 namespace la = irrlu::la;
@@ -487,6 +489,55 @@ TEST(GemmEngine, MatchesNaiveReferenceDouble) {
 TEST(GemmEngine, MatchesNaiveReferenceComplex) {
   const int dims[] = {0, 1, 7, 9, 65};
   gemm_cross_check<std::complex<double>>(dims, 5, 1e-13);
+}
+
+// With small-integer A, B and C and alpha = +-1, every product and partial
+// sum of k <= 333 terms is an integer below 2^24, exact in float, so the
+// float engine must reproduce the double engine bit for bit whether or not
+// the build fuses multiply-adds. Covers every transpose pair, odd shapes
+// with padded leading dimensions, m and n through one float register tile
+// plus one (full and edge tiles), and k past the float k-block (KC = 320).
+TEST(PackedEngine, FloatMatchesDoubleOnExactInputs) {
+  struct Shape {
+    int m, n, k, ld;
+  };
+  std::vector<Shape> shapes{{24, 23, 21, 32}, {35, 16, 20, 35}};
+  const la::mk::TileGeometry tile = la::mk::tile_geometry<float>();
+  ASSERT_LT(tile.kc, 333);
+  for (int m = 1; m <= tile.mr + 1; ++m)
+    for (int n = 1; n <= tile.mr + 1; ++n) shapes.push_back({m, n, 333, 0});
+  irrlu::Rng rng(321);
+  auto small_int = [&] { return static_cast<double>(rng.uniform_int(-3, 3)); };
+  for (la::Trans ta : {la::Trans::No, la::Trans::Yes})
+    for (la::Trans tb : {la::Trans::No, la::Trans::Yes})
+      for (const Shape& s : shapes) {
+        const int ar = ta == la::Trans::No ? s.m : s.k;
+        const int ac = ta == la::Trans::No ? s.k : s.m;
+        const int br = tb == la::Trans::No ? s.k : s.n;
+        const int bc = tb == la::Trans::No ? s.n : s.k;
+        const int lda = std::max(ar, s.ld), ldb = std::max(br, s.ld);
+        const int ldc = std::max(s.m, s.ld);
+        std::vector<double> a(static_cast<std::size_t>(lda) * ac);
+        std::vector<double> b(static_cast<std::size_t>(ldb) * bc);
+        std::vector<double> c(static_cast<std::size_t>(ldc) * s.n);
+        for (auto* v : {&a, &b, &c})
+          for (double& x : *v) x = small_int();
+        const std::vector<float> af(a.begin(), a.end());
+        const std::vector<float> bf(b.begin(), b.end());
+        for (double alpha : {1.0, -1.0}) {
+          std::vector<double> cd = c;
+          std::vector<float> cf(c.begin(), c.end());
+          la::gemm(ta, tb, s.m, s.n, s.k, alpha, a.data(), lda, b.data(), ldb,
+                   1.0, cd.data(), ldc);
+          la::gemm(ta, tb, s.m, s.n, s.k, static_cast<float>(alpha),
+                   af.data(), lda, bf.data(), ldb, 1.0f, cf.data(), ldc);
+          for (std::size_t i = 0; i < cd.size(); ++i)
+            ASSERT_EQ(static_cast<double>(cf[i]), cd[i])
+                << "ta=" << la::to_string(ta) << " tb=" << la::to_string(tb)
+                << " m=" << s.m << " n=" << s.n << " k=" << s.k
+                << " alpha=" << alpha << " at " << i;
+        }
+      }
 }
 
 TEST(TrsmEngine, MatchesNaiveReference) {
