@@ -20,11 +20,11 @@
 #endif
 
 #include "common/cli.hpp"
+#include "common/host_pool.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/host_pool.hpp"
 #include "lapack/flops.hpp"
 #include "lapack/microkernel.hpp"
 #include "trace/report.hpp"
@@ -107,7 +107,7 @@ inline void write_bench_meta(json::Writer& w) {
   host[sizeof host - 1] = '\0';
 #endif
   w.kv("hostname", host);
-  w.kv_int("host_threads", gpusim::default_host_threads());
+  w.kv_int("host_threads", default_host_threads());
   w.kv_int("engine_vector_bytes", la::mk::vector_bytes());
   w.end_object();
 }
@@ -231,7 +231,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //   hostname         machine that produced the numbers (wall-clock columns
 //                    are machine-dependent; compare only same-host runs)
 //   host_threads     worker threads a Device runs independent blocks on
-//                    (gpusim::default_host_threads(), IRRLU_HOST_THREADS)
+//                    and nested dissection bisects on
+//                    (default_host_threads(), IRRLU_HOST_THREADS)
 //   engine_vector_bytes
 //                    vector register width of the packed engine's tile
 //                    (la::mk::vector_bytes(): 64 AVX-512, 32 AVX, 16

@@ -7,19 +7,71 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <mutex>
 
 #include "trace/trace.hpp"
 
 namespace irrlu::gpusim {
 
+namespace detail {
+
+namespace {
+
+/// Padding leaves, and the identity of `earlier`.
+constexpr SlotTree::Slot kNoSlot{std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<int>::max()};
+
+/// The slot that frees first, ties to the lower index.
+SlotTree::Slot earlier(SlotTree::Slot a, SlotTree::Slot b) {
+  return b.free < a.free || (b.free == a.free && b.index < a.index) ? b : a;
+}
+
+}  // namespace
+
+void SlotTree::reset(std::size_t slots) {
+  IRRLU_CHECK(slots >= 1 &&
+              slots < static_cast<std::size_t>(std::numeric_limits<int>::max()));
+  slots_ = slots;
+  std::size_t leaves = 1;
+  while (leaves < slots) leaves *= 2;
+  node_.assign(2 * leaves, kNoSlot);
+  for (std::size_t i = 0; i < slots; ++i)
+    node_[leaves + i] = {0.0, static_cast<int>(i)};
+  for (std::size_t k = leaves - 1; k >= 1; --k)
+    node_[k] = earlier(node_[2 * k], node_[2 * k + 1]);
+}
+
+SlotTree::Slot SlotTree::earliest(std::size_t prefix) const {
+  if (prefix >= slots_) return node_[1];  // padding never wins
+  Slot best = kNoSlot;
+  for (std::size_t lo = node_.size() / 2, hi = lo + prefix; lo < hi;
+       lo /= 2, hi /= 2) {
+    if (lo & 1) best = earlier(best, node_[lo++]);
+    if (hi & 1) best = earlier(best, node_[--hi]);
+  }
+  return best;
+}
+
+void SlotTree::set_free(int index, double free) {
+  // Replay the matches on the leaf's path: each one against the sibling.
+  std::size_t k = node_.size() / 2 + static_cast<std::size_t>(index);
+  Slot winner{free, index};
+  node_[k] = winner;
+  for (; k > 1; k /= 2) {
+    winner = earlier(winner, node_[k ^ 1]);
+    node_[k / 2] = winner;
+  }
+}
+
+}  // namespace detail
+
 Device::Device(DeviceModel model, bool memory_pool)
     : model_(std::move(model)), host_threads_(default_host_threads()) {
   IRRLU_CHECK(model_.num_sms >= 1);
   IRRLU_CHECK(model_.max_blocks_per_sm >= 1);
-  slot_free_.assign(
-      static_cast<std::size_t>(model_.num_sms) * model_.max_blocks_per_sm,
-      0.0);
+  slots_.reset(static_cast<std::size_t>(model_.num_sms) *
+               static_cast<std::size_t>(model_.max_blocks_per_sm));
   streams_.emplace_back(new Stream(0));
   if (memory_pool) pool_ = std::make_unique<MemPool>();
 }
@@ -185,77 +237,23 @@ void Device::end_launch(Stream& s, const LaunchConfig& cfg) {
     // the grid provides, up to the occupancy-limited slot count.
     const double bw = model_.bandwidth_share(static_cast<int>(
         std::min(nslots, block_costs_.size())));
-    // List-schedule blocks (in issue order) onto the earliest-free slot.
-    //
-    // The schedule pops the heap once per block, and every re-pushed slot
-    // carries a `done` time at least as late as the value it replaced, so
-    // with b blocks only the b lexicographically smallest (free, idx)
-    // slots can ever surface: at any of the first b pops, at least one of
-    // those b is still enqueued and undercuts every other candidate.
-    // Seeding the heap with just that subset (one bounded-max-heap pass
-    // over the prefix) is therefore schedule-identical to heaping all
-    // num_sms * bps slots — which dominated the host cost of every launch
-    // with a small grid, exactly the leaf-batch regime the interleaved
-    // path cares about.
-    using Slot = std::pair<double, std::size_t>;  // (free time, slot index)
-    const std::size_t cand = std::min(nslots, slot_free_.size());
-    const std::size_t take = std::min(block_costs_.size(), cand);
-    std::vector<Slot>& heap = slot_scratch_;
-    heap.clear();
-    // Prefill with the prefix, then scan the rest through a value-only
-    // threshold filter: a block of slots none of which undercuts the
-    // current heap maximum cannot contribute, and the filter reduces over
-    // plain doubles so it vectorizes. Ties at the threshold fall through
-    // to the exact (free, idx) comparison below.
-    std::size_t i = 0;
-    for (; i < take; ++i) {
-      heap.emplace_back(slot_free_[i], i);
-      std::push_heap(heap.begin(), heap.end());  // max-heap of the kept
-    }
-    constexpr std::size_t kChunk = 8;
-    for (; take > 0 && i + kChunk <= cand; i += kChunk) {
-      const double thr = heap.front().first;
-      double mn = slot_free_[i];
-      for (std::size_t u = 1; u < kChunk; ++u)
-        mn = std::min(mn, slot_free_[i + u]);
-      if (mn > thr) continue;
-      for (std::size_t u = 0; u < kChunk; ++u) {
-        const Slot sl{slot_free_[i + u], i + u};
-        if (sl < heap.front()) {
-          std::pop_heap(heap.begin(), heap.end());
-          heap.back() = sl;
-          std::push_heap(heap.begin(), heap.end());
-        }
-      }
-    }
-    for (; i < cand; ++i) {
-      const Slot sl{slot_free_[i], i};
-      if (sl < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = sl;
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
-    const auto min_cmp = std::greater<Slot>{};
-    std::make_heap(heap.begin(), heap.end(), min_cmp);
+    // List-schedule blocks (in issue order) onto the earliest-free slot
+    // of the occupancy-limited prefix: the least (free time, index) pair,
+    // found and replaced in O(log slots) per block by the slot tree.
     bool first = true;
     for (const auto& [flops, bytes] : block_costs_) {
-      std::pop_heap(heap.begin(), heap.end(), min_cmp);
-      const auto [free_at, idx] = heap.back();
-      heap.pop_back();
-      const double start = std::max(free_at, earliest);
-      // The heap pops slots in order of free time, so the first block has
-      // the globally earliest start of the launch.
+      const detail::SlotTree::Slot slot = slots_.earliest(nslots);
+      const double start = std::max(slot.free, earliest);
+      // Slots are taken in order of free time, so the first block has the
+      // earliest start of the launch.
       if (first) {
         first_start = start;
         first = false;
       }
       const double done = start + model_.block_start_overhead +
                           model_.block_seconds(flops, bytes, bw);
-      slot_free_[idx] = done;
+      slots_.set_free(slot.index, done);
       if (done > end) end = done;
-      heap.emplace_back(done, idx);
-      std::push_heap(heap.begin(), heap.end(), min_cmp);
     }
   }
   s.cursor_ = end;
@@ -315,7 +313,8 @@ double Device::synchronize_all() {
 
 void Device::reset_timeline() {
   host_time_ = 0;
-  std::fill(slot_free_.begin(), slot_free_.end(), 0.0);
+  slots_.reset(static_cast<std::size_t>(model_.num_sms) *
+               static_cast<std::size_t>(model_.max_blocks_per_sm));
   for (auto& s : streams_) s->cursor_ = 0;
   launch_count_ = 0;
   pooled_launch_count_ = 0;

@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/host_pool.hpp"
 #include "gpusim/device_model.hpp"
-#include "gpusim/host_pool.hpp"
 #include "gpusim/mem_pool.hpp"
 
 namespace irrlu::trace {
@@ -138,6 +138,36 @@ struct LaunchConfig {
   /// debug-mode duplicate-kernel-name audit.
   std::source_location where = std::source_location::current();
 };
+
+namespace detail {
+
+/// The SM slots of the list scheduler as a tournament tree: every slot's
+/// (free time, index) pair sits at a leaf and every internal node holds
+/// the least pair below it, so the earliest-free slot of any prefix of
+/// the slots is found, and a slot's free time replaced, in O(log slots).
+class SlotTree {
+ public:
+  struct Slot {
+    double free;
+    int index;
+  };
+
+  /// Makes `slots` (>= 1) slots, all free at time 0.
+  void reset(std::size_t slots);
+  /// The least (free time, index) slot among slots [0, prefix),
+  /// 1 <= prefix <= slots.
+  Slot earliest(std::size_t prefix) const;
+  void set_free(int index, double free);
+
+ private:
+  std::size_t slots_ = 0;
+  /// Node k >= 1 has children 2k and 2k + 1; slot i is leaf L + i, L being
+  /// the slot count rounded up to a power of two, and the padding leaves
+  /// past the last slot lose to every slot.
+  std::vector<Slot> node_;
+};
+
+}  // namespace detail
 
 /// Aggregated per-kernel-name statistics over the device's lifetime.
 struct KernelStats {
@@ -343,9 +373,7 @@ class Device {
 
   // --- simulated timelines ---
   double host_time_ = 0.0;
-  std::vector<double> slot_free_;  ///< num_sms * max_blocks_per_sm SM slots
-  /// Reused scheduling heap (end_launch); holds at most grid-size slots.
-  std::vector<std::pair<double, std::size_t>> slot_scratch_;
+  detail::SlotTree slots_;  ///< num_sms * max_blocks_per_sm SM slots
   std::vector<std::pair<double, double>> block_costs_;  ///< (flops, bytes)
   double launch_flops_ = 0, launch_bytes_ = 0;
 

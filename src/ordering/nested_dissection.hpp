@@ -41,7 +41,10 @@ struct Ordering {
 /// Nested dissection: recursively bisects the graph, ordering each part
 /// before its separator (separator vertices are eliminated last). The
 /// resulting elimination trees have the wide-bottom/heavy-top shape whose
-/// front-size distributions the paper's Figure 13 shows.
+/// front-size distributions the paper's Figure 13 shows. The subgraphs of
+/// each dissection level are bisected concurrently on
+/// default_host_threads() host threads; the result is the same for any
+/// thread count.
 Ordering nested_dissection(const Graph& g, const NDOptions& opts = {});
 
 /// Minimum-degree ordering on the elimination graph (simple quotient-free

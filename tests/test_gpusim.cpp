@@ -1,7 +1,9 @@
 // Unit tests for the simulated device runtime: launch semantics, shared
-// memory limits, stream timelines, memory accounting, and the cost model.
+// memory limits, stream timelines, the block scheduler against a
+// brute-force reference, memory accounting, and the cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -9,7 +11,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "trace/trace.hpp"
 
 using irrlu::Error;
 using namespace irrlu::gpusim;
@@ -369,4 +373,149 @@ TEST(BlockCtx, SmemAlignmentPaddingCountsTowardCapacity) {
                    ctx.smem_alloc<double>(1);  // align + 8 > align + 7
                  }),
       Error);
+}
+
+// ------------------------------------------------------------ scheduler
+//
+// end_launch list-schedules every block onto the slot with the least
+// (free time, index) among the occupancy-limited prefix of SM slots,
+// through a tournament tree. The reference replays the same timing model
+// with a full argmin scan over the eligible slots; each launch's first
+// block start and end must agree bit for bit.
+
+namespace {
+
+/// Brute-force replay of a Device's launch timeline (host dispatch, two
+/// stream cursors, SM slots) for programs of launches and resets only.
+class ReferenceTimeline {
+ public:
+  explicit ReferenceTimeline(const DeviceModel& m) : m_(m) { reset(); }
+
+  void reset() {
+    host_ = 0;
+    slot_free_.assign(static_cast<std::size_t>(m_.num_sms) *
+                          static_cast<std::size_t>(m_.max_blocks_per_sm),
+                      0.0);
+    cursor_.assign(2, 0.0);
+  }
+
+  /// Returns (first block's start, end) of one launch.
+  std::pair<double, double> launch(
+      int stream, std::size_t smem,
+      const std::vector<std::pair<double, double>>& costs) {
+    host_ += m_.host_dispatch_overhead;
+    double& cursor = cursor_[static_cast<std::size_t>(stream)];
+    const double earliest = std::max(host_ + m_.device_launch_latency, cursor);
+    const std::size_t eligible = static_cast<std::size_t>(m_.num_sms) *
+                                 static_cast<std::size_t>(m_.blocks_per_sm(smem));
+    double first = earliest, end = earliest;
+    if (!costs.empty()) {
+      const double bw = m_.bandwidth_share(
+          static_cast<int>(std::min(eligible, costs.size())));
+      for (std::size_t b = 0; b < costs.size(); ++b) {
+        std::size_t best = 0;  // strict < keeps the lowest index on ties
+        for (std::size_t i = 1; i < eligible; ++i)
+          if (slot_free_[i] < slot_free_[best]) best = i;
+        const double start = std::max(slot_free_[best], earliest);
+        if (b == 0) first = start;
+        const double done =
+            start + m_.block_start_overhead +
+            m_.block_seconds(costs[b].first, costs[b].second, bw);
+        slot_free_[best] = done;
+        end = std::max(end, done);
+      }
+    }
+    cursor = end;
+    return {first, end};
+  }
+
+ private:
+  DeviceModel m_;
+  double host_ = 0;
+  std::vector<double> slot_free_, cursor_;
+};
+
+/// Launches one grid per entry of `grids` on a Device and on the
+/// reference, on a random one of two streams, with a random shared-memory
+/// declaration from `smems` and random block costs (every third launch
+/// gives all blocks one cost, so free times tie), resetting both
+/// timelines before about one launch in eight.
+void expect_schedule_matches_reference(const DeviceModel& m,
+                                       const std::vector<int>& grids,
+                                       const std::vector<std::size_t>& smems,
+                                       std::uint64_t seed) {
+  irrlu::Rng rng(seed);
+  Device dev(m);
+  irrlu::trace::Tracer tracer;
+  dev.set_tracer(&tracer);
+  ReferenceTimeline ref(m);
+  std::vector<std::pair<double, double>> costs;
+  for (std::size_t k = 0; k < grids.size(); ++k) {
+    SCOPED_TRACE("launch " + std::to_string(k) + " of " +
+                 std::to_string(grids[k]) + " blocks");
+    if (rng.uniform_int(0, 7) == 0) {
+      dev.reset_timeline();
+      ref.reset();
+    }
+    const int stream = rng.uniform_int(0, 1);
+    const std::size_t smem =
+        smems[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(smems.size()) - 1))];
+    const bool uniform = k % 3 == 0;
+    const std::pair<double, double> one{1e5 * rng.uniform_int(1, 4), 2e4};
+    costs.clear();
+    for (int b = 0; b < grids[k]; ++b)
+      costs.push_back(uniform ? one
+                              : std::make_pair(1e5 * rng.uniform_int(1, 40),
+                                               rng.uniform(0.0, 5e4)));
+    dev.launch(dev.stream(stream), {"sched", grids[k], smem},
+               [&](BlockCtx& c) {
+                 const auto& [flops, bytes] =
+                     costs[static_cast<std::size_t>(c.block())];
+                 c.record(flops, bytes);
+               });
+    const auto [first, end] = ref.launch(stream, smem, costs);
+    ASSERT_EQ(tracer.launches().size(), k + 1);
+    const irrlu::trace::LaunchRecord& r = tracer.launches().back();
+    ASSERT_EQ(r.sim_start, first);
+    ASSERT_EQ(r.sim_end, end);
+    ASSERT_EQ(dev.stream(stream).completion_time(), end);
+  }
+  dev.set_tracer(nullptr);
+}
+
+}  // namespace
+
+TEST(Scheduler, MatchesBruteForceOnA100) {
+  // 108 SMs x 32 = 3,456 slots, padded to 4,096 leaves; grids past the
+  // slot count, and declarations that cut occupancy to 7, 3 and 1 per SM.
+  const DeviceModel m = DeviceModel::a100();
+  const std::size_t sm = m.shared_mem_per_sm;
+  expect_schedule_matches_reference(
+      m, {0, 1, 2, 31, 3455, 3456, 3457, 5000, 0, 700, 4999, 1, 64, 2500},
+      {0, sm / 64, sm / 7, sm / 3, m.shared_mem_per_block}, 1);
+}
+
+TEST(Scheduler, MatchesBruteForceOnSmallDevices) {
+  irrlu::Rng rng(5);
+  std::vector<int> grids;
+  for (int k = 0; k < 300; ++k)
+    grids.push_back(k % 25 == 0 ? 0 : rng.uniform_int(1, 120));
+  // 7 SMs x 5 = 35 slots (29 padding leaves); 8 KB fits 1 block per SM,
+  // 6 KB 2, 4 KB 3, 3 KB 4, 2 KB and none all 5.
+  DeviceModel m = DeviceModel::test_tiny();
+  m.num_sms = 7;
+  m.max_blocks_per_sm = 5;
+  m.shared_mem_per_block = 8 << 10;
+  m.shared_mem_per_sm = 12 << 10;
+  expect_schedule_matches_reference(
+      m, grids, {0, 2 << 10, 3 << 10, 4 << 10, 6 << 10, 8 << 10}, 2);
+  // One slot: the tree is a single leaf.
+  m.num_sms = 1;
+  m.max_blocks_per_sm = 1;
+  expect_schedule_matches_reference(m, grids, {0, 8 << 10}, 3);
+  // A power-of-two slot count: no padding.
+  m.num_sms = 4;
+  m.max_blocks_per_sm = 4;
+  expect_schedule_matches_reference(m, grids, {0, 3 << 10, 6 << 10}, 4);
 }

@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/host_pool.hpp"
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
-#include "gpusim/host_pool.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
 #include "service/solver_service.hpp"
@@ -34,8 +34,6 @@ using namespace irrlu;
 using gpusim::BlockCtx;
 using gpusim::Device;
 using gpusim::DeviceModel;
-using gpusim::FunctionRef;
-using gpusim::HostPool;
 using gpusim::kIndependentBlocks;
 
 namespace {
@@ -168,16 +166,56 @@ TEST(HostPool, ConcurrentCallersBothComplete) {
   EXPECT_EQ(sum.load(), 2L * 50 * (99 * 100 / 2));
 }
 
+TEST(HostPool, NestedRunsFromTasksRunInline) {
+  // A task that calls run() again — on the caller's thread, which holds
+  // the pool, or on a worker — runs the inner tasks inline, each exactly
+  // once; nesting one level deeper changes nothing.
+  constexpr int kOuter = 24, kInner = 40, kInnermost = 3;
+  std::vector<std::atomic<int>> hits(
+      static_cast<std::size_t>(kOuter * kInner * kInnermost));
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0}, on_workers{0};
+  auto outer = [&](int i) {
+    auto inner = [&](int j) {
+      auto innermost = [&](int k) {
+        hits[static_cast<std::size_t>((i * kInner + j) * kInnermost + k)]++;
+      };
+      HostPool::shared().run(kInnermost, kThreads - 1,
+                             FunctionRef<void(int)>(innermost));
+    };
+    HostPool::shared().run(kInner, kThreads - 1, FunctionRef<void(int)>(inner));
+    (std::this_thread::get_id() == caller ? on_caller : on_workers)++;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  HostPool::shared().run(kOuter, kThreads - 1, FunctionRef<void(int)>(outer));
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "inner task " << i;
+  EXPECT_GT(on_caller.load(), 0);
+  EXPECT_GT(on_workers.load(), 0);
+
+  // The caller left run(): its next top-level call is pooled again.
+  std::mutex m;
+  std::vector<std::thread::id> ids;
+  auto task = [&](int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::lock_guard<std::mutex> lock(m);
+    ids.push_back(std::this_thread::get_id());
+  };
+  HostPool::shared().run(32, kThreads - 1, FunctionRef<void(int)>(task));
+  std::sort(ids.begin(), ids.end());
+  EXPECT_GT(std::unique(ids.begin(), ids.end()) - ids.begin(), 1);
+}
+
 TEST(HostPool, DefaultThreadsHonorsEnvironment) {
   const char* old = std::getenv("IRRLU_HOST_THREADS");
   const std::string saved = old != nullptr ? old : "";
   setenv("IRRLU_HOST_THREADS", "3", 1);
-  EXPECT_EQ(gpusim::default_host_threads(), 3);
+  EXPECT_EQ(default_host_threads(), 3);
   EXPECT_EQ(Device(DeviceModel::test_tiny()).host_threads(), 3);
   setenv("IRRLU_HOST_THREADS", "99999999999", 1);  // capped
-  EXPECT_EQ(gpusim::default_host_threads(), 256);
+  EXPECT_EQ(default_host_threads(), 256);
   setenv("IRRLU_HOST_THREADS", "zero", 1);  // ignored: hardware default
-  EXPECT_GE(gpusim::default_host_threads(), 1);
+  EXPECT_GE(default_host_threads(), 1);
   if (old != nullptr)
     setenv("IRRLU_HOST_THREADS", saved.c_str(), 1);
   else

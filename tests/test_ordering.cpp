@@ -1,12 +1,16 @@
 // Tests for the ordering substrate: graph construction, multilevel
-// bisection + vertex separators, nested dissection, minimum degree, RCM,
-// and the MC64-style matching/scaling.
+// bisection + vertex separators, nested dissection (and its independence
+// of the host thread count), minimum degree, RCM, and the MC64-style
+// matching/scaling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -496,9 +500,9 @@ irrlu::sparse::CsrMatrix grid3d_matrix(int nx, int ny, int nz) {
   return irrlu::sparse::CsrMatrix::from_triplets(g.num_vertices(), t);
 }
 
-}  // namespace
-
-TEST(OrderingDigest, UnchangedFromParent) {
+/// Checks every golden case's digests against the values recorded with the
+/// straightforward serial implementation.
+void expect_golden_digests() {
   struct Case {
     const char* name;
     irrlu::sparse::CsrMatrix a;
@@ -531,5 +535,137 @@ TEST(OrderingDigest, UnchangedFromParent) {
     EXPECT_EQ(d.graph, c.golden.graph);
     EXPECT_EQ(d.mc64, c.golden.mc64);
     EXPECT_EQ(d.nd, c.golden.nd);
+  }
+}
+
+/// Sets IRRLU_HOST_THREADS for one scope; restores the previous value, or
+/// its absence, on exit.
+class ScopedHostThreads {
+ public:
+  explicit ScopedHostThreads(const char* value) {
+    if (const char* old = std::getenv(kVar)) saved_ = old;
+    setenv(kVar, value, 1);
+  }
+  ~ScopedHostThreads() {
+    if (saved_)
+      setenv(kVar, saved_->c_str(), 1);
+    else
+      unsetenv(kVar);
+  }
+  ScopedHostThreads(const ScopedHostThreads&) = delete;
+  ScopedHostThreads& operator=(const ScopedHostThreads&) = delete;
+
+ private:
+  static constexpr const char* kVar = "IRRLU_HOST_THREADS";
+  std::optional<std::string> saved_;
+};
+
+/// `cliques` cliques of `size` vertices in a ring, neighbours joined by one
+/// edge: dissection cuts the ring apart, and each clique larger than a leaf
+/// then bisects with an empty side, so it takes the minimum-degree fallback.
+Graph clique_ring(int cliques, int size) {
+  const int n = cliques * size;
+  std::vector<std::vector<int>> nb(static_cast<std::size_t>(n));
+  auto edge = [&](int u, int v) {
+    nb[static_cast<std::size_t>(u)].push_back(v);
+    nb[static_cast<std::size_t>(v)].push_back(u);
+  };
+  for (int c = 0; c < cliques; ++c) {
+    for (int i = 0; i < size; ++i)
+      for (int j = i + 1; j < size; ++j) edge(c * size + i, c * size + j);
+    edge(c * size + size - 1, (c + 1) % cliques * size);
+  }
+  std::vector<int> ptr = {0}, adj;
+  for (auto& row : nb) {
+    std::sort(row.begin(), row.end());
+    adj.insert(adj.end(), row.begin(), row.end());
+    ptr.push_back(static_cast<int>(adj.size()));
+  }
+  return Graph::from_adjacency(n, std::move(ptr), std::move(adj));
+}
+
+/// Two grids and a few isolated vertices, in one vertex numbering.
+Graph disconnected_grids() {
+  const Graph parts[] = {Graph::grid2d(9, 9), Graph::grid2d(5, 13),
+                         Graph::from_adjacency(7, std::vector<int>(8, 0), {})};
+  std::vector<int> ptr = {0}, adj;
+  int base = 0;
+  for (const Graph& p : parts) {
+    for (int v = 0; v < p.num_vertices(); ++v) {
+      for (int k = 0; k < p.degree(v); ++k)
+        adj.push_back(base + p.neighbors(v)[k]);
+      ptr.push_back(static_cast<int>(adj.size()));
+    }
+    base += p.num_vertices();
+  }
+  return Graph::from_adjacency(base, std::move(ptr), std::move(adj));
+}
+
+/// nested_dissection(g, o) at 1 and at 4 host threads: equal perm, iperm,
+/// root and tree.
+void expect_same_at_one_and_four_threads(const Graph& g, const NDOptions& o) {
+  Ordering one, four;
+  {
+    const ScopedHostThreads threads("1");
+    one = nested_dissection(g, o);
+  }
+  {
+    const ScopedHostThreads threads("4");
+    four = nested_dissection(g, o);
+  }
+  EXPECT_EQ(one.perm, four.perm);
+  EXPECT_EQ(one.iperm, four.iperm);
+  EXPECT_EQ(one.root, four.root);
+  ASSERT_EQ(one.tree.size(), four.tree.size());
+  for (std::size_t i = 0; i < one.tree.size(); ++i) {
+    const SepTreeNode& a = one.tree[i];
+    const SepTreeNode& b = four.tree[i];
+    EXPECT_EQ(std::tie(a.begin, a.end, a.left, a.right, a.parent),
+              std::tie(b.begin, b.end, b.left, b.right, b.parent))
+        << "tree node " << i;
+  }
+}
+
+}  // namespace
+
+TEST(OrderingDigest, UnchangedFromParent) { expect_golden_digests(); }
+
+TEST(OrderingDigest, UnchangedAtOneTwoAndFourHostThreads) {
+  // Nested dissection bisects each level's subgraphs on the host pool;
+  // the digests must not depend on how many threads it has.
+  for (const char* threads : {"1", "2", "4"}) {
+    SCOPED_TRACE(std::string("IRRLU_HOST_THREADS=") + threads);
+    const ScopedHostThreads scoped(threads);
+    expect_golden_digests();
+  }
+}
+
+TEST(NestedDissection, SameOrderingAtOneAndFourHostThreads) {
+  NDOptions o;
+  o.leaf_size = 16;
+  // The solver-service meshes and the 32x8 sweep torus.
+  const int meshes[][2] = {{12, 6},  {16, 8},  {20, 6}, {24, 8},
+                           {384, 2}, {768, 2}, {32, 8}};
+  for (const auto& m : meshes) {
+    SCOPED_TRACE("torus " + std::to_string(m[0]) + "x" + std::to_string(m[1]));
+    const irrlu::sparse::CsrMatrix a = maxwell_matrix(m[0], m[1]);
+    expect_same_at_one_and_four_threads(
+        Graph::from_pattern(a.rows(), a.ptr().data(), a.ind().data()), o);
+  }
+  {
+    SCOPED_TRACE("disconnected");
+    expect_same_at_one_and_four_threads(disconnected_grids(), o);
+  }
+  {
+    SCOPED_TRACE("clique ring");
+    const Graph g = clique_ring(6, 24);
+    expect_same_at_one_and_four_threads(g, o);
+    // The fallback fired below the root: a leaf larger than leaf_size.
+    const Ordering ord = nested_dissection(g, o);
+    EXPECT_GE(ord.tree[static_cast<std::size_t>(ord.root)].left, 0);
+    EXPECT_TRUE(std::any_of(ord.tree.begin(), ord.tree.end(),
+                            [&](const SepTreeNode& t) {
+                              return t.left < 0 && t.end - t.begin > 16;
+                            }));
   }
 }
