@@ -23,10 +23,6 @@ CliArgs::CliArgs(int argc, char** argv) {
   }
 }
 
-bool CliArgs::has(const std::string& name) const {
-  return flags_.count(name) != 0;
-}
-
 int CliArgs::get_int(const std::string& name, int fallback) const {
   auto it = flags_.find(name);
   return it == flags_.end() || it->second.empty()

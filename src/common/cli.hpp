@@ -12,7 +12,6 @@ class CliArgs {
  public:
   CliArgs(int argc, char** argv);
 
-  bool has(const std::string& name) const;
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::string get_string(const std::string& name,

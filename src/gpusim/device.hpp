@@ -232,13 +232,10 @@ class Device {
 
   /// Host threads that execute the blocks of an independent launch (the
   /// calling thread included); 1 runs every block on the calling thread.
-  /// Defaults to default_host_threads(). Affects host wall time only:
+  /// Fixed at construction from default_host_threads(), so
+  /// IRRLU_HOST_THREADS is the one control. Affects host wall time only:
   /// results, simulated time and every counter are the same for any value.
   int host_threads() const { return host_threads_; }
-  void set_host_threads(int n) {
-    IRRLU_CHECK_MSG(n >= 1, "host_threads must be >= 1, got " << n);
-    host_threads_ = n;
-  }
   /// Launches that handed blocks to the host pool since the last
   /// reset_timeline() (a host-side observable, like the wall clock).
   long pooled_launch_count() const { return pooled_launch_count_; }

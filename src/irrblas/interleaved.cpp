@@ -13,8 +13,8 @@
 namespace irrlu::batch {
 
 // Named rather than anonymous: the launch lambdas of the exported
-// ilv_pack / ilv_unpack / ilv_laswp templates capture these types, and
-// GCC's -Wsubobject-linkage rejects closure members of internal linkage.
+// ilv_laswp template capture these types, and GCC's -Wsubobject-linkage
+// rejects closure members of internal linkage.
 namespace detail {
 
 /// block -> (descriptor, lane offset within it) of a fused stage grid.
@@ -58,29 +58,36 @@ void ilv_launch(gpusim::Device& dev, gpusim::Stream& stream, const char* name,
   });
 }
 
-template <typename T>
-void ilv_pack(gpusim::Device& dev, gpusim::Stream& stream,
+namespace {
+
+/// The copy behind ilv_pack (kPack: strided -> SoA) and ilv_unpack
+/// (SoA -> strided), launched as `name`.
+template <bool kPack, typename T>
+void ilv_copy(gpusim::Device& dev, gpusim::Stream& stream, const char* name,
               std::vector<IlvPackDescT<T>> descs) {
   auto ds = std::make_shared<std::vector<IlvPackDescT<T>>>(std::move(descs));
   auto map = grid_of(*ds);
   if (map->empty()) return;
-  const gpusim::LaunchConfig cfg{"ilv_pack", static_cast<int>(map->size()),
-                                 0, gpusim::kIndependentBlocks};
+  const gpusim::LaunchConfig cfg{name, static_cast<int>(map->size()), 0,
+                                 gpusim::kIndependentBlocks};
   dev.launch(stream, cfg, [ds, map](gpusim::BlockCtx& ctx) {
     const BlockSpan bs = (*map)[static_cast<std::size_t>(ctx.block())];
     const IlvPackDescT<T>& d = (*ds)[static_cast<std::size_t>(bs.desc)];
     const int l0 = d.lane0 + bs.off;
     const int l1 = std::min(d.lane0 + d.lanes, l0 + kIlvLaneChunk);
     for (int l = l0; l < l1; ++l) {
-      const T* s = d.src[l];
+      T* s = d.src[l];
       const int lds = d.src_ld[l];
       double mx = 0;
       for (int c = 0; c < d.n; ++c) {
         for (int r = 0; r < d.m; ++r) {
-          const T v = s[static_cast<std::ptrdiff_t>(c) * lds + r];
-          d.dst.data[(static_cast<std::ptrdiff_t>(c) * d.dst.ld + r) *
-                         d.dst.batch +
-                     l] = v;
+          T& strided = s[static_cast<std::ptrdiff_t>(c) * lds + r];
+          T& soa = d.dst.data[(static_cast<std::ptrdiff_t>(c) * d.dst.ld +
+                               r) *
+                                  d.dst.batch +
+                              l];
+          const T v = kPack ? strided : soa;
+          (kPack ? soa : strided) = v;
           // Same reduction expression and traversal order as the strided
           // mf_front_norm kernel (the max is order-independent anyway).
           mx = std::max(mx, std::abs(static_cast<double>(v)));
@@ -95,41 +102,18 @@ void ilv_pack(gpusim::Device& dev, gpusim::Stream& stream,
   });
 }
 
+}  // namespace
+
+template <typename T>
+void ilv_pack(gpusim::Device& dev, gpusim::Stream& stream,
+              std::vector<IlvPackDescT<T>> descs) {
+  ilv_copy<true>(dev, stream, "ilv_pack", std::move(descs));
+}
+
 template <typename T>
 void ilv_unpack(gpusim::Device& dev, gpusim::Stream& stream,
                 std::vector<IlvPackDescT<T>> descs) {
-  auto ds = std::make_shared<std::vector<IlvPackDescT<T>>>(std::move(descs));
-  auto map = grid_of(*ds);
-  if (map->empty()) return;
-  const gpusim::LaunchConfig cfg{"ilv_unpack", static_cast<int>(map->size()),
-                                 0, gpusim::kIndependentBlocks};
-  dev.launch(stream, cfg, [ds, map](gpusim::BlockCtx& ctx) {
-    const BlockSpan bs = (*map)[static_cast<std::size_t>(ctx.block())];
-    const IlvPackDescT<T>& d = (*ds)[static_cast<std::size_t>(bs.desc)];
-    const int l0 = d.lane0 + bs.off;
-    const int l1 = std::min(d.lane0 + d.lanes, l0 + kIlvLaneChunk);
-    for (int l = l0; l < l1; ++l) {
-      T* s = d.src[l];
-      const int lds = d.src_ld[l];
-      double mx = 0;
-      for (int c = 0; c < d.n; ++c) {
-        for (int r = 0; r < d.m; ++r) {
-          const T v = d.dst.data[(static_cast<std::ptrdiff_t>(c) *
-                                      d.dst.ld +
-                                  r) *
-                                     d.dst.batch +
-                                 l];
-          s[static_cast<std::ptrdiff_t>(c) * lds + r] = v;
-          mx = std::max(mx, std::abs(static_cast<double>(v)));
-        }
-      }
-      if (d.absmax != nullptr && d.m > 0 && d.n > 0) d.absmax[l] = mx;
-    }
-    const int nl = l1 - l0;
-    const double elems = static_cast<double>(d.m) * d.n;
-    ctx.record(d.absmax != nullptr ? elems * nl : 0.0,
-               2.0 * elems * sizeof(T) * nl);
-  });
+  ilv_copy<false>(dev, stream, "ilv_unpack", std::move(descs));
 }
 
 template <typename T>

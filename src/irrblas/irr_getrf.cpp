@@ -68,9 +68,8 @@ void irr_getrf(gpusim::Device& dev, gpusim::Stream& stream, int m, int n,
     // tallest remaining panel is (m - j) rows by jb columns.
     {
       IRRLU_TRACE_SCOPE(dev.tracer(), "panel");
-      const bool fused = !opts.force_columnwise_panel &&
-                         irr_getf2_smem_bytes<T>(m - j, jb) <=
-                             dev.model().shared_mem_per_block;
+      const bool fused = irr_getf2_smem_bytes<T>(m - j, jb) <=
+                         dev.model().shared_mem_per_block;
       if (fused) {
         irr_getf2_fused(dev, stream, m - j, jb, dA_array, ldda, Ai + j,
                         Aj + j, m_vec, n_vec, ipiv_array, info_array,

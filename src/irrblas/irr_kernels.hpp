@@ -159,7 +159,6 @@ void irr_laswp(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
 /// Options for the blocked irregular LU driver.
 struct IrrLuOptions {
   int nb = 32;  ///< panel width (the paper suggests 16-32)
-  bool force_columnwise_panel = false;  ///< disable the fused panel
   LaswpMethod laswp = LaswpMethod::kRehearsal;
 
   /// Caller-provided device workspaces (optional). When set the driver

@@ -61,11 +61,24 @@ void laswp_looped(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
   }
 }
 
-template <typename T>
-void laswp_rehearsal(gpusim::Device& dev, gpusim::Stream& stream, int j,
-                     int jb, T* const* dA_array, const int* ldda,
-                     const int* m_vec, const int* n_vec,
-                     int const* const* ipiv_array, int batch_size, int* ws) {
+/// One matrix's share of a rehearse-and-move: the pivot rows [r0, r1)
+/// (empty: the matrix sits the call out) and the two column segments
+/// [c[k], c[k] + w[k]) the swaps move (w[k] <= 0: segment skipped).
+struct SwapSpan {
+  int r0 = 0, r1 = 0;
+  int c[2] = {};
+  int w[2] = {};
+};
+
+/// The paper's rehearsed row swaps, shared by irr_laswp's panels and
+/// irr_laswp_range_staged: `span_of(id)` gives matrix id's SwapSpan, jb
+/// bounds r1 - r0, and `ws` holds irr_laswp_workspace_size(batch_size, jb)
+/// ints.
+template <typename T, typename SpanOf>
+void rehearse_and_move(gpusim::Device& dev, gpusim::Stream& stream, int jb,
+                       T* const* dA_array, const int* ldda,
+                       int const* const* ipiv_array, int batch_size, int* ws,
+                       SpanOf span_of) {
   const int stride = 1 + 4 * jb;  // per-matrix workspace ints
 
   // Phase 1 — rehearse the swaps on auxiliary index columns: build the
@@ -79,8 +92,8 @@ void laswp_rehearsal(gpusim::Device& dev, gpusim::Stream& stream, int j,
     int* list = w_cnt + 1;        // touched (destination) rows
     int* occ = list + 2 * jb;     // original row currently at list[t]
     *w_cnt = 0;
-    const LaswpWork w = dcwi_laswp(j, jb, m_vec[id], n_vec[id]);
-    if (w.none()) return;
+    const SwapSpan s = span_of(id);
+    if (s.r1 <= s.r0) return;
     auto find_or_add = [&](int row) {
       for (int t = 0; t < *w_cnt; ++t)
         if (list[t] == row) return t;
@@ -89,17 +102,17 @@ void laswp_rehearsal(gpusim::Device& dev, gpusim::Stream& stream, int j,
       occ[t] = row;
       return t;
     };
-    for (int r = j; r < j + w.rows; ++r) {
+    for (int r = s.r0; r < s.r1; ++r) {
       const int p = ipiv_array[id][r];
       const int tr = find_or_add(r);
       const int tp = find_or_add(p);
       std::swap(occ[tr], occ[tp]);
     }
-    ctx.record(0.0, (2.0 * w.rows + 2.0 * *w_cnt) * sizeof(int));
+    ctx.record(0.0, (2.0 * (s.r1 - s.r0) + 2.0 * *w_cnt) * sizeof(int));
   });
 
   // Phase 2 — move each touched row exactly once, through shared-memory
-  // column chunks, over both widths.
+  // column chunks, over both segments.
   const std::size_t move_smem =
       std::min(kMoveSmemBytes, dev.model().shared_mem_per_block);
   const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size, move_smem,
@@ -111,35 +124,29 @@ void laswp_rehearsal(gpusim::Device& dev, gpusim::Stream& stream, int j,
     if (cnt == 0) return;
     const int* list = w_cnt + 1;
     const int* occ = list + 2 * jb;
-    const LaswpWork w = dcwi_laswp(j, jb, m_vec[id], n_vec[id]);
+    const SwapSpan s = span_of(id);
     const int lda = ldda[id];
     T* A = dA_array[id];
 
     const int cw =
         std::max<int>(1, static_cast<int>(move_smem / sizeof(T)) / cnt);
     T* chunk = ctx.smem_alloc<T>(static_cast<std::size_t>(cnt) * cw);
-
-    auto move_range = [&](int c0, int width) {
-      for (int cc = 0; cc < width; cc += cw) {
-        const int ec = std::min(cw, width - cc);
+    double width = 0;
+    for (int k = 0; k < 2; ++k) {
+      if (s.w[k] <= 0) continue;
+      for (int cc = 0; cc < s.w[k]; cc += cw) {
+        const int ec = std::min(cw, s.w[k] - cc);
+        T* a = A + static_cast<std::ptrdiff_t>(s.c[k] + cc) * lda;
         for (int t = 0; t < cnt; ++t)
           for (int c = 0; c < ec; ++c)
             chunk[static_cast<std::ptrdiff_t>(c) * cnt + t] =
-                A[static_cast<std::ptrdiff_t>(c0 + cc + c) * lda + occ[t]];
+                a[static_cast<std::ptrdiff_t>(c) * lda + occ[t]];
         for (int t = 0; t < cnt; ++t)
           for (int c = 0; c < ec; ++c)
-            A[static_cast<std::ptrdiff_t>(c0 + cc + c) * lda + list[t]] =
+            a[static_cast<std::ptrdiff_t>(c) * lda + list[t]] =
                 chunk[static_cast<std::ptrdiff_t>(c) * cnt + t];
       }
-    };
-    double width = 0;
-    if (w.wl > 0) {
-      move_range(0, w.wl);
-      width += w.wl;
-    }
-    if (w.wr > 0) {
-      move_range(w.wr_off, w.wr);
-      width += w.wr;
+      width += s.w[k];
     }
 
     // Each touched element read once + written once; the chunked access
@@ -169,8 +176,14 @@ void irr_laswp(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
     ws = dev.workspace<int>("irrlaswp.s" + std::to_string(stream.id()),
                             irr_laswp_workspace_size(batch_size, jb));
   }
-  laswp_rehearsal(dev, stream, j, jb, dA_array, ldda, m_vec, n_vec,
-                  ipiv_array, batch_size, ws);
+  rehearse_and_move(dev, stream, jb, dA_array, ldda, ipiv_array, batch_size,
+                    ws, [=](int id) {
+    // DCWI's widths: columns [0, wl) left of the panel and [wr_off,
+    // wr_off + wr) right of it.
+    const LaswpWork w = dcwi_laswp(j, jb, m_vec[id], n_vec[id]);
+    if (w.none()) return SwapSpan{};
+    return SwapSpan{j, j + w.rows, {0, w.wr_off}, {w.wl, w.wr}};
+  });
 }
 
 template <typename T>
@@ -180,79 +193,17 @@ void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
                             const int* n_vec, int const* const* ipiv_array,
                             int batch_size, int* workspace) {
   if (batch_size <= 0 || k1 <= k0 || w <= 0) return;
-  const int jb = k1 - k0;
-  const int stride = 1 + 4 * jb;  // per-matrix workspace ints
   int* ws = workspace;
   if (ws == nullptr) {
     ws = dev.workspace<int>("irrlaswp.range.s" + std::to_string(stream.id()),
-                            irr_laswp_workspace_size(batch_size, jb));
+                            irr_laswp_workspace_size(batch_size, k1 - k0));
   }
-
-  // Phase 1 — rehearse the chain [k0, k1) on auxiliary index columns:
-  // identical bookkeeping to laswp_rehearsal's, but over an explicit
-  // pivot range rather than a DCWI-inferred panel.
-  dev.launch(stream,
-             {"irr_laswp_rehearse", batch_size, 0, gpusim::kIndependentBlocks},
-             [=](gpusim::BlockCtx& ctx) {
-    const int id = ctx.block();
-    int* w_cnt = ws + static_cast<std::ptrdiff_t>(id) * stride;
-    int* list = w_cnt + 1;     // touched (destination) rows
-    int* occ = list + 2 * jb;  // original row currently at list[t]
-    *w_cnt = 0;
+  // The chain [k0, min(k1, m)) over columns [c0, c0 + min(w, n - c0)).
+  rehearse_and_move(dev, stream, k1 - k0, dA_array, ldda, ipiv_array,
+                    batch_size, ws, [=](int id) {
     const int rows = std::min(k1, m_vec[id]);
-    if (rows <= k0 || n_vec[id] <= c0) return;
-    auto find_or_add = [&](int row) {
-      for (int t = 0; t < *w_cnt; ++t)
-        if (list[t] == row) return t;
-      const int t = (*w_cnt)++;
-      list[t] = row;
-      occ[t] = row;
-      return t;
-    };
-    for (int r = k0; r < rows; ++r) {
-      const int p = ipiv_array[id][r];
-      const int tr = find_or_add(r);
-      const int tp = find_or_add(p);
-      std::swap(occ[tr], occ[tp]);
-    }
-    ctx.record(0.0, (2.0 * (rows - k0) + 2.0 * *w_cnt) * sizeof(int));
-  });
-
-  // Phase 2 — move each touched row exactly once over the [c0, c0+w)
-  // column range, through shared-memory chunks (cf. laswp_rehearsal).
-  const std::size_t move_smem =
-      std::min(kMoveSmemBytes, dev.model().shared_mem_per_block);
-  const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size, move_smem,
-                                 gpusim::kIndependentBlocks};
-  dev.launch(stream, cfg, [=](gpusim::BlockCtx& ctx) {
-    const int id = ctx.block();
-    const int* w_cnt = ws + static_cast<std::ptrdiff_t>(id) * stride;
-    const int cnt = *w_cnt;
-    const int width = std::min(w, n_vec[id] - c0);
-    if (cnt == 0 || width <= 0) return;
-    const int* list = w_cnt + 1;
-    const int* occ = list + 2 * jb;
-    const int lda = ldda[id];
-    T* A = dA_array[id] + static_cast<std::ptrdiff_t>(c0) * lda;
-
-    const int cw =
-        std::max<int>(1, static_cast<int>(move_smem / sizeof(T)) / cnt);
-    T* chunk = ctx.smem_alloc<T>(static_cast<std::size_t>(cnt) * cw);
-    for (int cc = 0; cc < width; cc += cw) {
-      const int ec = std::min(cw, width - cc);
-      for (int t = 0; t < cnt; ++t)
-        for (int c = 0; c < ec; ++c)
-          chunk[static_cast<std::ptrdiff_t>(c) * cnt + t] =
-              A[static_cast<std::ptrdiff_t>(cc + c) * lda + occ[t]];
-      for (int t = 0; t < cnt; ++t)
-        for (int c = 0; c < ec; ++c)
-          A[static_cast<std::ptrdiff_t>(cc + c) * lda + list[t]] =
-              chunk[static_cast<std::ptrdiff_t>(c) * cnt + t];
-    }
-    // Each touched element read once + written once; the chunked access
-    // amortizes roughly half of the strided-row cache waste.
-    ctx.record(0.0,
-               2.0 * cnt * width * (row_penalty<T>() / 2.0) * sizeof(T));
+    if (rows <= k0 || n_vec[id] <= c0) return SwapSpan{};
+    return SwapSpan{k0, rows, {c0, 0}, {std::min(w, n_vec[id] - c0), 0}};
   });
 }
 

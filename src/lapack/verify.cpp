@@ -16,23 +16,6 @@ double max_abs(ConstMatrixView<double> a) {
   return m;
 }
 
-double norm_fro(ConstMatrixView<double> a) {
-  double s = 0;
-  for (int j = 0; j < a.cols(); ++j)
-    for (int i = 0; i < a.rows(); ++i) s += a(i, j) * a(i, j);
-  return std::sqrt(s);
-}
-
-double norm_inf(ConstMatrixView<double> a) {
-  double best = 0;
-  for (int i = 0; i < a.rows(); ++i) {
-    double s = 0;
-    for (int j = 0; j < a.cols(); ++j) s += std::abs(a(i, j));
-    best = std::max(best, s);
-  }
-  return best;
-}
-
 double lu_residual(ConstMatrixView<double> lu, const int* ipiv,
                    ConstMatrixView<double> a) {
   const int m = a.rows(), n = a.cols();

@@ -11,10 +11,6 @@ namespace irrlu::la {
 
 /// max |a(i,j)|.
 double max_abs(ConstMatrixView<double> a);
-/// Frobenius norm.
-double norm_fro(ConstMatrixView<double> a);
-/// Infinity norm (max row sum).
-double norm_inf(ConstMatrixView<double> a);
 
 /// Relative LU residual ||P*L*U - A||_max / (||A||_max * max(m,n) * eps)
 /// computed from a factored matrix `lu` (L unit-lower + U upper packed, as

@@ -19,12 +19,14 @@ namespace irrlu::refbatch {
 
 namespace {
 
-/// Single-matrix blocked LU as a chain of launches on one stream.
+/// Single-matrix blocked LU, panel width 32, as a chain of launches on
+/// one stream.
 template <typename T>
 void ref_getrf_single(gpusim::Device& dev, gpusim::Stream& stream, int m,
                       int n, T* const* dA, const int* ldda,
                       const int* mv, const int* nv, const int* kv,
-                      int* const* ipiv, int* info, int nb) {
+                      int* const* ipiv, int* info) {
+  constexpr int nb = 32;  // at most the 128 pivots the panel kernel holds
   const int kmin = std::min(m, n);
   for (int j = 0; j < kmin; j += nb) {
     const int jb = std::min(nb, kmin - j);
@@ -111,7 +113,6 @@ void streamed_getrf(gpusim::Device& dev, const std::vector<int>& m_sizes,
   const int bs = static_cast<int>(m_sizes.size());
   IRRLU_CHECK(n_sizes.size() == m_sizes.size());
   IRRLU_CHECK(opts.num_streams >= 1);
-  IRRLU_CHECK_MSG(opts.nb <= 128, "panel width above ref kernel capacity");
 
   // Host-side setup: per-matrix dimension arrays on the device (a
   // per-matrix solver needs sizes on the host anyway).
@@ -128,7 +129,7 @@ void streamed_getrf(gpusim::Device& dev, const std::vector<int>& m_sizes,
     auto& s = dev.stream(i % opts.num_streams);
     ref_getrf_single<T>(dev, s, mv[i], nv[i], dA_array + i, ldda + i,
                         mv.data() + i, nv.data() + i, kv.data() + i,
-                        ipiv_array + i, info_array + i, opts.nb);
+                        ipiv_array + i, info_array + i);
   }
   dev.synchronize_all();
 }

@@ -17,7 +17,6 @@ namespace irrlu::refbatch {
 
 struct StreamedOptions {
   int num_streams = 16;  ///< the paper's default
-  int nb = 32;           ///< panel width of the per-matrix solver
 };
 
 /// Factors every matrix of the batch independently: matrix i runs as a

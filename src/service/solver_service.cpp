@@ -79,10 +79,25 @@ void SolverService::bump(const char* name, double v) {
   if (auto* t = dev_.tracer()) t->add_counter(name, v);
 }
 
-void SolverService::bump_tenant(const std::string& tenant, const char* name,
-                                double v) {
-  if (auto* t = dev_.tracer())
-    t->add_counter("service.tenant." + tenant + "." + name, v);
+void SolverService::account(const std::string& tenant,
+                            const SolveResponse& r) {
+  TenantStats& t = stats_.tenants[tenant];
+  trace::Tracer* tracer = dev_.tracer();
+  auto count = [&](long& total, long& own, const char* name) {
+    ++total;
+    ++own;
+    if (tracer != nullptr) {
+      tracer->add_counter(std::string("service.") + name, 1);
+      tracer->add_counter("service.tenant." + tenant + "." + name, 1);
+    }
+  };
+  count(stats_.requests, t.requests, "requests");
+  if (r.admission == Admission::kRejectedMemory)
+    count(stats_.rejected, t.rejected, "rejected");
+  if (r.symbolic_cache_hit)
+    count(stats_.symbolic_hits, t.symbolic_hits, "symbolic_hits");
+  if (r.factor_reused)
+    count(stats_.factor_reuses, t.factor_reuses, "factor_reuses");
 }
 
 SolverService::Session* SolverService::find_session(
@@ -182,6 +197,13 @@ std::vector<SolveResponse> SolverService::flush() {
     auto symbolic_hit = [&](std::size_t i) {
       return group_cached || i != group_head;
     };
+    auto reject = [&](const std::vector<std::size_t>& idx) {
+      for (std::size_t i : idx) {
+        out[i].admission = Admission::kRejectedMemory;
+        out[i].symbolic_cache_hit = symbolic_hit(i);
+        account(reqs[i].tenant, out[i]);
+      }
+    };
     if (sess == nullptr) {
       auto fresh = std::make_unique<Session>();
       fresh->hash = g.hash;
@@ -210,22 +232,7 @@ std::vector<SolveResponse> SolverService::flush() {
       ++stats_.analyze_runs;
       bump("service.analyze_runs", 1);
       if (!admit(fresh->predicted_peak, nullptr)) {
-        for (std::size_t i : g.idx) {
-          out[i].admission = Admission::kRejectedMemory;
-          out[i].symbolic_cache_hit = symbolic_hit(i);
-          ++stats_.requests;
-          ++stats_.rejected;
-          if (symbolic_hit(i)) ++stats_.symbolic_hits;
-          auto& t = stats_.tenants[reqs[i].tenant];
-          ++t.requests;
-          ++t.rejected;
-          if (symbolic_hit(i)) ++t.symbolic_hits;
-          bump("service.requests", 1);
-          bump("service.rejected", 1);
-          if (symbolic_hit(i)) bump("service.symbolic_hits", 1);
-          bump_tenant(reqs[i].tenant, "requests", 1);
-          bump_tenant(reqs[i].tenant, "rejected", 1);
-        }
+        reject(g.idx);
         continue;
       }
       fresh->tick = ++lru_tick_;
@@ -267,22 +274,7 @@ std::vector<SolveResponse> SolverService::flush() {
       double run_factor_s = 0;  // simulated; billed to the paying request
       if (!run_reused) {
         if (!admit(sess->predicted_peak, sess)) {
-          for (std::size_t i : run.idx) {
-            out[i].admission = Admission::kRejectedMemory;
-            out[i].symbolic_cache_hit = symbolic_hit(i);
-            ++stats_.requests;
-            ++stats_.rejected;
-            if (symbolic_hit(i)) ++stats_.symbolic_hits;
-            auto& t = stats_.tenants[reqs[i].tenant];
-            ++t.requests;
-            ++t.rejected;
-            if (symbolic_hit(i)) ++t.symbolic_hits;
-            bump("service.requests", 1);
-            bump("service.rejected", 1);
-            if (symbolic_hit(i)) bump("service.symbolic_hits", 1);
-            bump_tenant(reqs[i].tenant, "requests", 1);
-            bump_tenant(reqs[i].tenant, "rejected", 1);
-          }
+          reject(run.idx);
           continue;
         }
         const double tf0 = dev_.host_time();
@@ -324,25 +316,12 @@ std::vector<SolveResponse> SolverService::flush() {
         bump("service.batched_rhs", static_cast<double>(bs.size()));
         for (std::size_t k = lo; k < hi; ++k) {
           const std::size_t i = run.idx[k];
-          const bool hit = symbolic_hit(i);
           const bool reused = factor_reused(i);
           out[i].report = std::move(reports[k - lo]);
-          out[i].symbolic_cache_hit = hit;
+          out[i].symbolic_cache_hit = symbolic_hit(i);
           out[i].factor_reused = reused;
           out[i].batch_width = static_cast<int>(hi - lo);
-          ++stats_.requests;
-          if (hit) ++stats_.symbolic_hits;
-          if (reused) ++stats_.factor_reuses;
-          auto& t = stats_.tenants[reqs[i].tenant];
-          ++t.requests;
-          if (hit) ++t.symbolic_hits;
-          if (reused) ++t.factor_reuses;
-          bump("service.requests", 1);
-          if (hit) bump("service.symbolic_hits", 1);
-          if (reused) bump("service.factor_reuses", 1);
-          bump_tenant(reqs[i].tenant, "requests", 1);
-          if (hit) bump_tenant(reqs[i].tenant, "symbolic_hits", 1);
-          if (reused) bump_tenant(reqs[i].tenant, "factor_reuses", 1);
+          account(reqs[i].tenant, out[i]);
           // Per-tenant latency: this request's share of simulated device
           // time — the batch it rode, plus the factorization if it was
           // the request that paid for one.

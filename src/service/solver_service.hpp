@@ -191,7 +191,9 @@ class SolverService {
   /// cannot be met even with everything else evicted.
   bool admit(std::size_t incoming_peak, const Session* keep);
   void bump(const char* name, double v);
-  void bump_tenant(const std::string& tenant, const char* name, double v);
+  /// Counts one flushed request's outcome in ServiceStats, the tenant's
+  /// TenantStats and the mirrored tracer counters.
+  void account(const std::string& tenant, const SolveResponse& r);
 
   gpusim::Device& dev_;
   const ServiceOptions opts_;

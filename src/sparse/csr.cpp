@@ -170,15 +170,6 @@ CsrMatrix CsrMatrix::permute_symmetric(const std::vector<int>& perm) const {
   return CsrMatrix(n_, std::move(ptr), std::move(ind), std::move(val));
 }
 
-double CsrMatrix::at(int i, int j) const {
-  const int lo = ptr_[static_cast<std::size_t>(i)];
-  const int hi = ptr_[static_cast<std::size_t>(i) + 1];
-  const auto it = std::lower_bound(ind_.begin() + lo, ind_.begin() + hi, j);
-  if (it != ind_.begin() + hi && *it == j)
-    return val_[static_cast<std::size_t>(it - ind_.begin())];
-  return 0.0;
-}
-
 namespace {
 
 /// FNV-1a over a span of 32-bit words (hashing the ints themselves, not

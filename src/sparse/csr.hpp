@@ -63,9 +63,6 @@ class CsrMatrix {
   /// (i.e. result(i, j) = A(perm[i], perm[j])).
   CsrMatrix permute_symmetric(const std::vector<int>& perm) const;
 
-  /// Entry lookup (binary search within the row); 0 if not present.
-  double at(int i, int j) const;
-
   /// Values-independent, order-stable 64-bit hash of the sparsity pattern:
   /// FNV-1a over (n, ptr, ind). Two matrices with the same structure hash
   /// identically whatever their values (the refactor cache key of the

@@ -29,14 +29,6 @@ const char* to_string(Engine e) {
   return "?";
 }
 
-const char* to_string(Precision p) {
-  switch (p) {
-    case Precision::kF64: return "f64";
-    case Precision::kF32: return "f32";
-  }
-  return "?";
-}
-
 const char* to_string(PrecisionPolicy p) {
   switch (p) {
     case PrecisionPolicy::kF64: return "f64";
@@ -394,7 +386,7 @@ class MultifrontalFactor::Pipeline {
   gpusim::DeviceBuffer<double> d_aval_;
   gpusim::DeviceBuffer<int> d_scat_;
   gpusim::DeviceBuffer<int> kmin_ws_, laswp_ws_;
-  batch::IrrLuOptions lu_;  ///< opts.lu wired to the workspaces
+  batch::IrrLuOptions lu_;  ///< default irrLU options on the workspaces
   std::vector<std::unique_ptr<FrontGroup>> groups_;  ///< alive to the end
 };
 
@@ -511,9 +503,8 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
     IRRLU_TRACE_SCOPE(dev_.tracer(), "workspace");
     kmin_ws_ = dev_.alloc<int>(static_cast<std::size_t>(max_batch));
     laswp_ws_ = dev_.alloc<int>(
-        batch::irr_laswp_workspace_size(max_batch, std::max(1, opts.lu.nb)));
+        batch::irr_laswp_workspace_size(max_batch, lu_.nb));
   }
-  lu_ = opts.lu;
   lu_.kmin_workspace = kmin_ws_.data();
   lu_.laswp_workspace = laswp_ws_.data();
 }
@@ -760,7 +751,7 @@ void MultifrontalFactor::Pipeline::factor_group(const FrontGroup& g) {
       // small-front batches. The preallocated laswp workspace is sized for
       // the FP64 nb; passing null lets irr_getrf draw a matching wider one
       // from the device's per-stream workspace cache.
-      lu.nb = 2 * std::max(1, lu.nb);
+      lu.nb = 2 * lu.nb;
       lu.laswp_workspace = nullptr;
     }
     if (opts_.pivot_tau > 0) {

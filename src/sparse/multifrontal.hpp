@@ -46,7 +46,6 @@ const char* to_string(Engine e);
 struct FactorOptions {
   Engine engine = Engine::kBatched;
   MemoryMode memory = MemoryMode::kAllUpfront;
-  batch::IrrLuOptions lu;  ///< panel width, laswp method, ...
   /// Figure-14 hybrid ("cuBLAS GEMM in a loop for sizes > 256"): within
   /// the batched engine, fronts of order d = s + u > threshold stay in
   /// their level's batch for the norm, irrLU, row swaps, both TRSMs and

@@ -33,7 +33,6 @@ enum class PrecisionPolicy {
 /// kAdaptive: number of levels from the root (level 0) kept in FP64.
 inline constexpr int kAdaptiveRootLevels = 2;
 
-const char* to_string(Precision p);
 const char* to_string(PrecisionPolicy p);
 
 /// Inverse of to_string(PrecisionPolicy) for CLI flags ("f64" | "f32" |

@@ -368,11 +368,6 @@ double SparseDirectSolver::residual(const std::vector<double>& x,
   return a_.residual(x.data(), b.data());
 }
 
-double SparseDirectSolver::residual_componentwise(
-    const std::vector<double>& x, const std::vector<double>& b) const {
-  return a_.componentwise_residual(x.data(), b.data());
-}
-
 std::vector<LevelStats> SparseDirectSolver::level_stats() const {
   std::vector<LevelStats> out;
   for (std::size_t lvl = 0; lvl < sym_.levels.size(); ++lvl) {

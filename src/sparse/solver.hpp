@@ -155,12 +155,6 @@ class SparseDirectSolver {
   double residual(const std::vector<double>& x,
                   const std::vector<double>& b) const;
 
-  /// Componentwise (Oettli–Prager) backward error
-  /// max_i |b - A x|_i / (|A| |x| + |b|)_i — the quantity the refinement
-  /// loop drives down and SolveReport::berr records.
-  double residual_componentwise(const std::vector<double>& x,
-                                const std::vector<double>& b) const;
-
   const SymbolicAnalysis& symbolic() const { return sym_; }
   const MultifrontalFactor& numeric() const { return *factor_; }
   std::vector<LevelStats> level_stats() const;

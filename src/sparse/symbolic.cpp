@@ -84,11 +84,6 @@ void finalize(SymbolicAnalysis& sym) {
 }  // namespace
 
 std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
-    MemoryMode mode) const {
-  return predicted_level_peak_bytes(mode, {});
-}
-
-std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
     MemoryMode mode, const std::vector<Precision>& level_prec) const {
   // Element width of one level's fronts (and its slice of the factor
   // store). Empty policy = uniform FP64, which reproduces the original
@@ -169,10 +164,6 @@ std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
     }
   }
   return out;
-}
-
-std::size_t SymbolicAnalysis::predicted_peak_bytes(MemoryMode mode) const {
-  return predicted_peak_bytes(mode, {});
 }
 
 std::size_t SymbolicAnalysis::predicted_peak_bytes(

@@ -60,16 +60,12 @@ struct SymbolicAnalysis {
   /// Entry [lvl] is the footprint while level lvl is being factored;
   /// kAllUpfront is exact for every engine (the non-batched engines force
   /// that mode), kStackedLevels models the two-adjacent-levels window.
-  std::vector<std::size_t> predicted_level_peak_bytes(MemoryMode mode) const;
-  /// Maximum of predicted_level_peak_bytes over all levels — the global
-  /// predicted peak, comparable to FactorReport::measured_peak_bytes.
-  std::size_t predicted_peak_bytes(MemoryMode mode) const;
-  /// Precision-aware variants: `level_prec[lvl]` is the element precision
-  /// of level lvl's fronts (FP32 levels store and stage at half width).
-  /// An empty vector means all-FP64; the all-FP64 result is identical to
-  /// the two-argument overloads, byte for byte.
+  /// `level_prec[lvl]` is the element precision of level lvl's fronts
+  /// (FP32 levels store and stage at half width); empty means all-FP64.
   std::vector<std::size_t> predicted_level_peak_bytes(
       MemoryMode mode, const std::vector<Precision>& level_prec) const;
+  /// Maximum of predicted_level_peak_bytes over all levels — the global
+  /// predicted peak, comparable to FactorReport::measured_peak_bytes.
   std::size_t predicted_peak_bytes(
       MemoryMode mode, const std::vector<Precision>& level_prec) const;
 

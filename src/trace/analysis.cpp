@@ -15,17 +15,6 @@
 
 namespace irrlu::trace {
 
-const char* to_string(BindKind k) {
-  switch (k) {
-    case BindKind::kStart: return "start";
-    case BindKind::kDispatch: return "dispatch";
-    case BindKind::kStream: return "stream";
-    case BindKind::kSync: return "sync";
-    case BindKind::kOccupancy: return "occupancy";
-  }
-  return "?";
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -447,10 +436,8 @@ AnalysisOptions analysis_options_from_env() {
   AnalysisOptions opts;
   if (const char* v = std::getenv("IRRLU_TRACE_ANALYSIS"))
     opts.enabled = std::string_view(v) != "0";
-  if (const char* v = std::getenv("IRRLU_TRACE_WHATIF")) {
+  if (const char* v = std::getenv("IRRLU_TRACE_WHATIF"))
     opts.whatif_speedup = std::atof(v);
-    if (opts.whatif_speedup <= 1.0) opts.what_ifs = false;
-  }
   if (const char* v = std::getenv("IRRLU_TRACE_TOPK"))
     opts.top_k = std::max(1, std::atoi(v));
   return opts;
@@ -512,7 +499,7 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
   a.kernels = sorted_rows(std::move(kern));
   a.scopes = sorted_rows(std::move(scop));
 
-  if (!opts.what_ifs || opts.whatif_speedup <= 1.0) return a;
+  if (opts.whatif_speedup <= 1.0) return a;
   std::vector<std::string> scope_paths;  // per scope id, cached
   scope_paths.reserve(tracer.scopes().size());
   for (std::size_t s = 0; s < tracer.scopes().size(); ++s)

@@ -54,7 +54,6 @@ enum class BindKind {
   kSync,       ///< a host synchronize() joining a stream
   kOccupancy,  ///< SM slots busy with other work
 };
-const char* to_string(BindKind k);
 
 /// One node of the critical path. `contribution` is telescoping: the
 /// node's exit time minus its predecessor's anchor time, so the sum over
@@ -143,12 +142,12 @@ struct AnalysisOptions {
   /// Master switch: when false, reports and summaries skip the analysis
   /// pass entirely (the "analysis" object is absent from the JSON).
   bool enabled = true;
-  /// k for the automatic what-if projections over the top contributors.
+  /// k for the automatic what-if projections over the top contributors;
+  /// <= 1 skips the replays.
   double whatif_speedup = 2.0;
   /// How many top kernels/scopes get what-if projections (and how many
   /// rows the text report prints).
   int top_k = 3;
-  bool what_ifs = true;  ///< disable to skip the replays (cheaper)
 };
 
 /// Environment overrides for the options (all optional):

@@ -16,6 +16,7 @@
 #include "fem/nodal.hpp"
 #include "gpusim/device.hpp"
 #include "sparse/solver.hpp"
+#include "helpers.hpp"
 
 using namespace irrlu::fem;
 using irrlu::Rng;
@@ -24,6 +25,7 @@ using irrlu::gpusim::DeviceModel;
 using irrlu::sparse::CsrMatrix;
 using irrlu::sparse::SparseDirectSolver;
 using irrlu::sparse::SolverOptions;
+using irrlu::test::csr_entry;
 
 TEST(HexMesh, BoxCounts) {
   const HexMesh m = HexMesh::box(3, 2, 4);
@@ -192,14 +194,15 @@ TEST(Maxwell, OperatorIsSymmetricIndefinite) {
     for (int k = sys.a.ptr()[static_cast<std::size_t>(i)];
          k < sys.a.ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
       const int j = sys.a.ind()[static_cast<std::size_t>(k)];
-      EXPECT_NEAR(sys.a.at(i, j), sys.a.at(j, i), 1e-12);
+      EXPECT_NEAR(csr_entry(sys.a, i, j), csr_entry(sys.a, j, i),
+                  1e-12);
     }
   // Indefiniteness witnesses: some unit vector has positive energy (the
   // curl term dominates for oscillatory modes), while any gradient field
   // has energy exactly -omega^2 |grad p|^2_M < 0 (curl grad = 0).
   bool pos_diag = false;
   for (int k = 0; k < sys.num_dofs; ++k)
-    if (sys.a.at(k, k) > 0) pos_diag = true;
+    if (csr_entry(sys.a, k, k) > 0) pos_diag = true;
   EXPECT_TRUE(pos_diag);
 
   std::vector<int> dof_of_vertex;

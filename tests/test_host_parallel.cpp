@@ -29,12 +29,14 @@
 #include "sparse/csr.hpp"
 #include "sparse/solver.hpp"
 #include "trace/trace.hpp"
+#include "helpers.hpp"
 
 using namespace irrlu;
 using gpusim::BlockCtx;
 using gpusim::Device;
 using gpusim::DeviceModel;
 using gpusim::kIndependentBlocks;
+using test::ScopedHostThreads;
 
 namespace {
 
@@ -68,14 +70,14 @@ struct DeviceTrace {
   bool operator==(const DeviceTrace&) const = default;
 };
 
-/// Runs `fn(dev)` on a fresh A100 device with 1 and with kThreads host
+/// Runs `fn(dev)` on a fresh `model` device with 1 and with kThreads host
 /// threads; checks that the device traces agree and that the second run
 /// really used the host pool, and returns both results.
 template <typename Fn>
-auto run_both(Fn fn) {
+auto run_both(Fn fn, const DeviceModel& model = DeviceModel::a100()) {
   auto one = [&](int threads) {
-    Device dev(DeviceModel::a100());
-    dev.set_host_threads(threads);
+    const ScopedHostThreads scope(threads);
+    Device dev(model);
     auto result = fn(dev);
     EXPECT_EQ(dev.pooled_launch_count() > 0, threads > 1);
     return std::make_pair(std::move(result), DeviceTrace(dev));
@@ -220,8 +222,6 @@ TEST(HostPool, DefaultThreadsHonorsEnvironment) {
     setenv("IRRLU_HOST_THREADS", saved.c_str(), 1);
   else
     unsetenv("IRRLU_HOST_THREADS");
-  Device dev(DeviceModel::test_tiny());
-  EXPECT_THROW(dev.set_host_threads(0), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ TEST(ParallelLaunch, IndependentBlocksRunOnceAndFoldCostsInOrder) {
   // Costs chosen so that floating-point summation order matters: the
   // folded totals must be bitwise the serial ones.
   auto run = [](int threads) {
+    const ScopedHostThreads scope(threads);
     Device dev(DeviceModel::a100());
-    dev.set_host_threads(threads);
     std::vector<int> hits(997, 0);
     for (int rep = 0; rep < 20; ++rep)
       dev.launch(dev.stream(), {"k", 997, 256, kIndependentBlocks},
@@ -252,8 +252,8 @@ TEST(ParallelLaunch, IndependentBlocksRunOnceAndFoldCostsInOrder) {
 }
 
 TEST(ParallelLaunch, SharedMemoryIsPrivatePerBlock) {
+  const ScopedHostThreads scope(kThreads);
   Device dev(DeviceModel::a100());
-  dev.set_host_threads(kThreads);
   std::atomic<int> bad{0};
   dev.launch(dev.stream(), {"smem", 256, 4096, kIndependentBlocks},
              [&](BlockCtx& c) {
@@ -270,8 +270,8 @@ TEST(ParallelLaunch, SharedMemoryIsPrivatePerBlock) {
 
 TEST(ParallelLaunch, ThrowsTheLowestFailingBlockAndFoldsOnlyBlocksBefore) {
   auto run = [](int threads) {
+    const ScopedHostThreads scope(threads);
     Device dev(DeviceModel::a100());
-    dev.set_host_threads(threads);
     std::string what;
     try {
       dev.launch(dev.stream(), {"fail", 500, 0, kIndependentBlocks},
@@ -302,8 +302,8 @@ TEST(ParallelLaunch, ChainsKeepTheirOrderAndSummation) {
   // the serial ones and each chain must run in index order.
   const std::vector<int> chains = {0, 1, 5, 6, 40, 41, 42, 90};
   auto run = [&](int threads) {
+    const ScopedHostThreads scope(threads);
     Device dev(DeviceModel::a100());
-    dev.set_host_threads(threads);
     std::vector<double> acc(chains.size(), 0.1);
     std::vector<int> last(chains.size(), -1);
     std::atomic<int> out_of_order{0};
@@ -340,8 +340,8 @@ TEST(ParallelLaunch, RejectsMalformedChains) {
 }
 
 TEST(ParallelLaunch, MutableAndSerialBodiesStayOnTheCallingThread) {
+  const ScopedHostThreads scope(kThreads);
   Device dev(DeviceModel::a100());
-  dev.set_host_threads(kThreads);
   const auto caller = std::this_thread::get_id();
   int off_thread = 0;
   // A mutable body may carry state across blocks: never concurrent.
@@ -439,6 +439,7 @@ class FactorIdentity : public ::testing::TestWithParam<int> {};
 TEST_P(FactorIdentity, FactorSolveAndTimelineMatchOneThread) {
   const sparse::CsrMatrix a = sparse::laplacian3d(12, 11, 10, -2.17);
   sparse::SolverOptions opts;
+  DeviceModel model = DeviceModel::a100();
   switch (GetParam()) {
     case 0:  // defaults (FP64, strided)
       break;
@@ -449,13 +450,18 @@ TEST_P(FactorIdentity, FactorSolveAndTimelineMatchOneThread) {
       opts.factor.precision = sparse::PrecisionPolicy::kAdaptive;
       opts.factor.interleaved.enabled = true;
       break;
-    case 3:
+    case 3:  // 512 B of shared memory fits no panel: column-wise panels
       opts.factor.memory = sparse::MemoryMode::kStackedLevels;
-      opts.factor.lu.force_columnwise_panel = true;
+      model.shared_mem_per_block = 512;
       break;
   }
-  const auto both =
-      run_both([&](Device& dev) { return factor_and_solve(dev, a, opts); });
+  const auto both = run_both(
+      [&](Device& dev) {
+        FactorRun r = factor_and_solve(dev, a, opts);
+        EXPECT_EQ(dev.profile().count("irr_scal"), GetParam() == 3 ? 1u : 0u);
+        return r;
+      },
+      model);
   EXPECT_TRUE(both.first == both.second);
 }
 
@@ -468,8 +474,8 @@ TEST(HostThreadsIdentity, TraceRowsMatchOneThread) {
   const sparse::CsrMatrix a = sparse::laplacian3d(7, 7, 7, -1.3);
   auto rows = [&](int threads) {
     trace::Tracer tracer;
+    const ScopedHostThreads scope(threads);
     Device dev(DeviceModel::a100());
-    dev.set_host_threads(threads);
     dev.set_tracer(&tracer);
     sparse::SparseDirectSolver solver;
     solver.analyze(a);
@@ -492,8 +498,8 @@ TEST(HostThreadsIdentity, TraceRowsMatchOneThread) {
 
 TEST(HostThreadsIdentity, ServiceResponsesMatchOneThread) {
   auto run = [](int threads) {
+    const ScopedHostThreads scope(threads);
     Device dev(DeviceModel::a100());
-    dev.set_host_threads(threads);
     service::ServiceOptions so;
     so.max_cached_patterns = 2;
     service::SolverService svc(dev, so);

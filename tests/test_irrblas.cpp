@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -15,6 +18,7 @@
 #include "lapack/blas.hpp"
 #include "lapack/lapack.hpp"
 #include "lapack/verify.hpp"
+#include "trace/trace.hpp"
 
 namespace la = irrlu::la;
 using namespace irrlu::batch;
@@ -471,6 +475,157 @@ TEST(IrrLaswp, MatchesLapackLaswp) {
   EXPECT_EQ(batch_max_diff(A, R), 0.0);
 }
 
+namespace {
+
+/// Hand-built pivots of a matrix with m rows: row r keeps its place
+/// (r % 3 == 0), swaps with row r + 5 (r % 3 == 1), or swaps with r + 4,
+/// the row its predecessor already targeted (r % 3 == 2); targets are
+/// clamped to the last row. So targets repeat, and a row displaced by one
+/// swap is displaced again by the next: every rehearsal resolves chains.
+std::vector<int> chain_pivots(int m) {
+  std::vector<int> p(static_cast<std::size_t>(m));
+  for (int r = 0; r < m; ++r)
+    p[static_cast<std::size_t>(r)] =
+        r % 3 == 0 ? r : std::min(m - 1, r + (r % 3 == 1 ? 5 : 4));
+  return p;
+}
+
+/// Rows a rehearsal of pivots [k0, k1) touches: each pivot row and its
+/// target, counted once.
+int touched_rows(const std::vector<int>& piv, int k0, int k1) {
+  std::vector<int> rows;
+  for (int r = k0; r < k1; ++r) {
+    rows.push_back(r);
+    rows.push_back(piv[static_cast<std::size_t>(r)]);
+  }
+  std::sort(rows.begin(), rows.end());
+  return static_cast<int>(std::unique(rows.begin(), rows.end()) -
+                          rows.begin());
+}
+
+/// One traced launch: kernel name, grid, shared memory and bytes.
+using LaunchRow = std::tuple<std::string, int, std::size_t, double>;
+
+/// Runs the rehearsed row swaps — irr_laswp's kRehearsal panels at
+/// j = 0, 8, 16, 24, 32 and one irr_laswp_range_staged call over pivots
+/// [2, 20) and columns [3, 20) — on a batch with hand-built pivot chains.
+/// Checks every matrix bit for bit against la::laswp on a host copy, and
+/// every traced launch's bytes against the rehearse / move cost formulas
+/// of irr_laswp.cpp.
+template <typename T>
+void check_rehearsal_on_chains() {
+  Device dev(DeviceModel::a100());
+  irrlu::trace::Tracer tracer;
+  dev.set_tracer(&tracer);
+  const std::size_t move_smem = 32 << 10;  // min(32 KiB, A100's 164 KiB)
+  const double row_bytes = 64.0 / sizeof(T) / 2.0 * sizeof(T);
+  std::vector<LaunchRow> expect;
+
+  auto run = [&](const std::vector<int>& m, const std::vector<int>& n,
+                 auto&& launch_and_reference) {
+    const int bs = static_cast<int>(m.size());
+    Rng rng(97);
+    VBatch<T> A(dev, m, n), R(dev, m, n);
+    A.fill_uniform(rng);
+    R.copy_from(A);
+    std::vector<std::vector<int>> host_piv;
+    std::size_t total = 0;
+    for (int mi : m) {
+      host_piv.push_back(chain_pivots(mi));
+      total += static_cast<std::size_t>(mi);
+    }
+    auto piv_store = dev.alloc<int>(total);
+    auto piv = dev.alloc<int*>(static_cast<std::size_t>(bs));
+    for (std::size_t i = 0, off = 0; i < host_piv.size(); ++i) {
+      piv[i] = piv_store.data() + off;
+      std::copy(host_piv[i].begin(), host_piv[i].end(), piv[i]);
+      off += host_piv[i].size();
+    }
+    launch_and_reference(A, R, const_cast<int const* const*>(piv.data()),
+                         host_piv);
+    dev.synchronize_all();
+    for (int i = 0; i < bs; ++i)
+      EXPECT_EQ(std::memcmp(A.view(i).data(), R.view(i).data(),
+                            sizeof(T) * static_cast<std::size_t>(A.m_of(i)) *
+                                static_cast<std::size_t>(A.n_of(i))),
+                0)
+          << "matrix " << i << " (" << m[static_cast<std::size_t>(i)] << "x"
+          << n[static_cast<std::size_t>(i)] << ")";
+  };
+
+  // Panels: tall, wide, square, tiny and empty matrices, so DCWI retires
+  // them at different panels; at j > 0 both column segments are non-empty.
+  const std::vector<int> pm = {40, 40, 23, 13, 9, 1, 6, 0, 30};
+  const std::vector<int> pn = {40, 23, 40, 9, 13, 6, 1, 4, 30};
+  const int jb = 8;
+  run(pm, pn, [&](VBatch<T>& A, VBatch<T>& R, int const* const* piv,
+                  const std::vector<std::vector<int>>& hp) {
+    const int bs = A.batch_size();
+    for (int j = 0; j < 40; j += jb) {
+      irr_laswp<T>(dev, dev.stream(), j, jb, A.ptrs(), A.lda(), A.m_vec(),
+                   A.n_vec(), piv, bs, LaswpMethod::kRehearsal);
+      double rehearse = 0, move = 0;
+      for (int i = 0; i < bs; ++i) {
+        const int m = A.m_of(i), n = A.n_of(i);
+        const int k2 = std::min(j + jb, std::min(m, n));
+        if (k2 <= j) continue;
+        const int cnt = touched_rows(hp[static_cast<std::size_t>(i)], j, k2);
+        const int wl = std::min(j, n), wr = std::max(0, n - (j + jb));
+        rehearse += (2.0 * (k2 - j) + 2.0 * cnt) * sizeof(int);
+        move += 2.0 * cnt * (wl + wr) * row_bytes;
+        const int* ip = hp[static_cast<std::size_t>(i)].data();
+        T* a = R.view(i).data();
+        const int lda = A.lda()[i];
+        la::laswp(wl, a, lda, j, k2, ip);
+        la::laswp(wr, a + static_cast<std::ptrdiff_t>(j + jb) * lda, lda, j,
+                  k2, ip);
+      }
+      expect.emplace_back("irr_laswp_rehearse", bs, 0, rehearse);
+      expect.emplace_back("irr_laswp_move", bs, move_smem, move);
+    }
+  });
+
+  // Range: matrices shorter than k1, narrower than c0 + w, at or below
+  // c0 columns, and with no pivot row past k0.
+  const int k0 = 2, k1 = 20, c0 = 3, w = 17;
+  const std::vector<int> rm = {30, 12, 30, 30, 2, 25, 20};
+  const std::vector<int> rn = {30, 30, 10, 3, 30, 21, 20};
+  run(rm, rn, [&](VBatch<T>& A, VBatch<T>& R, int const* const* piv,
+                  const std::vector<std::vector<int>>& hp) {
+    const int bs = A.batch_size();
+    irr_laswp_range_staged<T>(dev, dev.stream(), k0, k1, w, A.ptrs(),
+                              A.lda(), c0, A.m_vec(), A.n_vec(), piv, bs);
+    double rehearse = 0, move = 0;
+    for (int i = 0; i < bs; ++i) {
+      const int rows = std::min(k1, A.m_of(i));
+      const int width = std::min(w, A.n_of(i) - c0);
+      if (rows <= k0 || width <= 0) continue;
+      const int cnt = touched_rows(hp[static_cast<std::size_t>(i)], k0, rows);
+      rehearse += (2.0 * (rows - k0) + 2.0 * cnt) * sizeof(int);
+      move += 2.0 * cnt * width * row_bytes;
+      const int lda = A.lda()[i];
+      la::laswp(width, R.view(i).data() + static_cast<std::ptrdiff_t>(c0) * lda,
+                lda, k0, rows, hp[static_cast<std::size_t>(i)].data());
+    }
+    expect.emplace_back("irr_laswp_rehearse", bs, 0, rehearse);
+    expect.emplace_back("irr_laswp_move", bs, move_smem, move);
+  });
+
+  dev.set_tracer(nullptr);
+  std::vector<LaunchRow> got;
+  for (const auto& r : tracer.launches())
+    got.emplace_back(tracer.kernel_name(r.name_id), r.blocks, r.smem_bytes,
+                     r.bytes);
+  EXPECT_EQ(got, expect);
+}
+
+}  // namespace
+
+TEST(IrrLaswp, RehearsalResolvesChainsAndPinsBytes) {
+  check_rehearsal_on_chains<double>();
+  check_rehearsal_on_chains<float>();
+}
+
 // ----------------------------------------------------------------- irrLU
 
 class IrrLuDevices : public ::testing::TestWithParam<const char*> {
@@ -527,21 +682,26 @@ TEST(IrrLu, RectangularBatches) {
 
 TEST(IrrLu, PanelPathsProduceSamePivots) {
   Device dev(DeviceModel::a100());
+  // Too little shared memory for any panel of this batch: irr_getrf falls
+  // back to the column-wise panel, as on the paper's MI100.
+  DeviceModel small = DeviceModel::a100();
+  small.shared_mem_per_block = 512;
+  Device colwise(small);
   Rng rng(71);
   const int bs = 10;
   auto n = rng.uniform_sizes(bs, 1, 64);
-  VBatch<double> A(dev, n), B(dev, n);
+  VBatch<double> A(dev, n), B(colwise, n);
   A.fill_uniform(rng);
   B.copy_from(A);
-  PivotBatch pa(dev, n, n), pb(dev, n, n);
-  IrrLuOptions fused;
-  IrrLuOptions colwise;
-  colwise.force_columnwise_panel = true;
+  PivotBatch pa(dev, n, n), pb(colwise, n, n);
   irr_getrf<double>(dev, dev.stream(), 64, 64, A.ptrs(), A.lda(), 0, 0,
-                    A.m_vec(), A.n_vec(), pa.ptrs(), pa.info(), bs, fused);
-  irr_getrf<double>(dev, dev.stream(), 64, 64, B.ptrs(), B.lda(), 0, 0,
-                    B.m_vec(), B.n_vec(), pb.ptrs(), pb.info(), bs, colwise);
+                    A.m_vec(), A.n_vec(), pa.ptrs(), pa.info(), bs);
+  irr_getrf<double>(colwise, colwise.stream(), 64, 64, B.ptrs(), B.lda(), 0,
+                    0, B.m_vec(), B.n_vec(), pb.ptrs(), pb.info(), bs);
   dev.synchronize_all();
+  colwise.synchronize_all();
+  EXPECT_EQ(dev.profile().count("irr_scal"), 0u);  // fused panels only
+  EXPECT_GE(colwise.profile().count("irr_scal"), 1u);
   for (int i = 0; i < bs; ++i)
     for (int c = 0; c < n[static_cast<std::size_t>(i)]; ++c)
       ASSERT_EQ(pa.ipiv_of(i)[c], pb.ipiv_of(i)[c]);

@@ -309,7 +309,7 @@ TEST(MemTrace, PredictedPeakExactForAllUpfront) {
   const auto& rep = solver.numeric().report();
   EXPECT_EQ(rep.predicted_peak_bytes,
             solver.symbolic().predicted_peak_bytes(
-                sparse::MemoryMode::kAllUpfront));
+                sparse::MemoryMode::kAllUpfront, {}));
   EXPECT_EQ(rep.predicted_peak_bytes, rep.measured_peak_bytes);  // exact
   EXPECT_GT(rep.measured_peak_bytes, 0u);
 }
@@ -337,18 +337,18 @@ TEST(MemTrace, PredictedLevelPeaksAreConsistent) {
 
   for (auto mode : {sparse::MemoryMode::kAllUpfront,
                     sparse::MemoryMode::kStackedLevels}) {
-    const auto levels = sym.predicted_level_peak_bytes(mode);
+    const auto levels = sym.predicted_level_peak_bytes(mode, {});
     ASSERT_EQ(levels.size(), sym.levels.size());
     EXPECT_EQ(*std::max_element(levels.begin(), levels.end()),
-              sym.predicted_peak_bytes(mode));
+              sym.predicted_peak_bytes(mode, {}));
   }
   // The stacked window can never exceed the all-upfront footprint.
   const auto up = sym.predicted_level_peak_bytes(
-      sparse::MemoryMode::kAllUpfront);
+      sparse::MemoryMode::kAllUpfront, {});
   const auto st = sym.predicted_level_peak_bytes(
-      sparse::MemoryMode::kStackedLevels);
+      sparse::MemoryMode::kStackedLevels, {});
   for (std::size_t lvl = 0; lvl < up.size(); ++lvl)
     EXPECT_LE(st[lvl], up[lvl]) << "level " << lvl;
-  EXPECT_LE(sym.predicted_peak_bytes(sparse::MemoryMode::kStackedLevels),
-            sym.predicted_peak_bytes(sparse::MemoryMode::kAllUpfront));
+  EXPECT_LE(sym.predicted_peak_bytes(sparse::MemoryMode::kStackedLevels, {}),
+            sym.predicted_peak_bytes(sparse::MemoryMode::kAllUpfront, {}));
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,9 +22,11 @@
 #include "ordering/nested_dissection.hpp"
 #include "sparse/csr.hpp"
 #include "fnv1a.hpp"
+#include "helpers.hpp"
 
 using namespace irrlu::ordering;
 using irrlu::Rng;
+using irrlu::test::ScopedHostThreads;
 
 namespace {
 
@@ -538,28 +539,6 @@ void expect_golden_digests() {
   }
 }
 
-/// Sets IRRLU_HOST_THREADS for one scope; restores the previous value, or
-/// its absence, on exit.
-class ScopedHostThreads {
- public:
-  explicit ScopedHostThreads(const char* value) {
-    if (const char* old = std::getenv(kVar)) saved_ = old;
-    setenv(kVar, value, 1);
-  }
-  ~ScopedHostThreads() {
-    if (saved_)
-      setenv(kVar, saved_->c_str(), 1);
-    else
-      unsetenv(kVar);
-  }
-  ScopedHostThreads(const ScopedHostThreads&) = delete;
-  ScopedHostThreads& operator=(const ScopedHostThreads&) = delete;
-
- private:
-  static constexpr const char* kVar = "IRRLU_HOST_THREADS";
-  std::optional<std::string> saved_;
-};
-
 /// `cliques` cliques of `size` vertices in a ring, neighbours joined by one
 /// edge: dissection cuts the ring apart, and each clique larger than a leaf
 /// then bisects with an empty side, so it takes the minimum-degree fallback.
@@ -606,11 +585,11 @@ Graph disconnected_grids() {
 void expect_same_at_one_and_four_threads(const Graph& g, const NDOptions& o) {
   Ordering one, four;
   {
-    const ScopedHostThreads threads("1");
+    const ScopedHostThreads threads(1);
     one = nested_dissection(g, o);
   }
   {
-    const ScopedHostThreads threads("4");
+    const ScopedHostThreads threads(4);
     four = nested_dissection(g, o);
   }
   EXPECT_EQ(one.perm, four.perm);
@@ -633,8 +612,8 @@ TEST(OrderingDigest, UnchangedFromParent) { expect_golden_digests(); }
 TEST(OrderingDigest, UnchangedAtOneTwoAndFourHostThreads) {
   // Nested dissection bisects each level's subgraphs on the host pool;
   // the digests must not depend on how many threads it has.
-  for (const char* threads : {"1", "2", "4"}) {
-    SCOPED_TRACE(std::string("IRRLU_HOST_THREADS=") + threads);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("IRRLU_HOST_THREADS=" + std::to_string(threads));
     const ScopedHostThreads scoped(threads);
     expect_golden_digests();
   }

@@ -22,6 +22,7 @@
 #include "ordering/nested_dissection.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/solver.hpp"
+#include "helpers.hpp"
 
 namespace la = irrlu::la;
 using namespace irrlu::batch;
@@ -29,6 +30,7 @@ using irrlu::Matrix;
 using irrlu::Rng;
 using irrlu::gpusim::Device;
 using irrlu::gpusim::DeviceModel;
+using irrlu::test::csr_entry;
 namespace ord = irrlu::ordering;
 namespace sp = irrlu::sparse;
 
@@ -338,7 +340,7 @@ TEST(CsrFuzz, TransformsMatchDenseMirror) {
       for (int j = 0; j < n; ++j) {
         const int oi = perm[static_cast<std::size_t>(i)];
         const int oj = perm[static_cast<std::size_t>(j)];
-        ASSERT_NEAR(s.at(i, j),
+        ASSERT_NEAR(csr_entry(s, i, j),
                     dr[static_cast<std::size_t>(oi)] * dense(oi, oj) *
                         dc[static_cast<std::size_t>(oj)],
                     1e-13)

@@ -426,11 +426,12 @@ TEST(Service, EvictsLruToMeetBudget) {
     (void)warm.solve({make_req("t", pa, 1)});
     resident_a = warm.resident_factor_bytes();
     peak_a = warm.peek(pa)->symbolic().predicted_peak_bytes(
-        unlimited.solver.factor.memory);
+        unlimited.solver.factor.memory, {});
     SparseDirectSolver sb(unlimited.solver);
     sb.analyze(pb);
     peak_b =
-        sb.symbolic().predicted_peak_bytes(unlimited.solver.factor.memory);
+        sb.symbolic().predicted_peak_bytes(unlimited.solver.factor.memory,
+                                           {});
   }
   ASSERT_GT(resident_a, 0u);
 
@@ -507,6 +508,46 @@ TEST(Service, PerTenantStatsAndTracerCounters) {
   EXPECT_EQ(c.at("service.symbolic_hits"), 2.0);
   EXPECT_EQ(c.at("service.tenant.alice.requests"), 2.0);
   EXPECT_EQ(c.at("service.tenant.bob.requests"), 1.0);
+  dev.set_tracer(nullptr);
+}
+
+TEST(Service, RejectedRequestsKeepTenantCountersEqualToStats) {
+  // A budget below any factorization peak rejects the whole group; its
+  // second request shares the group's analyze, so it is a symbolic hit
+  // even though it was rejected.
+  Device dev(DeviceModel::a100());
+  Tracer t;
+  dev.set_tracer(&t);
+  ServiceOptions opts;
+  opts.memory_budget_bytes = 64;
+  SolverService svc(dev, opts);
+  std::vector<SolveRequest> reqs;
+  reqs.push_back(make_req("alice", laplacian2d(8, 8), 1));
+  reqs.push_back(make_req("bob", perturbed_laplacian(8, 2), 2));
+  const auto out = svc.solve(std::move(reqs));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].admission, Admission::kRejectedMemory);
+  EXPECT_EQ(out[1].admission, Admission::kRejectedMemory);
+  EXPECT_FALSE(out[0].symbolic_cache_hit);
+  EXPECT_TRUE(out[1].symbolic_cache_hit);
+
+  const auto& c = t.counters();
+  auto counter = [&](const std::string& name) {
+    const auto it = c.find(name);
+    return it == c.end() ? 0.0 : it->second;
+  };
+  const auto& st = svc.stats();
+  ASSERT_EQ(st.tenants.size(), 2u);
+  EXPECT_EQ(st.tenants.at("bob").symbolic_hits, 1);
+  for (const auto& [tenant, ts] : st.tenants) {
+    SCOPED_TRACE(tenant);
+    const std::string p = "service.tenant." + tenant + ".";
+    EXPECT_EQ(counter(p + "requests"), ts.requests);
+    EXPECT_EQ(counter(p + "rejected"), ts.rejected);
+    EXPECT_EQ(counter(p + "symbolic_hits"), ts.symbolic_hits);
+    EXPECT_EQ(counter(p + "factor_reuses"), ts.factor_reuses);
+  }
+  EXPECT_EQ(counter("service.symbolic_hits"), st.symbolic_hits);
   dev.set_tracer(nullptr);
 }
 

@@ -29,6 +29,7 @@
 #include "sparse/symbolic.hpp"
 #include "trace/trace.hpp"
 #include "fnv1a.hpp"
+#include "helpers.hpp"
 
 using namespace irrlu::sparse;
 using irrlu::Rng;
@@ -37,6 +38,7 @@ using irrlu::gpusim::DeviceModel;
 namespace fem = irrlu::fem;
 namespace ord = irrlu::ordering;
 using irrlu::test::Fnv1a;
+using irrlu::test::csr_entry;
 
 namespace {
 
@@ -77,9 +79,9 @@ TEST(Csr, FromTripletsSumsDuplicates) {
   const CsrMatrix a = CsrMatrix::from_triplets(
       2, {{0, 0, 1.0}, {0, 0, 2.0}, {1, 0, 5.0}, {0, 1, -1.0}});
   EXPECT_EQ(a.nnz(), 3);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 0), 5.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 1), 0.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 1, 0), 5.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 1, 1), 0.0);
 }
 
 TEST(Csr, MultiplyAndResidual) {
@@ -101,21 +103,20 @@ TEST(Csr, SymmetricPermutationRoundTrip) {
   const CsrMatrix p = a.permute_symmetric(perm);
   for (int i = 0; i < 16; ++i)
     for (int j = 0; j < 16; ++j)
-      EXPECT_DOUBLE_EQ(
-          p.at(i, j),
-          a.at(perm[static_cast<std::size_t>(i)],
-               perm[static_cast<std::size_t>(j)]));
+      EXPECT_DOUBLE_EQ(csr_entry(p, i, j),
+                       csr_entry(a, perm[static_cast<std::size_t>(i)],
+                                 perm[static_cast<std::size_t>(j)]));
 }
 
 TEST(Csr, ColumnPermutationAndScaling) {
   const CsrMatrix a = CsrMatrix::from_triplets(
       2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {1, 1, 4.0}});
   const CsrMatrix s = a.scaled({2.0, 0.5}, {1.0, 10.0});
-  EXPECT_DOUBLE_EQ(s.at(0, 1), 40.0);
-  EXPECT_DOUBLE_EQ(s.at(1, 0), 1.5);
+  EXPECT_DOUBLE_EQ(csr_entry(s, 0, 1), 40.0);
+  EXPECT_DOUBLE_EQ(csr_entry(s, 1, 0), 1.5);
   const CsrMatrix q = a.permute_columns({1, 0});
-  EXPECT_DOUBLE_EQ(q.at(0, 0), 2.0);  // column 0 is old column 1
-  EXPECT_DOUBLE_EQ(q.at(1, 1), 3.0);
+  EXPECT_DOUBLE_EQ(csr_entry(q, 0, 0), 2.0);  // column 0 is old column 1
+  EXPECT_DOUBLE_EQ(csr_entry(q, 1, 1), 3.0);
 }
 
 // -------------------------------------------------------------- symbolic
@@ -556,7 +557,8 @@ TEST(MatrixMarket, RoundTrip) {
     for (int k = a.ptr()[static_cast<std::size_t>(i)];
          k < a.ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
       const int j = a.ind()[static_cast<std::size_t>(k)];
-      EXPECT_DOUBLE_EQ(b.at(i, j), a.val()[static_cast<std::size_t>(k)]);
+      EXPECT_DOUBLE_EQ(csr_entry(b, i, j),
+                       a.val()[static_cast<std::size_t>(k)]);
     }
 }
 
@@ -568,8 +570,8 @@ TEST(MatrixMarket, SymmetricExpansion) {
      << "1 1 2.0\n2 1 -1.0\n2 2 2.0\n3 3 5.0\n";
   const CsrMatrix a = read_matrix_market(ss);
   EXPECT_EQ(a.nnz(), 5);  // off-diagonal mirrored
-  EXPECT_DOUBLE_EQ(a.at(0, 1), -1.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 0), -1.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 0, 1), -1.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 1, 0), -1.0);
 }
 
 TEST(MatrixMarket, PatternFile) {
@@ -578,8 +580,8 @@ TEST(MatrixMarket, PatternFile) {
      << "2 2 3\n"
      << "1 1\n1 2\n2 2\n";
   const CsrMatrix a = read_matrix_market(ss);
-  EXPECT_DOUBLE_EQ(a.at(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(csr_entry(a, 1, 0), 0.0);
 }
 
 TEST(MatrixMarket, RejectsMalformed) {
