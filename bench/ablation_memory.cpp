@@ -16,9 +16,12 @@
 //
 // The predicted-vs-measured agreement is asserted on every run (exact for
 // kAllUpfront, within 10% for kStackedLevels); a violation exits nonzero,
-// which is what the ctest smoke target checks.
+// which is what the ctest smoke target checks. --precision f64|f32|adaptive
+// (default f64) factors under that precision policy, so the check covers
+// the FP32 fronts' workspaces too.
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "fem/mesh.hpp"
@@ -33,12 +36,18 @@ int main(int argc, char** argv) {
   const int nt = args.get_int("ntheta", args.get_bool("large") ? 40 : 24);
   const int nc = args.get_int("ncross", args.get_bool("large") ? 12 : 8);
   const double omega = args.get_double("omega", 16.0);
+  sparse::PrecisionPolicy precision = sparse::PrecisionPolicy::kF64;
+  const std::string prec = args.get_string("precision", "f64");
+  IRRLU_CHECK_MSG(sparse::policy_from_string(prec.c_str(), precision),
+                  "--precision must be f64, f32, or adaptive (got '" << prec
+                                                                     << "')");
 
   const fem::HexMesh mesh = fem::HexMesh::torus(nt, nc, nc);
   const fem::EdgeSystem sys = fem::assemble_maxwell(
       mesh, omega, fem::paper_maxwell_load(omega, omega / 1.05));
-  std::printf("front-memory discipline ablation (Maxwell torus, N=%d)\n\n",
-              sys.a.rows());
+  std::printf("front-memory discipline ablation (Maxwell torus, N=%d, "
+              "precision %s)\n\n",
+              sys.a.rows(), sparse::to_string(precision));
 
   TextTable table({"memory mode", "factor (s)", "peak device (MB)",
                    "predicted peak (MB)", "pred/meas",
@@ -53,6 +62,7 @@ int main(int argc, char** argv) {
     sparse::SolverOptions opts;
     opts.nd.leaf_size = 16;
     opts.factor.memory = mode;
+    opts.factor.precision = precision;
     sparse::SparseDirectSolver solver(opts);
     solver.analyze(sys.a);
     solver.factor(dev);

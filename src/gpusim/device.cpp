@@ -149,19 +149,6 @@ using Clock = std::chrono::steady_clock;
 
 void Device::run_blocks(const LaunchConfig& cfg, bool parallel, BlockFn run) {
   const int n = cfg.blocks;
-  // Tasks are the chains of the grid (single blocks when none are given);
-  // a task runs its blocks in index order.
-  const std::span<const int> chains = cfg.chains;
-  const int tasks = chains.empty() ? n : static_cast<int>(chains.size());
-  IRRLU_CHECK_MSG(chains.empty() || (chains.front() == 0 &&
-                                     std::is_sorted(chains.begin(),
-                                                    chains.end()) &&
-                                     chains.back() < std::max(n, 1)),
-                  "kernel '" << cfg.name << "': chains must ascend from 0 "
-                             << "within the grid");
-  const auto task_begin = [&](int t) {
-    return chains.empty() ? t : chains[static_cast<std::size_t>(t)];
-  };
   // Host wall time of the kernel bodies is a trace-only observable; the
   // clock reads are skipped entirely when no tracer is attached.
   const Clock::time_point wall0 =
@@ -173,29 +160,25 @@ void Device::run_blocks(const LaunchConfig& cfg, bool parallel, BlockFn run) {
   std::atomic<int> first_failed{n};
   std::exception_ptr error;
   std::mutex error_mutex;
-  auto run_task = [&](int t) {
-    const int end = t + 1 < tasks ? task_begin(t + 1) : n;
-    for (int b = task_begin(t); b < end; ++b) {
-      if (b > first_failed.load(std::memory_order_relaxed)) return;
-      try {
-        run(b, smem_arena(cfg.smem_bytes));
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (b < first_failed.load(std::memory_order_relaxed)) {
-          first_failed.store(b, std::memory_order_relaxed);
-          error = std::current_exception();
-        }
-        return;
+  auto run_block = [&](int b) {
+    if (b > first_failed.load(std::memory_order_relaxed)) return;
+    try {
+      run(b, smem_arena(cfg.smem_bytes));
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (b < first_failed.load(std::memory_order_relaxed)) {
+        first_failed.store(b, std::memory_order_relaxed);
+        error = std::current_exception();
       }
     }
   };
 
-  if (parallel && host_threads_ > 1 && tasks > 1) {
+  if (parallel && host_threads_ > 1 && n > 1) {
     ++pooled_launch_count_;
-    HostPool::shared().run(tasks, host_threads_ - 1,
-                           FunctionRef<void(int)>(run_task));
+    HostPool::shared().run(n, host_threads_ - 1,
+                           FunctionRef<void(int)>(run_block));
   } else {
-    for (int t = 0; t < tasks && !error; ++t) run_task(t);
+    for (int b = 0; b < n && !error; ++b) run_block(b);
   }
 
   const int folded = first_failed.load();

@@ -32,7 +32,6 @@
 #include <memory>
 #include <queue>
 #include <source_location>
-#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -126,13 +125,6 @@ struct LaunchConfig {
   /// same launch reads or writes, so the blocks may run concurrently on
   /// host worker threads with bitwise the same results.
   bool independent = false;
-  /// Optional refinement of `independent`: the grid split into chains of
-  /// consecutive blocks, given by each chain's first block (ascending,
-  /// starting at 0). Blocks of one chain run in index order on one thread
-  /// — so blocks that accumulate into the same locations keep the serial
-  /// summation order — and only whole chains run concurrently. Empty:
-  /// every block is its own chain.
-  std::span<const int> chains = {};
   /// Call site of the aggregate initialization (C++20 evaluates the
   /// default member initializer at the braced-init site); used by the
   /// debug-mode duplicate-kernel-name audit.

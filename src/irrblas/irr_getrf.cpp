@@ -124,15 +124,20 @@ void irr_laswp_range(gpusim::Device& dev, gpusim::Stream& stream, int k0,
                      int c0, const int* m_vec, const int* n_vec,
                      int const* const* ipiv_array, int batch_size) {
   if (batch_size <= 0 || k1 <= k0 || w <= 0) return;
+  // Block b swaps the rows of panel b % panels of matrix b / panels.
+  const int panels = (w + kColumnPanel - 1) / kColumnPanel;
   dev.launch(stream,
-             {"irr_laswp_range", batch_size, 0, gpusim::kIndependentBlocks},
+             {"irr_laswp_range", batch_size * panels, 0,
+              gpusim::kIndependentBlocks},
              [=](gpusim::BlockCtx& ctx) {
-    const int id = ctx.block();
+    const int id = ctx.block() / panels;
+    const int pc = ctx.block() % panels * kColumnPanel;
     const int rows = std::min(k1, m_vec[id]);  // pivots available locally
-    const int width = std::min(w, n_vec[id] - c0);
+    const int width =
+        std::min({w, n_vec[id] - c0, pc + kColumnPanel}) - pc;
     if (rows <= k0 || width <= 0) return;
     const int lda = ldda[id];
-    T* A = dA_array[id] + static_cast<std::ptrdiff_t>(c0) * lda;
+    T* A = dA_array[id] + static_cast<std::ptrdiff_t>(c0 + pc) * lda;
     double swaps = 0;
     for (int r = k0; r < rows; ++r) {
       const int p = ipiv_array[id][r];

@@ -207,9 +207,18 @@ void irr_geqrf(gpusim::Device& dev, gpusim::Stream& stream, int m, int n,
 
 // ------------------------------------------------------------- auxiliaries
 
+/// Columns per block of the panelled data-movement kernels: the two U12
+/// row-swap kernels below and the multifrontal assemble, extend-add,
+/// norm and extract stages give every 32-column panel of a matrix its own
+/// block, so one large matrix spreads over many SMs instead of streaming
+/// through one at the per-block bandwidth cap.
+inline constexpr int kColumnPanel = 32;
+
 /// Batched pivot application with explicit column range [c0, c0+w) capped
 /// per matrix by DCWI — used by the multifrontal solver to apply F11 pivots
-/// to F12 blocks of varying widths.
+/// to F12 blocks of varying widths. The grid holds one block per (matrix,
+/// kColumnPanel-column panel of w); DCWI retires the panels beyond a
+/// matrix's width.
 template <typename T>
 void irr_laswp_range(gpusim::Device& dev, gpusim::Stream& stream, int k0,
                      int k1, int w, T* const* dA_array, const int* ldda,
@@ -220,9 +229,11 @@ void irr_laswp_range(gpusim::Device& dev, gpusim::Stream& stream, int k0,
 /// replayed on auxiliary index columns (§IV-F), then every touched row
 /// moves exactly once through shared-memory chunks instead of one strided
 /// swap per pivot. Result-identical to irr_laswp_range; the traffic is
-/// swap-chain-compressed. The FP64 multifrontal path keeps the strided
-/// reference schedule for cost-reproducibility with the pre-mixed-precision
-/// baseline; FP32 fronts (DESIGN.md §14) take this kernel. `workspace`
+/// swap-chain-compressed. The rehearsal runs one block per matrix, the
+/// move one per (matrix, kColumnPanel-column panel of w). The FP64
+/// multifrontal path keeps the strided reference schedule for
+/// cost-reproducibility with the pre-mixed-precision baseline; FP32 fronts
+/// (DESIGN.md §14) take this kernel. `workspace`
 /// must hold irr_laswp_workspace_size(batch_size, k1 - k0) ints, or null
 /// to draw from the device's per-stream workspace cache.
 template <typename T>

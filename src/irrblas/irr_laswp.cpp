@@ -71,14 +71,15 @@ struct SwapSpan {
 };
 
 /// The paper's rehearsed row swaps, shared by irr_laswp's panels and
-/// irr_laswp_range_staged: `span_of(id)` gives matrix id's SwapSpan, jb
-/// bounds r1 - r0, and `ws` holds irr_laswp_workspace_size(batch_size, jb)
-/// ints.
+/// irr_laswp_range_staged. The move runs `panels` blocks per matrix:
+/// `span_of(id, p)` gives matrix id's SwapSpan with the segments block p
+/// moves (the rows are the same for every p). jb bounds r1 - r0, and `ws`
+/// holds irr_laswp_workspace_size(batch_size, jb) ints.
 template <typename T, typename SpanOf>
 void rehearse_and_move(gpusim::Device& dev, gpusim::Stream& stream, int jb,
                        T* const* dA_array, const int* ldda,
                        int const* const* ipiv_array, int batch_size, int* ws,
-                       SpanOf span_of) {
+                       int panels, SpanOf span_of) {
   const int stride = 1 + 4 * jb;  // per-matrix workspace ints
 
   // Phase 1 — rehearse the swaps on auxiliary index columns: build the
@@ -92,7 +93,7 @@ void rehearse_and_move(gpusim::Device& dev, gpusim::Stream& stream, int jb,
     int* list = w_cnt + 1;        // touched (destination) rows
     int* occ = list + 2 * jb;     // original row currently at list[t]
     *w_cnt = 0;
-    const SwapSpan s = span_of(id);
+    const SwapSpan s = span_of(id, 0);
     if (s.r1 <= s.r0) return;
     auto find_or_add = [&](int row) {
       for (int t = 0; t < *w_cnt; ++t)
@@ -112,19 +113,19 @@ void rehearse_and_move(gpusim::Device& dev, gpusim::Stream& stream, int jb,
   });
 
   // Phase 2 — move each touched row exactly once, through shared-memory
-  // column chunks, over both segments.
+  // column chunks, over both segments of the block's span.
   const std::size_t move_smem =
       std::min(kMoveSmemBytes, dev.model().shared_mem_per_block);
-  const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size, move_smem,
-                                 gpusim::kIndependentBlocks};
+  const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size * panels,
+                                 move_smem, gpusim::kIndependentBlocks};
   dev.launch(stream, cfg, [=](gpusim::BlockCtx& ctx) {
-    const int id = ctx.block();
+    const int id = ctx.block() / panels;
     const int* w_cnt = ws + static_cast<std::ptrdiff_t>(id) * stride;
     const int cnt = *w_cnt;
     if (cnt == 0) return;
     const int* list = w_cnt + 1;
     const int* occ = list + 2 * jb;
-    const SwapSpan s = span_of(id);
+    const SwapSpan s = span_of(id, ctx.block() % panels);
     const int lda = ldda[id];
     T* A = dA_array[id];
 
@@ -177,7 +178,7 @@ void irr_laswp(gpusim::Device& dev, gpusim::Stream& stream, int j, int jb,
                             irr_laswp_workspace_size(batch_size, jb));
   }
   rehearse_and_move(dev, stream, jb, dA_array, ldda, ipiv_array, batch_size,
-                    ws, [=](int id) {
+                    ws, 1, [=](int id, int) {
     // DCWI's widths: columns [0, wl) left of the panel and [wr_off,
     // wr_off + wr) right of it.
     const LaswpWork w = dcwi_laswp(j, jb, m_vec[id], n_vec[id]);
@@ -198,12 +199,18 @@ void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
     ws = dev.workspace<int>("irrlaswp.range.s" + std::to_string(stream.id()),
                             irr_laswp_workspace_size(batch_size, k1 - k0));
   }
-  // The chain [k0, min(k1, m)) over columns [c0, c0 + min(w, n - c0)).
+  // The chain [k0, min(k1, m)) over columns [c0, c0 + min(w, n - c0)),
+  // moved in kColumnPanel-column panels (DCWI retires the panels beyond a
+  // matrix's width).
+  const int panels = (w + kColumnPanel - 1) / kColumnPanel;
   rehearse_and_move(dev, stream, k1 - k0, dA_array, ldda, ipiv_array,
-                    batch_size, ws, [=](int id) {
+                    batch_size, ws, panels, [=](int id, int p) {
     const int rows = std::min(k1, m_vec[id]);
     if (rows <= k0 || n_vec[id] <= c0) return SwapSpan{};
-    return SwapSpan{k0, rows, {c0, 0}, {std::min(w, n_vec[id] - c0), 0}};
+    const int pc = p * kColumnPanel;
+    const int width =
+        std::min({w, n_vec[id] - c0, pc + kColumnPanel}) - pc;
+    return SwapSpan{k0, rows, {c0 + pc, 0}, {width, 0}};
   });
 }
 

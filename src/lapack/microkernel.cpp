@@ -210,6 +210,14 @@ template <typename T, int MR, int NR>
 
 int vector_bytes() { return kVecBytes; }
 
+bool fused_multiply_add() {
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+  return true;
+#else
+  return false;
+#endif
+}
+
 template <typename T>
 TileGeometry tile_geometry() {
   using TT = TileTraits<T>;

@@ -50,6 +50,11 @@ namespace irrlu::la::mk {
 /// microkernel.cpp is compiled for AVX-512, 32 for AVX, 16 otherwise.
 int vector_bytes();
 
+/// True when microkernel.cpp is compiled for an ISA with fused
+/// multiply-adds (native builds on FMA hosts): the engine's results then
+/// round differently from a build without them.
+bool fused_multiply_add();
+
 /// Register-tile and cache-block sizes of the engine for one element
 /// type. MC is a multiple of MR and NC a multiple of NR; KC*(MR+NR)
 /// elements (one A panel + one B panel) are sized to stay resident in L1

@@ -3,27 +3,50 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <tuple>
 
 namespace irrlu::sparse {
 
 CsrMatrix CsrMatrix::from_triplets(
     int n, const std::vector<std::tuple<int, int, double>>& triplets) {
-  std::vector<std::map<int, double>> rows(static_cast<std::size_t>(n));
+  IRRLU_CHECK(n >= 0);
+  const auto nn = static_cast<std::size_t>(n);
+  // Two stable counting sorts (by column, then by row) order the triplets
+  // by (row, column) with duplicates in input order.
+  std::vector<std::size_t> col_start(nn + 1, 0), row_start(nn + 1, 0);
   for (const auto& [i, j, v] : triplets) {
     IRRLU_CHECK(i >= 0 && i < n && j >= 0 && j < n);
-    rows[static_cast<std::size_t>(i)][j] += v;
+    ++col_start[static_cast<std::size_t>(j) + 1];
+    ++row_start[static_cast<std::size_t>(i) + 1];
   }
-  std::vector<int> ptr = {0};
+  for (std::size_t k = 0; k < nn; ++k) {
+    col_start[k + 1] += col_start[k];
+    row_start[k + 1] += row_start[k];
+  }
+  std::vector<std::size_t> by_col(triplets.size()), order(triplets.size());
+  for (std::size_t t = 0; t < triplets.size(); ++t)
+    by_col[col_start[static_cast<std::size_t>(std::get<1>(triplets[t]))]++] =
+        t;
+  for (std::size_t t : by_col)
+    order[row_start[static_cast<std::size_t>(std::get<0>(triplets[t]))]++] =
+        t;
+  // Each entry sums its duplicates from 0.0 in input order (so a lone
+  // -0.0 stores +0.0, as a default-initialized accumulator gives).
+  std::vector<int> ptr(nn + 1, 0);
   std::vector<int> ind;
   std::vector<double> val;
-  for (int i = 0; i < n; ++i) {
-    for (const auto& [j, v] : rows[static_cast<std::size_t>(i)]) {
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < nn; ++i) {
+    // The scatter left row_start[i] at the end of row i.
+    while (k < row_start[i]) {
+      const int j = std::get<1>(triplets[order[k]]);
+      double sum = 0.0;
+      for (; k < row_start[i] && std::get<1>(triplets[order[k]]) == j; ++k)
+        sum += std::get<2>(triplets[order[k]]);
       ind.push_back(j);
-      val.push_back(v);
+      val.push_back(sum);
     }
-    ptr.push_back(static_cast<int>(ind.size()));
+    ptr[i + 1] = static_cast<int>(ind.size());
   }
   return CsrMatrix(n, std::move(ptr), std::move(ind), std::move(val));
 }
@@ -67,8 +90,8 @@ double CsrMatrix::residual(const double* x, const double* b) const {
   return denom > 0 ? rmax / denom : rmax;
 }
 
-double CsrMatrix::componentwise_residual(const double* x,
-                                         const double* b) const {
+double CsrMatrix::componentwise_residual(const double* x, const double* b,
+                                         double* r) const {
   double berr = 0;
   for (int i = 0; i < n_; ++i) {
     double acc = 0, absacc = 0;
@@ -79,6 +102,7 @@ double CsrMatrix::componentwise_residual(const double* x,
       acc += axk;
       absacc += std::abs(axk);
     }
+    if (r != nullptr) r[i] = b[i] - acc;
     const double ri = std::abs(b[i] - acc);
     const double di = absacc + std::abs(b[i]);
     const double e = di > 0 ? ri / di : ri;

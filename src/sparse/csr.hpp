@@ -44,7 +44,11 @@ class CsrMatrix {
   /// contributing |r_i| directly. For finite x this is <= 1, so a
   /// non-finite return value certifies that x itself contains NaN/Inf.
   /// The quantity adaptive iterative refinement drives to ~machine eps.
-  double componentwise_residual(const double* x, const double* b) const;
+  /// A non-null `r` also receives the residual b - A x, bitwise
+  /// b[i] - y[i] for y from multiply(); a non-finite return may leave it
+  /// partly written.
+  double componentwise_residual(const double* x, const double* b,
+                                double* r = nullptr) const;
 
   double norm_inf() const;
 

@@ -1,6 +1,7 @@
 #include "sparse/multifrontal.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -180,8 +181,9 @@ struct FrontGroup {
   /// max-magnitude front norm (the boost reference), boosted-pivot count,
   /// and post-factor max magnitude (for the growth estimate). Host-zeroed
   /// here because fronts skipped by a kernel's DCWI early return must read
-  /// as "no events", not as uninitialized device memory. The extrema stay
-  /// double regardless of the group's factor precision.
+  /// as "no events", not as uninitialized device memory, and because the
+  /// norm and growth panels fold into the extrema by atomic max. The
+  /// extrema stay double regardless of the group's factor precision.
   gpusim::DeviceBuffer<double> anorm, gmax;
   gpusim::DeviceBuffer<int> boost;
 
@@ -248,24 +250,47 @@ struct FrontGroup {
   }
 };
 
-/// max |F(r, c)| over the d x d column-major block at F — the front norm
-/// and growth reduction. Four running maxima make the scan throughput-
-/// bound instead of latency-bound (~3.5x on one core). The result is
-/// bitwise the one-accumulator scan: max is exact and order-free, and a
-/// NaN entry never wins std::max against the running value.
+/// Calls f(c0, c1) for every kColumnPanel-column panel [c0, c1) of
+/// `cols` columns (none when cols <= 0). The panelled data-movement
+/// stages build their block lists from it on the host and launch exactly
+/// those blocks: a large front spreads over many SMs, and no block of the
+/// grid sits idle (the model shares a wave's bandwidth among all of its
+/// blocks, exiting ones included).
+template <typename F>
+void for_each_panel(int cols, F&& f) {
+  for (int c0 = 0; c0 < cols; c0 += batch::kColumnPanel)
+    f(c0, std::min(cols, c0 + batch::kColumnPanel));
+}
+
+/// max |F(r, c)| over the rows x cols column-major block at F — the front
+/// norm and growth reduction. Four running maxima make the scan
+/// throughput-bound instead of latency-bound (~3.5x on one core). The
+/// result is bitwise the one-accumulator scan: max is exact and
+/// order-free, and a NaN entry never wins std::max against the running
+/// value.
 template <typename T>
-double block_absmax(const T* F, int d, int ld) {
+double block_absmax(const T* F, int rows, int cols, int ld) {
   double m[4] = {0, 0, 0, 0};
-  for (int c = 0; c < d; ++c) {
+  for (int c = 0; c < cols; ++c) {
     const T* col = F + static_cast<std::ptrdiff_t>(c) * ld;
     int r = 0;
-    for (; r + 4 <= d; r += 4)
+    for (; r + 4 <= rows; r += 4)
       for (int k = 0; k < 4; ++k)
         m[k] = std::max(m[k], std::abs(static_cast<double>(col[r + k])));
-    for (; r < d; ++r)
+    for (; r < rows; ++r)
       m[0] = std::max(m[0], std::abs(static_cast<double>(col[r])));
   }
   return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+}
+
+/// out = max(out, v) for v >= 0 (never NaN), safe against the concurrent
+/// blocks of one launch: max is exact and order-free, so the panels of a
+/// front combine to bitwise the whole-front scan.
+void atomic_max(double& out, double v) {
+  std::atomic_ref<double> ref(out);
+  double cur = ref.load();
+  while (v > cur && !ref.compare_exchange_weak(cur, v)) {
+  }
 }
 
 /// Per-thread staging of the device solve's kernel blocks (the blocks of
@@ -417,7 +442,8 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
   //     segmented arrays through per-front cursors;
   //  3. per front, convert the globals to front-local indices through a
   //     global->local map filled once per front (the `stamp` array makes
-  //     membership checkable without a search through fr.upd).
+  //     membership checkable without a search through fr.upd);
+  //  4. per front, order the entries by column panel.
   const std::size_t nnz = a.ind().size();
   std::vector<int> ent_front(nnz);
   asm_start_.assign(nf + 1, 0);
@@ -450,6 +476,8 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
     }
   std::vector<int> glob2loc(static_cast<std::size_t>(n), -1);
   std::vector<int> stamp(static_cast<std::size_t>(n), -1);
+  std::vector<std::size_t> panel_fill;
+  std::vector<int> sorted;
   for (std::size_t fi = 0; fi < nf; ++fi) {
     const Front& fr = sym_.fronts[fi];
     const auto f = static_cast<int>(fi);
@@ -462,13 +490,39 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
       glob2loc[g] = fr.s() + static_cast<int>(t);
       stamp[g] = f;
     }
-    for (auto o = static_cast<std::size_t>(asm_start_[fi]);
-         o < static_cast<std::size_t>(asm_start_[fi + 1]); ++o) {
+    const auto o0 = static_cast<std::size_t>(asm_start_[fi]);
+    const auto o1 = static_cast<std::size_t>(asm_start_[fi + 1]);
+    for (auto o = o0; o < o1; ++o) {
       const auto r = static_cast<std::size_t>(d_rows_[o]);
       const auto c = static_cast<std::size_t>(d_cols_[o]);
       IRRLU_CHECK(stamp[r] == f && stamp[c] == f);
       d_rows_[o] = glob2loc[r];
       d_cols_[o] = glob2loc[c];
+    }
+    // 4. order the front's entries by column panel (a stable counting
+    //    sort), so each assemble block reads one contiguous run; entries
+    //    of one element keep their order.
+    if (fr.dim() <= batch::kColumnPanel) continue;
+    auto panel_of = [&](std::size_t o) {
+      return static_cast<std::size_t>(d_cols_[o] / batch::kColumnPanel);
+    };
+    panel_fill.assign(
+        static_cast<std::size_t>(fr.dim() / batch::kColumnPanel) + 2, 0);
+    for (auto o = o0; o < o1; ++o) ++panel_fill[panel_of(o) + 1];
+    for (std::size_t p = 1; p < panel_fill.size(); ++p)
+      panel_fill[p] += panel_fill[p - 1];
+    sorted.resize(3 * (o1 - o0));
+    for (auto o = o0; o < o1; ++o) {
+      int* t = sorted.data() + 3 * panel_fill[panel_of(o)]++;
+      t[0] = d_rows_[o];
+      t[1] = d_cols_[o];
+      t[2] = d_aidx_[o];
+    }
+    for (auto o = o0; o < o1; ++o) {
+      const int* t = sorted.data() + 3 * (o - o0);
+      d_rows_[o] = t[0];
+      d_cols_[o] = t[1];
+      d_aidx_[o] = t[2];
     }
   }
   {
@@ -502,8 +556,7 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
   {
     IRRLU_TRACE_SCOPE(dev_.tracer(), "workspace");
     kmin_ws_ = dev_.alloc<int>(static_cast<std::size_t>(max_batch));
-    laswp_ws_ = dev_.alloc<int>(
-        batch::irr_laswp_workspace_size(max_batch, lu_.nb));
+    laswp_ws_ = dev_.alloc<int>(sym_.laswp_workspace_ints(mf.level_prec_));
   }
   lu_.kmin_workspace = kmin_ws_.data();
   lu_.laswp_workspace = laswp_ws_.data();
@@ -607,25 +660,32 @@ void MultifrontalFactor::Pipeline::run_legacy_small_batch() {
 // ---- stages ---------------------------------------------------------------
 
 /// Zeroes the given fronts (their storage must be live) and assembles A's
-/// entries into them. FP32 levels assemble the (double) matrix values
-/// into float fronts — the first charged demotion of the mixed-precision
-/// pipeline. A call's fronts all share one level.
+/// entries into them, one block per column panel of each front. FP32
+/// levels assemble the (double) matrix values into float fronts — the
+/// first charged demotion of the mixed-precision pipeline. A call's fronts
+/// all share one level.
 void MultifrontalFactor::Pipeline::assemble(const std::vector<int>& ids) {
   if (ids.empty()) return;
   IRRLU_TRACE_SCOPE(dev_.tracer(), "assemble");
   with_type(prec_of(ids[0]), [&]<typename T>(T) {
     struct Meta {
       T* base;
-      int dim, a0, a1;
+      int dim, c0, c1, e0, e1;  ///< columns [c0, c1), entries [e0, e1)
     };
     auto metas = std::make_shared<std::vector<Meta>>();
-    for (int id : ids)
-      metas->push_back({storage_.base<T>(id),
-                        sym_.fronts[static_cast<std::size_t>(id)].dim(),
-                        asm_start_[static_cast<std::size_t>(id)],
-                        asm_start_[static_cast<std::size_t>(id) + 1]});
-    const int* arows = d_rows_.data();
     const int* acols = d_cols_.data();
+    for (int id : ids) {
+      const auto f = static_cast<std::size_t>(id);
+      int e = asm_start_[f];
+      for_each_panel(sym_.fronts[f].dim(), [&](int c0, int c1) {
+        // The setup stage stored the front's entries in panel order.
+        const int e0 = e;
+        while (e < asm_start_[f + 1] && acols[e] < c1) ++e;
+        metas->push_back(
+            {storage_.base<T>(id), sym_.fronts[f].dim(), c0, c1, e0, e});
+      });
+    }
+    const int* arows = d_rows_.data();
     const int* aidx = d_aidx_.data();
     const double* aval = d_aval_.data();
     dev_.launch(stream_,
@@ -633,25 +693,26 @@ void MultifrontalFactor::Pipeline::assemble(const std::vector<int>& ids) {
                  gpusim::kIndependentBlocks},
                 [metas, arows, acols, aidx, aval](gpusim::BlockCtx& ctx) {
       const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int ld = m.dim > 0 ? m.dim : 1;
-      std::fill(m.base, m.base + static_cast<std::size_t>(m.dim) * m.dim,
-                T{});
-      for (int e = m.a0; e < m.a1; ++e)
-        m.base[static_cast<std::ptrdiff_t>(acols[e]) * ld + arows[e]] +=
-            static_cast<T>(aval[aidx[e]]);
+      const std::ptrdiff_t ld = m.dim;
+      std::fill(m.base + m.c0 * ld, m.base + m.c1 * ld, T{});
+      for (int e = m.e0; e < m.e1; ++e)
+        m.base[acols[e] * ld + arows[e]] += static_cast<T>(aval[aidx[e]]);
       // Front traffic in the front's element width; the gather side reads
       // the double-precision value array regardless.
-      ctx.record(0.0, static_cast<double>(m.dim) * m.dim * sizeof(T) +
-                          3.0 * (m.a1 - m.a0) * sizeof(double));
+      ctx.record(0.0, static_cast<double>(m.c1 - m.c0) * m.dim * sizeof(T) +
+                          3.0 * (m.e1 - m.e0) * sizeof(double));
     });
   });
 }
 
 /// Absorbs the children's Schur complements into the given (parent)
-/// fronts; child storage must still be live. Symbolic analysis pins every
-/// child of a level-L front to level L+1, so one call has exactly one
-/// (parent, child) type pair — a mixed-precision boundary converts inside
-/// the accumulate, charged at the actual widths.
+/// fronts; child storage must still be live. One block per column panel of
+/// a parent that receives updates: it walks the parent's children in
+/// order, so every parent entry sums its children's terms in the serial
+/// order, and different panels write disjoint columns. Symbolic analysis
+/// pins every child of a level-L front to level L+1, so one call has
+/// exactly one (parent, child) type pair — a mixed-precision boundary
+/// converts inside the accumulate, charged at the actual widths.
 void MultifrontalFactor::Pipeline::extend_add(const std::vector<int>& ids) {
   if (ids.empty()) return;
   const auto plvl = static_cast<std::size_t>(
@@ -660,74 +721,106 @@ void MultifrontalFactor::Pipeline::extend_add(const std::vector<int>& ids) {
   const Precision cp = plvl + 1 < lp.size() ? lp[plvl + 1] : lp[plvl];
   with_type(lp[plvl], [&]<typename Tp>(Tp) {
     with_type(cp, [&]<typename Tc>(Tc) {
-      struct Meta {
-        const Tc* child;
-        Tp* parent;
-        int u, ldc, ldp, map_off;
+      struct Child {
+        const Tc* f22;
+        int u, ldc, map_off;
       };
-      auto metas = std::make_shared<std::vector<Meta>>();
-      // One chain per parent: its children accumulate into the same
-      // entries, so they run in order; different parents run concurrently.
-      std::vector<int> chains;
+      struct Block {
+        Tp* parent;
+        int ldp, c0, c1;
+        int k0, k1;  ///< the parent's children in `kids`
+      };
+      struct Work {
+        std::vector<Child> kids;
+        std::vector<Block> blocks;
+      };
+      auto work = std::make_shared<Work>();
+      const int* smap = d_scat_.data();
+      std::vector<char> hit;
       for (int id : ids) {
         const Front& p = sym_.fronts[static_cast<std::size_t>(id)];
-        const auto chain_start = static_cast<int>(metas->size());
+        const auto k0 = static_cast<int>(work->kids.size());
+        hit.assign(static_cast<std::size_t>(p.dim()), 0);
         for (int child : p.children) {
           const Front& c = sym_.fronts[static_cast<std::size_t>(child)];
           if (c.u() == 0) continue;
-          metas->push_back(
+          const int off = scat_start_[static_cast<std::size_t>(child)];
+          work->kids.push_back(
               {storage_.base<Tc>(child) +
                    static_cast<std::ptrdiff_t>(c.s()) * c.dim() + c.s(),
-               storage_.base<Tp>(id), c.u(), c.dim(),
-               p.dim() > 0 ? p.dim() : 1,
-               scat_start_[static_cast<std::size_t>(child)]});
+               c.u(), c.dim(), off});
+          for (int k = 0; k < c.u(); ++k)
+            hit[static_cast<std::size_t>(smap[off + k])] = 1;
         }
-        if (static_cast<int>(metas->size()) > chain_start)
-          chains.push_back(chain_start);
+        const auto k1 = static_cast<int>(work->kids.size());
+        // Only the panels some child column lands in.
+        for_each_panel(p.dim(), [&](int c0, int c1) {
+          if (std::find(hit.begin() + c0, hit.begin() + c1, 1) !=
+              hit.begin() + c1)
+            work->blocks.push_back({storage_.base<Tp>(id), p.dim(), c0, c1,
+                                    k0, k1});
+        });
       }
-      if (metas->empty()) return;
+      if (work->kids.empty()) return;
       IRRLU_TRACE_SCOPE(dev_.tracer(), "extend-add");
-      const int* smap = d_scat_.data();
       dev_.launch(stream_,
-                  {"mf_extend_add", static_cast<int>(metas->size()), 0,
-                   gpusim::kIndependentBlocks, chains},
-                  [metas, smap](gpusim::BlockCtx& ctx) {
-        const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-        const int* map = smap + m.map_off;
-        for (int c = 0; c < m.u; ++c)
-          for (int r = 0; r < m.u; ++r)
-            m.parent[static_cast<std::ptrdiff_t>(map[c]) * m.ldp + map[r]] +=
-                static_cast<Tp>(
-                    m.child[static_cast<std::ptrdiff_t>(c) * m.ldc + r]);
+                  {"mf_extend_add", static_cast<int>(work->blocks.size()), 0,
+                   gpusim::kIndependentBlocks},
+                  [work, smap](gpusim::BlockCtx& ctx) {
+        const Block& b = work->blocks[static_cast<std::size_t>(ctx.block())];
+        double elems = 0;
+        for (int k = b.k0; k < b.k1; ++k) {
+          const Child& ch = work->kids[static_cast<std::size_t>(k)];
+          const int* map = smap + ch.map_off;
+          for (int c = 0; c < ch.u; ++c) {
+            if (map[c] < b.c0 || map[c] >= b.c1) continue;
+            Tp* pc = b.parent + static_cast<std::ptrdiff_t>(map[c]) * b.ldp;
+            const Tc* cc = ch.f22 + static_cast<std::ptrdiff_t>(c) * ch.ldc;
+            for (int r = 0; r < ch.u; ++r)
+              pc[map[r]] += static_cast<Tp>(cc[r]);
+            elems += ch.u;
+          }
+        }
         // Scattered writes: penalized traffic on the parent side (4 parent
         // accesses per element at the parent width, 1 child read at the
         // child width).
-        ctx.record(static_cast<double>(m.u) * m.u,
-                   (4.0 * sizeof(Tp) + sizeof(Tc)) * m.u * m.u);
+        ctx.record(elems, (4.0 * sizeof(Tp) + sizeof(Tc)) * elems);
       });
     });
   });
 }
 
-/// Max-magnitude entry of each of g's (dim x dim) fronts, written to
-/// `out`: before factorization the per-front boost reference ||F||_max,
-/// after it the numerator of the growth estimate. The extremum stays
-/// double for every front precision.
+/// Max-magnitude entry of each of g's (dim x dim) fronts, combined into
+/// `out` (zeroed by the group) by an exact atomic max over one block per
+/// column panel: before factorization the per-front boost reference
+/// ||F||_max, after it the numerator of the growth estimate. The extremum
+/// stays double for every front precision.
 template <typename T>
 void MultifrontalFactor::Pipeline::front_absmax(const FrontGroup& g,
                                                 double* out,
                                                 const char* name) {
-  T* const* fp = g.ptr<T>().f.data();
-  const int* ldp = g.ld.data();
-  const int* sp = g.svec.data();
-  const int* up = g.uvec.data();
-  dev_.launch(stream_, {name, g.count, 0, gpusim::kIndependentBlocks},
-              [=](gpusim::BlockCtx& ctx) {
-    const int k = ctx.block();
-    const int d = sp[k] + up[k];
-    if (d <= 0) return;
-    out[k] = block_absmax(fp[k], d, ldp[k]);
-    ctx.record(0.0, static_cast<double>(d) * d * sizeof(T));
+  struct Meta {
+    const T* f;
+    double* out;
+    int d, c0, c1;
+  };
+  auto metas = std::make_shared<std::vector<Meta>>();
+  for (int k = 0; k < g.count; ++k) {
+    const int id = g.ids[static_cast<std::size_t>(k)];
+    const int d = sym_.fronts[static_cast<std::size_t>(id)].dim();
+    for_each_panel(d, [&](int c0, int c1) {
+      metas->push_back({storage_.base<T>(id), out + k, d, c0, c1});
+    });
+  }
+  dev_.launch(stream_,
+              {name, static_cast<int>(metas->size()), 0,
+               gpusim::kIndependentBlocks},
+              [metas](gpusim::BlockCtx& ctx) {
+    const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
+    atomic_max(*m.out,
+               block_absmax(m.f + static_cast<std::ptrdiff_t>(m.c0) * m.d,
+                            m.d, m.c1 - m.c0, m.d));
+    ctx.record(0.0, static_cast<double>(m.d) * (m.c1 - m.c0) * sizeof(T));
   });
 }
 
@@ -748,11 +841,10 @@ void MultifrontalFactor::Pipeline::factor_group(const FrontGroup& g) {
       // precision panel has the byte footprint — shared-memory, cache-line
       // and laswp-traffic-wise — of the FP64 nb panel, and the doubled
       // width halves the blocked loop's launch count, which is what bounds
-      // small-front batches. The preallocated laswp workspace is sized for
-      // the FP64 nb; passing null lets irr_getrf draw a matching wider one
-      // from the device's per-stream workspace cache.
+      // small-front batches. The preallocated laswp workspace covers the
+      // wider panels and the U12 swap below
+      // (SymbolicAnalysis::laswp_workspace_ints).
       lu.nb = 2 * lu.nb;
-      lu.laswp_workspace = nullptr;
     }
     if (opts_.pivot_tau > 0) {
       front_absmax<T>(g, g.anorm.data(), "mf_front_norm");
@@ -772,9 +864,9 @@ void MultifrontalFactor::Pipeline::factor_group(const FrontGroup& g) {
       // chunks.
       const auto* piv = const_cast<int const* const*>(g.ipiv.data());
       if constexpr (std::is_same_v<T, float>)
-        batch::irr_laswp_range_staged<T>(dev_, stream_, 0, g.smax, g.umax,
-                                         p.f12.data(), ld, 0, g.svec.data(),
-                                         g.uvec.data(), piv, g.count);
+        batch::irr_laswp_range_staged<T>(
+            dev_, stream_, 0, g.smax, g.umax, p.f12.data(), ld, 0,
+            g.svec.data(), g.uvec.data(), piv, g.count, laswp_ws_.data());
       else
         batch::irr_laswp_range<T>(dev_, stream_, 0, g.smax, g.umax,
                                   p.f12.data(), ld, 0, g.svec.data(),
@@ -932,25 +1024,28 @@ void MultifrontalFactor::Pipeline::factor_interleaved(
 }
 
 /// Copies the factored blocks of the given fronts into the compact store
-/// matching their level's precision. The postorder engines extract every
-/// level in one call, so FP64 fronts go first, then FP32 ones.
+/// matching their level's precision, one block per column panel of each
+/// front. The postorder engines extract every level in one call, so FP64
+/// fronts go first, then FP32 ones.
 void MultifrontalFactor::Pipeline::extract(const std::vector<int>& ids) {
   for (Precision prec : {Precision::kF64, Precision::kF32})
     with_type(prec, [&]<typename T>(T) {
       struct Meta {
         const T* base;
         T* out;
-        int s, u, ld;
+        int s, u, c0, c1;
       };
       auto metas = std::make_shared<std::vector<Meta>>();
       for (int id : ids) {
         const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
         if (fr.s() == 0 || prec_of(id) != prec) continue;
-        metas->push_back(
-            {storage_.base<T>(id),
-             factor_store<T>() +
-                 mf_.fstore_offset_[static_cast<std::size_t>(id)],
-             fr.s(), fr.u(), fr.dim()});
+        for_each_panel(fr.dim(), [&](int c0, int c1) {
+          metas->push_back(
+              {storage_.base<T>(id),
+               factor_store<T>() +
+                   mf_.fstore_offset_[static_cast<std::size_t>(id)],
+               fr.s(), fr.u(), c0, c1});
+        });
       }
       if (metas->empty()) return;
       IRRLU_TRACE_SCOPE(dev_.tracer(), "extract");
@@ -959,20 +1054,22 @@ void MultifrontalFactor::Pipeline::extract(const std::vector<int>& ids) {
                    gpusim::kIndependentBlocks},
                   [metas](gpusim::BlockCtx& ctx) {
         const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-        T* out = m.out;
-        // L11\U11: s x s, ld s.
-        for (int c = 0; c < m.s; ++c)
-          for (int r = 0; r < m.s; ++r)
-            *out++ = m.base[static_cast<std::ptrdiff_t>(c) * m.ld + r];
-        // U12: s x u, ld s.
-        for (int c = 0; c < m.u; ++c)
-          for (int r = 0; r < m.s; ++r)
-            *out++ = m.base[static_cast<std::ptrdiff_t>(m.s + c) * m.ld + r];
-        // L21: u x s, ld u.
-        for (int c = 0; c < m.s; ++c)
-          for (int r = 0; r < m.u; ++r)
-            *out++ = m.base[static_cast<std::ptrdiff_t>(c) * m.ld + m.s + r];
-        const double elems = static_cast<double>(m.s) * (m.s + 2.0 * m.u);
+        const std::ptrdiff_t s = m.s, u = m.u, ld = s + u;
+        // Store layout: L11\U11 (s x s, ld s), U12 (s x u, ld s), L21
+        // (u x s, ld u). Front column c < s holds an L11\U11 column over
+        // an L21 column, column c >= s a U12 column over F22.
+        double elems = 0;
+        for (std::ptrdiff_t c = m.c0; c < m.c1; ++c) {
+          const T* col = m.base + c * ld;
+          if (c < s) {
+            std::copy(col, col + s, m.out + c * s);
+            std::copy(col + s, col + ld, m.out + s * s + s * u + c * u);
+            elems += static_cast<double>(ld);
+          } else {
+            std::copy(col, col + s, m.out + s * s + (c - s) * s);
+            elems += static_cast<double>(s);
+          }
+        }
         ctx.record(0.0, 2.0 * elems * sizeof(T));
       });
     });

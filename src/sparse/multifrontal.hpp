@@ -186,6 +186,10 @@ class MultifrontalFactor {
   std::size_t factor_elems() const { return factor_store_.size(); }
   const float* factor_data_f32() const { return factor_store_f_.data(); }
   std::size_t factor_elems_f32() const { return factor_store_f_.size(); }
+  /// Every front's pivot rows (front-local, one per separator column),
+  /// concatenated in postorder.
+  const int* pivot_data() const { return ipiv_storage_.data(); }
+  std::size_t pivot_count() const { return ipiv_storage_.size(); }
   /// Precision the given level's fronts were factored (and stored) in.
   Precision level_prec(int lvl) const {
     return level_prec_[static_cast<std::size_t>(lvl)];

@@ -269,6 +269,7 @@ std::vector<SolveReport> SparseDirectSolver::refine_batch(
   struct Active {
     int req;
     std::vector<double> x, best;
+    std::vector<double> r;  ///< b - A x, from the berr evaluation of x
     double berr, best_berr;
     int steps = 0;
   };
@@ -276,9 +277,10 @@ std::vector<SolveReport> SparseDirectSolver::refine_batch(
   const double tol = std::max(opts_.refine_tolerance, 0.0);
   for (int j = 0; j < nrhs; ++j) {
     const auto ju = static_cast<std::size_t>(j);
-    std::vector<double> x(nz);
+    std::vector<double> x(nz), r(nz);
     scale_out(W.data() + ju * nz, x.data());
-    const double berr = a_.componentwise_residual(x.data(), bs[ju].data());
+    const double berr =
+        a_.componentwise_residual(x.data(), bs[ju].data(), r.data());
     SolveReport& rep = reps[ju];
     rep.berr_history.push_back(berr);
     if (!std::isfinite(berr)) {
@@ -301,24 +303,19 @@ std::vector<SolveReport> SparseDirectSolver::refine_batch(
     a.req = j;
     a.best = x;
     a.x = std::move(x);
+    a.r = std::move(r);
     a.berr = a.best_berr = berr;
     act.push_back(std::move(a));
   }
   const bool refined = !act.empty();
 
-  std::vector<double> r(nz);
   while (!act.empty()) {
     const int na = static_cast<int>(act.size());
     W.resize(nz * static_cast<std::size_t>(na));
-    for (int k = 0; k < na; ++k) {
-      const Active& a = act[static_cast<std::size_t>(k)];
-      const auto& b = bs[static_cast<std::size_t>(a.req)];
-      a_.multiply(a.x.data(), r.data());
-      for (int i = 0; i < n; ++i)
-        r[static_cast<std::size_t>(i)] =
-            b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)];
-      scale_in(r.data(), W.data() + static_cast<std::size_t>(k) * nz);
-    }
+    // Each active request's residual came with its berr.
+    for (int k = 0; k < na; ++k)
+      scale_in(act[static_cast<std::size_t>(k)].r.data(),
+               W.data() + static_cast<std::size_t>(k) * nz);
     sweep(na);
 
     std::vector<Active> next;
@@ -329,7 +326,8 @@ std::vector<SolveReport> SparseDirectSolver::refine_batch(
       for (std::size_t i = 0; i < nz; ++i) a.x[i] += dx[i];
       ++a.steps;
       const double nb = a_.componentwise_residual(
-          a.x.data(), bs[static_cast<std::size_t>(a.req)].data());
+          a.x.data(), bs[static_cast<std::size_t>(a.req)].data(),
+          a.r.data());
       SolveReport& rep = reps[static_cast<std::size_t>(a.req)];
       rep.berr_history.push_back(nb);
       bool stop = false;

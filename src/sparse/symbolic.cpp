@@ -124,7 +124,6 @@ std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
   int max_batch = 1;
   for (const auto& lv : levels)
     max_batch = std::max(max_batch, static_cast<int>(lv.size()));
-  const int nb = std::max(1, batch::IrrLuOptions{}.nb);
   const std::size_t base =
       fstore_bytes + pivots * sizeof(int) +
       upd_total * sizeof(int) +
@@ -132,7 +131,7 @@ std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
       static_cast<std::size_t>(pattern_nnz) * sizeof(double) +
       scat_total * sizeof(int) +
       static_cast<std::size_t>(max_batch) * sizeof(int) +
-      batch::irr_laswp_workspace_size(max_batch, nb) * sizeof(int);
+      laswp_workspace_ints(level_prec) * sizeof(int);
 
   // Per-level working-front bytes and descriptor bytes. Descriptors are
   // built as each level is reached and stay alive to the end, so they
@@ -164,6 +163,27 @@ std::vector<std::size_t> SymbolicAnalysis::predicted_level_peak_bytes(
     }
   }
   return out;
+}
+
+std::size_t SymbolicAnalysis::laswp_workspace_ints(
+    const std::vector<Precision>& level_prec) const {
+  // A front group is a subset of one level, so the level's size and
+  // widest separator bound the group's need. FP32 groups factor with
+  // 2 nb-column panels (DESIGN.md §14), and their U12 swap rehearses the
+  // whole separator's pivot chain.
+  const int nb = std::max(1, batch::IrrLuOptions{}.nb);
+  std::size_t ints = batch::irr_laswp_workspace_size(1, nb);
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    int jb = nb;
+    if (!level_prec.empty() && level_prec[l] == Precision::kF32) {
+      jb = 2 * nb;
+      for (int id : levels[l])
+        jb = std::max(jb, fronts[static_cast<std::size_t>(id)].s());
+    }
+    ints = std::max(ints, batch::irr_laswp_workspace_size(
+                              static_cast<int>(levels[l].size()), jb));
+  }
+  return ints;
 }
 
 std::size_t SymbolicAnalysis::predicted_peak_bytes(

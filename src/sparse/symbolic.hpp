@@ -64,6 +64,14 @@ struct SymbolicAnalysis {
   /// (FP32 levels store and stage at half width); empty means all-FP64.
   std::vector<std::size_t> predicted_level_peak_bytes(
       MemoryMode mode, const std::vector<Precision>& level_prec) const;
+  /// Ints of the factorization's one row-swap workspace under the
+  /// per-level precisions (empty = all FP64): the largest need of any
+  /// strided front group — irr_getrf's nb-column panels in FP64, its
+  /// 2 nb-column panels and the rehearsed U12 swap over the widest
+  /// separator in FP32. Shared by the numeric factorization and the peak
+  /// prediction.
+  std::size_t laswp_workspace_ints(
+      const std::vector<Precision>& level_prec) const;
   /// Maximum of predicted_level_peak_bytes over all levels — the global
   /// predicted peak, comparable to FactorReport::measured_peak_bytes.
   std::size_t predicted_peak_bytes(

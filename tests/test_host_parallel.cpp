@@ -1,10 +1,11 @@
 // Host-parallel block execution (DESIGN.md §15): the worker pool's
-// exactly-once contract, the launch contract of independent and chained
-// blocks (costs folded in index order, the serial run's exception, mutable
-// bodies kept serial), and bitwise identity of every simulated number and
-// every result between one and several host threads — kernels, the
-// multifrontal factorization under each precision and routing option, the
-// device solves, and the service.
+// exactly-once contract, the launch contract of independent blocks (costs
+// folded in index order, the serial run's exception, mutable bodies kept
+// serial), and bitwise identity of every simulated number and every
+// result between one and several host threads — kernels, the multifrontal
+// factorization under each precision and routing option (with fronts
+// split into concurrent column panels), the device solves, and the
+// service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,9 @@
 #include "irrblas/vbatch.hpp"
 #include "service/solver_service.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/multifrontal.hpp"
 #include "sparse/solver.hpp"
+#include "sparse/symbolic.hpp"
 #include "trace/trace.hpp"
 #include "helpers.hpp"
 
@@ -297,48 +300,6 @@ TEST(ParallelLaunch, ThrowsTheLowestFailingBlockAndFoldsOnlyBlocksBefore) {
   EXPECT_EQ(run(kThreads), serial);
 }
 
-TEST(ParallelLaunch, ChainsKeepTheirOrderAndSummation) {
-  // Blocks of a chain accumulate into one slot; the sums must be bitwise
-  // the serial ones and each chain must run in index order.
-  const std::vector<int> chains = {0, 1, 5, 6, 40, 41, 42, 90};
-  auto run = [&](int threads) {
-    const ScopedHostThreads scope(threads);
-    Device dev(DeviceModel::a100());
-    std::vector<double> acc(chains.size(), 0.1);
-    std::vector<int> last(chains.size(), -1);
-    std::atomic<int> out_of_order{0};
-    dev.launch(dev.stream(),
-               {"chained", 100, 0, kIndependentBlocks, chains},
-               [&](BlockCtx& c) {
-                 const auto k = static_cast<std::size_t>(
-                     std::upper_bound(chains.begin(), chains.end(),
-                                      c.block()) -
-                     chains.begin() - 1);
-                 if (c.block() <= last[k]) out_of_order++;
-                 last[k] = c.block();
-                 for (int i = 0; i < 2000; ++i)
-                   acc[k] += 1.0 / (3.0 + c.block() + i);
-                 spin_us(2);
-                 c.record(acc[k], 1.0);
-               });
-    EXPECT_EQ(out_of_order.load(), 0);
-    EXPECT_EQ(dev.pooled_launch_count() > 0, threads > 1);
-    return std::make_pair(acc, DeviceTrace(dev));
-  };
-  const auto serial = run(1);
-  const auto parallel = run(kThreads);
-  EXPECT_TRUE(same_bits(serial.first, parallel.first));
-  EXPECT_EQ(serial.second, parallel.second);
-}
-
-TEST(ParallelLaunch, RejectsMalformedChains) {
-  Device dev(DeviceModel::test_tiny());
-  const std::vector<int> bad = {1, 3};  // must start at block 0
-  EXPECT_THROW(dev.launch(dev.stream(), {"bad", 4, 0, kIndependentBlocks, bad},
-                          [](BlockCtx&) {}),
-               Error);
-}
-
 TEST(ParallelLaunch, MutableAndSerialBodiesStayOnTheCallingThread) {
   const ScopedHostThreads scope(kThreads);
   Device dev(DeviceModel::a100());
@@ -398,29 +359,41 @@ namespace {
 struct FactorRun {
   std::vector<double> factor;
   std::vector<float> factor_f32;
+  std::vector<int> pivots;
+  double growth = 0;
   std::vector<double> x, x_device, x_many;
   double factor_seconds = 0;
   long launches = 0;
   bool operator==(const FactorRun& o) const {
     return same_bits(factor, o.factor) && same_bits(factor_f32, o.factor_f32) &&
+           pivots == o.pivots &&
+           std::memcmp(&growth, &o.growth, sizeof growth) == 0 &&
            same_bits(x, o.x) && same_bits(x_device, o.x_device) &&
            same_bits(x_many, o.x_many) && factor_seconds == o.factor_seconds &&
            launches == o.launches;
   }
 };
 
+/// The factor's numbers and schedule (the solve fields stay empty).
+FactorRun factor_run(const sparse::MultifrontalFactor& f) {
+  FactorRun r;
+  r.factor.assign(f.factor_data(), f.factor_data() + f.factor_elems());
+  r.factor_f32.assign(f.factor_data_f32(),
+                      f.factor_data_f32() + f.factor_elems_f32());
+  r.pivots.assign(f.pivot_data(), f.pivot_data() + f.pivot_count());
+  r.growth = f.report().pivot_growth;
+  r.factor_seconds = f.factor_seconds();
+  r.launches = f.launch_count();
+  return r;
+}
+
 FactorRun factor_and_solve(Device& dev, const sparse::CsrMatrix& a,
                            const sparse::SolverOptions& opts) {
   sparse::SparseDirectSolver solver(opts);
   solver.analyze(a);
   solver.factor(dev);
-  FactorRun r;
   const auto& f = solver.numeric();
-  r.factor.assign(f.factor_data(), f.factor_data() + f.factor_elems());
-  r.factor_f32.assign(f.factor_data_f32(),
-                      f.factor_data_f32() + f.factor_elems_f32());
-  r.factor_seconds = f.factor_seconds();
-  r.launches = f.launch_count();
+  FactorRun r = factor_run(f);
   const auto b = rhs(a.rows(), 11);
   r.x = solver.solve_report(b).x;
   std::vector<double> xd = b;
@@ -467,6 +440,111 @@ TEST_P(FactorIdentity, FactorSolveAndTimelineMatchOneThread) {
 
 INSTANTIATE_TEST_SUITE_P(Options, FactorIdentity,
                          ::testing::Values(0, 1, 2, 3));
+
+namespace {
+
+/// A matrix and separator tree whose fronts have orders 31, 32, 33, 40,
+/// 64, 65 and 310: below, at and above one 32-column panel, two panels
+/// either side of 64, and a ten-panel root. Each node couples densely
+/// within its separator and to `u` variables spread over its parent's
+/// separator, so a front's update set is exactly those; values are
+/// random, so the factorization pivots.
+struct PanelTree {
+  sparse::CsrMatrix a;
+  ordering::Ordering ord;
+};
+
+PanelTree panel_tree() {
+  struct Node {
+    int s, u, parent, stride;
+  };
+  // Postorder: leaves L1, L2 under A; L3, L4 under B; A and B under R.
+  const std::vector<Node> nodes = {{11, 20, 2, 1}, {12, 20, 2, 1},
+                                   {24, 40, 6, 7}, {13, 20, 5, 1},
+                                   {20, 20, 5, 1}, {20, 45, 6, 6},
+                                   {310, 0, -1, 0}};
+  PanelTree t;
+  std::vector<int> begin;
+  int n = 0;
+  for (const Node& nd : nodes) {
+    begin.push_back(n);
+    n += nd.s;
+  }
+  Rng rng(23);
+  std::vector<std::tuple<int, int, double>> trip;
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    const Node& nd = nodes[k];
+    for (int i = begin[k]; i < begin[k] + nd.s; ++i) {
+      for (int j = begin[k]; j < begin[k] + nd.s; ++j)
+        trip.emplace_back(i, j, rng.uniform(-1, 1));
+      for (int c = 0; c < nd.u; ++c) {
+        const int j =
+            begin[static_cast<std::size_t>(nd.parent)] + c * nd.stride;
+        trip.emplace_back(i, j, rng.uniform(-1, 1));
+        trip.emplace_back(j, i, rng.uniform(-1, 1));
+      }
+    }
+  }
+  t.a = sparse::CsrMatrix::from_triplets(n, trip);
+  for (int i = 0; i < n; ++i) {
+    t.ord.perm.push_back(i);
+    t.ord.iperm.push_back(i);
+  }
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    ordering::SepTreeNode sn;
+    sn.begin = begin[k];
+    sn.end = begin[k] + nodes[k].s;
+    sn.parent = nodes[k].parent;
+    t.ord.tree.push_back(sn);
+  }
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    const int p = nodes[k].parent;
+    if (p < 0) continue;
+    auto& pn = t.ord.tree[static_cast<std::size_t>(p)];
+    (pn.left < 0 ? pn.left : pn.right) = static_cast<int>(k);
+  }
+  t.ord.root = static_cast<int>(nodes.size()) - 1;
+  return t;
+}
+
+}  // namespace
+
+class PanelledFrontIdentity
+    : public ::testing::TestWithParam<sparse::PrecisionPolicy> {};
+
+TEST_P(PanelledFrontIdentity, FactorAndSolveMatchOneThread) {
+  // Every panelled stage splits the larger fronts into concurrent blocks,
+  // and the norm and growth panels of one front combine by atomic max.
+  const PanelTree t = panel_tree();
+  const sparse::SymbolicAnalysis sym =
+      sparse::SymbolicAnalysis::build(t.a, t.ord);
+  std::vector<int> dims;
+  for (const auto& f : sym.fronts) dims.push_back(f.dim());
+  std::sort(dims.begin(), dims.end());
+  ASSERT_EQ(dims, (std::vector<int>{31, 32, 33, 40, 64, 65, 310}));
+  sparse::FactorOptions opts;
+  opts.precision = GetParam();
+  const auto both = run_both([&](Device& dev) {
+    sparse::MultifrontalFactor f(dev, t.a, sym, opts);
+    EXPECT_TRUE(f.numerically_ok());
+    FactorRun r = factor_run(f);
+    r.x_device = rhs(t.a.rows(), 5);
+    f.solve_many(r.x_device, 1);
+    return r;
+  });
+  EXPECT_TRUE(both.first == both.second);
+  // Partial pivoting moved rows.
+  int swaps = 0;
+  const int* piv = both.first.pivots.data();
+  for (const auto& fr : sym.fronts)
+    for (int r = 0; r < fr.s(); ++r) swaps += *piv++ != r;
+  EXPECT_GT(swaps, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Precisions, PanelledFrontIdentity,
+                         ::testing::Values(sparse::PrecisionPolicy::kF64,
+                                           sparse::PrecisionPolicy::kF32,
+                                           sparse::PrecisionPolicy::kAdaptive));
 
 TEST(HostThreadsIdentity, TraceRowsMatchOneThread) {
   // The tracer sees the same launches, scopes and simulated intervals;

@@ -506,12 +506,13 @@ int touched_rows(const std::vector<int>& piv, int k0, int k1) {
 /// One traced launch: kernel name, grid, shared memory and bytes.
 using LaunchRow = std::tuple<std::string, int, std::size_t, double>;
 
-/// Runs the rehearsed row swaps — irr_laswp's kRehearsal panels at
-/// j = 0, 8, 16, 24, 32 and one irr_laswp_range_staged call over pivots
-/// [2, 20) and columns [3, 20) — on a batch with hand-built pivot chains.
-/// Checks every matrix bit for bit against la::laswp on a host copy, and
-/// every traced launch's bytes against the rehearse / move cost formulas
-/// of irr_laswp.cpp.
+/// Runs the row swaps — irr_laswp's kRehearsal panels at j = 0, 8, 16,
+/// 24, 32, then irr_laswp_range_staged and irr_laswp_range over pivots
+/// [2, 20) and columns [3, 20), and over pivots [1, 30) and columns
+/// [2, 72) — on batches with hand-built pivot chains. Checks every matrix
+/// bit for bit against la::laswp on a host copy, and every traced launch's
+/// grid and bytes against the cost formulas of irr_laswp.cpp and
+/// irr_getrf.cpp (one block per matrix, or per matrix and column panel).
 template <typename T>
 void check_rehearsal_on_chains() {
   Device dev(DeviceModel::a100());
@@ -585,31 +586,53 @@ void check_rehearsal_on_chains() {
     }
   });
 
-  // Range: matrices shorter than k1, narrower than c0 + w, at or below
-  // c0 columns, and with no pivot row past k0.
-  const int k0 = 2, k1 = 20, c0 = 3, w = 17;
-  const std::vector<int> rm = {30, 12, 30, 30, 2, 25, 20};
-  const std::vector<int> rn = {30, 30, 10, 3, 30, 21, 20};
-  run(rm, rn, [&](VBatch<T>& A, VBatch<T>& R, int const* const* piv,
-                  const std::vector<std::vector<int>>& hp) {
-    const int bs = A.batch_size();
-    irr_laswp_range_staged<T>(dev, dev.stream(), k0, k1, w, A.ptrs(),
-                              A.lda(), c0, A.m_vec(), A.n_vec(), piv, bs);
-    double rehearse = 0, move = 0;
-    for (int i = 0; i < bs; ++i) {
-      const int rows = std::min(k1, A.m_of(i));
-      const int width = std::min(w, A.n_of(i) - c0);
-      if (rows <= k0 || width <= 0) continue;
-      const int cnt = touched_rows(hp[static_cast<std::size_t>(i)], k0, rows);
-      rehearse += (2.0 * (rows - k0) + 2.0 * cnt) * sizeof(int);
-      move += 2.0 * cnt * width * row_bytes;
-      const int lda = A.lda()[i];
-      la::laswp(width, R.view(i).data() + static_cast<std::ptrdiff_t>(c0) * lda,
-                lda, k0, rows, hp[static_cast<std::size_t>(i)].data());
-    }
-    expect.emplace_back("irr_laswp_rehearse", bs, 0, rehearse);
-    expect.emplace_back("irr_laswp_move", bs, move_smem, move);
-  });
+  // Ranges, rehearsed and strided: matrices shorter than k1, narrower
+  // than c0 + w, at or below c0 columns, and with no pivot row past k0.
+  // w = 17 fits one column panel; w = 70 spans three, and DCWI retires
+  // the matrices at different panels.
+  struct Range {
+    int k0, k1, c0, w;
+  };
+  const std::vector<int> rm = {30, 12, 30, 30, 2, 25, 20, 40, 40};
+  const std::vector<int> rn = {30, 30, 10, 3, 30, 21, 20, 40, 75};
+  for (const Range g : {Range{2, 20, 3, 17}, Range{1, 30, 2, 70}})
+    for (const bool staged : {true, false})
+      run(rm, rn, [&](VBatch<T>& A, VBatch<T>& R, int const* const* piv,
+                      const std::vector<std::vector<int>>& hp) {
+        const int bs = A.batch_size();
+        if (staged)
+          irr_laswp_range_staged<T>(dev, dev.stream(), g.k0, g.k1, g.w,
+                                    A.ptrs(), A.lda(), g.c0, A.m_vec(),
+                                    A.n_vec(), piv, bs);
+        else
+          irr_laswp_range<T>(dev, dev.stream(), g.k0, g.k1, g.w, A.ptrs(),
+                             A.lda(), g.c0, A.m_vec(), A.n_vec(), piv, bs);
+        double rehearse = 0, move = 0, swapped = 0;
+        for (int i = 0; i < bs; ++i) {
+          const auto& ip = hp[static_cast<std::size_t>(i)];
+          const int rows = std::min(g.k1, A.m_of(i));
+          const int width = std::min(g.w, A.n_of(i) - g.c0);
+          if (rows <= g.k0 || width <= 0) continue;
+          const int cnt = touched_rows(ip, g.k0, rows);
+          rehearse += (2.0 * (rows - g.k0) + 2.0 * cnt) * sizeof(int);
+          move += 2.0 * cnt * width * row_bytes;
+          for (int r = g.k0; r < rows; ++r)
+            if (ip[static_cast<std::size_t>(r)] != r)
+              swapped += 4.0 * width * 64.0;
+          const int lda = A.lda()[i];
+          la::laswp(width,
+                    R.view(i).data() + static_cast<std::ptrdiff_t>(g.c0) * lda,
+                    lda, g.k0, rows, ip.data());
+        }
+        const int panels = (g.w + kColumnPanel - 1) / kColumnPanel;
+        if (staged) {
+          expect.emplace_back("irr_laswp_rehearse", bs, 0, rehearse);
+          expect.emplace_back("irr_laswp_move", bs * panels, move_smem,
+                              move);
+        } else {
+          expect.emplace_back("irr_laswp_range", bs * panels, 0, swapped);
+        }
+      });
 
   dev.set_tracer(nullptr);
   std::vector<LaunchRow> got;

@@ -328,6 +328,31 @@ TEST(MemTrace, PredictedPeakWithin10PercentForStackedLevels) {
   EXPECT_NEAR(ratio, 1.0, 0.10);
 }
 
+TEST(MemTrace, PredictedPeakExactUnderFp32Policies) {
+  // FP32 front groups factor with 2 nb-column panels and rehearse their
+  // U12 row swaps over the whole separator. The factorization's one
+  // row-swap workspace is sized for both, and the predictor counts it:
+  // no FP32 group draws an uncounted workspace from the device cache.
+  const fem::EdgeSystem sys = small_maxwell();
+  for (auto policy : {sparse::PrecisionPolicy::kF32,
+                      sparse::PrecisionPolicy::kAdaptive})
+    for (auto mode : {sparse::MemoryMode::kAllUpfront,
+                      sparse::MemoryMode::kStackedLevels}) {
+      SCOPED_TRACE(std::string(sparse::to_string(policy)) + " " +
+                   sparse::to_string(mode));
+      Device dev(DeviceModel::a100());
+      sparse::SolverOptions opts = solver_opts(mode);
+      opts.factor.precision = policy;
+      sparse::SparseDirectSolver solver(opts);
+      solver.analyze(sys.a);
+      solver.factor(dev);
+      const auto& rep = solver.numeric().report();
+      ASSERT_GT(rep.fp32_fronts, 0);
+      EXPECT_EQ(rep.predicted_peak_bytes, rep.measured_peak_bytes);
+      EXPECT_EQ(dev.workspace_count(), 0u);
+    }
+}
+
 TEST(MemTrace, PredictedLevelPeaksAreConsistent) {
   const fem::EdgeSystem sys = small_maxwell();
   sparse::SparseDirectSolver solver(

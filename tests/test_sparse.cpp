@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "fem/mesh.hpp"
 #include "fem/nedelec.hpp"
 #include "gpusim/device.hpp"
+#include "lapack/microkernel.hpp"
 #include "ordering/graph.hpp"
 #include "ordering/mc64.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -82,6 +84,52 @@ TEST(Csr, FromTripletsSumsDuplicates) {
   EXPECT_DOUBLE_EQ(csr_entry(a, 0, 0), 3.0);
   EXPECT_DOUBLE_EQ(csr_entry(a, 1, 0), 5.0);
   EXPECT_DOUBLE_EQ(csr_entry(a, 1, 1), 0.0);
+}
+
+TEST(Csr, FromTripletsMatchesPerRowMapReference) {
+  // The reference is the per-row std::map build: each entry sums its
+  // duplicates from 0.0 in triplet order. Random triplets on small orders
+  // repeat often; -0.0 entries, cancelling pairs and values spread over
+  // many binades make any change of summation order visible.
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = rng.uniform_int(1, 24);
+    std::vector<std::tuple<int, int, double>> t;
+    const int count = rng.uniform_int(0, 8 * n);
+    for (int k = 0; k < count; ++k) {
+      const int i = rng.uniform_int(0, n - 1);
+      const int j = rng.uniform_int(0, n - 1);
+      const double v = std::ldexp(rng.uniform(-1, 1), rng.uniform_int(-30, 30));
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          t.emplace_back(i, j, -0.0);
+          break;
+        case 1:  // a cancelling pair
+          t.emplace_back(i, j, v);
+          t.emplace_back(i, j, -v);
+          break;
+        default:
+          t.emplace_back(i, j, v);
+      }
+    }
+    std::vector<std::map<int, double>> rows(static_cast<std::size_t>(n));
+    for (const auto& [i, j, v] : t) rows[static_cast<std::size_t>(i)][j] += v;
+    std::vector<int> ptr = {0}, ind;
+    std::vector<double> val;
+    for (const auto& row : rows) {
+      for (const auto& [j, v] : row) {
+        ind.push_back(j);
+        val.push_back(v);
+      }
+      ptr.push_back(static_cast<int>(ind.size()));
+    }
+    const CsrMatrix a = CsrMatrix::from_triplets(n, t);
+    ASSERT_EQ(a.ptr(), ptr) << "trial " << trial;
+    ASSERT_EQ(a.ind(), ind) << "trial " << trial;
+    ASSERT_TRUE(same_bits(a.val().data(), a.val().size(), val.data(),
+                          val.size()))
+        << "trial " << trial;
+  }
 }
 
 TEST(Csr, MultiplyAndResidual) {
@@ -830,13 +878,16 @@ TEST(Hybrid, ThresholdIsGemmScheduleKnobOnly) {
 // The simulated schedule of a factorization is a contract: every traced
 // launch and allocation, the simulated clock, the launch and sync counts
 // and the peak bytes stay put when the factor pipeline is restructured.
-// The golden digests were recorded before the constructor was split into
-// named stages. Factor bits cannot be goldens: the native-ISA and the
+// The digests were last re-recorded when the data-movement stages and
+// the U12 row swaps were cut into 32-column panels: grids, simulated
+// times and the FP32 workspace allocations moved, launch counts did not.
+// The schedule must not depend on the build: the native-ISA and the
 // portable micro-kernel builds round differently, and on a matrix that
 // pivots, different roundings pick different pivots, which moves the
 // row-swap traffic. This matrix is strictly diagonally dominant, so
 // partial pivoting never swaps and its schedule is the same on every
-// build and at every host-thread count.
+// build and at every host-thread count. FactorBits below pins the
+// numbers, per build.
 
 namespace {
 
@@ -892,18 +943,19 @@ void hash_trace(Fnv1a& h, const irrlu::trace::Tracer& tr) {
   }
 }
 
-}  // namespace
+/// The 27 factor configurations both golden tests cover: the three
+/// baseline engines, then the batched engine over memory mode x precision
+/// policy x interleaved routing x Figure-14 threshold.
+struct FactorConfig {
+  Engine engine;
+  MemoryMode memory;
+  PrecisionPolicy precision;
+  bool interleaved;
+  int threshold;
+};
 
-TEST(FactorSchedule, UnchangedFromParent) {
-  const CsrMatrix a = pivot_free_matrix(12, 10, 9);
-  struct Config {
-    Engine engine;
-    MemoryMode memory;
-    PrecisionPolicy precision;
-    bool interleaved;
-    int threshold;
-  };
-  std::vector<Config> configs;
+std::vector<FactorConfig> golden_factor_configs() {
+  std::vector<FactorConfig> configs;
   for (Engine e : {Engine::kLooped, Engine::kLegacySmallBatch,
                    Engine::kRightLooking})
     configs.push_back(
@@ -914,48 +966,64 @@ TEST(FactorSchedule, UnchangedFromParent) {
       for (bool ilv : {false, true})
         for (int threshold : {256, 24})
           configs.push_back({Engine::kBatched, m, p, ilv, threshold});
+  return configs;
+}
+
+std::string config_name(const FactorConfig& c) {
+  std::ostringstream name;
+  name << to_string(c.engine) << " memory=" << static_cast<int>(c.memory)
+       << " precision=" << to_string(c.precision)
+       << " interleaved=" << c.interleaved << " threshold=" << c.threshold;
+  return name.str();
+}
+
+SolverOptions config_options(const FactorConfig& c) {
+  SolverOptions opts;
+  opts.nd.leaf_size = 16;
+  opts.factor.engine = c.engine;
+  opts.factor.memory = c.memory;
+  opts.factor.precision = c.precision;
+  opts.factor.interleaved.enabled = c.interleaved;
+  opts.factor.interleaved.max_class_dim = 32;
+  opts.factor.hybrid_gemm_threshold = c.threshold;
+  return opts;
+}
+
+}  // namespace
+
+TEST(FactorSchedule, UnchangedFromParent) {
+  const CsrMatrix a = pivot_free_matrix(12, 10, 9);
+  const std::vector<FactorConfig> configs = golden_factor_configs();
   const std::uint64_t golden[] = {
       // looped, legacy-small-batch, right-looking
-      0x6fa9010f2afab459ull, 0x1d6bd11e2a4f23f8ull, 0x4b1d96a56a60b1d5ull,
+      0xc3a04e0f8a1a54f1ull, 0x945078f95271b1abull, 0x25da5e04905875d2ull,
       // batched all-upfront f64: interleaved off/on x threshold 256/24
-      0xe81ddc86aa79c02cull, 0xb6bf9e9ad39ee895ull,
-      0xadccd6ad86e0b54dull, 0xf381e4e7b948f52full,
+      0xdc8c650205f86371ull, 0x57a6b1d930f090f0ull,
+      0x70ff49dc277bc88cull, 0x518049a5c5e9af1cull,
       // batched all-upfront f32: interleaved off/on x threshold 256/24
-      0xdee52f5de94520b5ull, 0x58cddb0e344e233eull,
-      0x857ccc7a8374a8b3ull, 0xac0b0dcfd3ee07e3ull,
+      0x6118851863cb8baaull, 0xf73cd81e4f5071c5ull,
+      0xa74864a3bba59688ull, 0xce8f00c5c42d83d2ull,
       // batched all-upfront adaptive: interleaved off/on x threshold 256/24
-      0xbf6e10e54763af1bull, 0x1b158524028289a8ull,
-      0x921e147a5af51d15ull, 0xb1397f8ad28d0a0full,
+      0x28c66c1ebd3f6a92ull, 0xa2ced221ad7ced52ull,
+      0xe05044617051ef82ull, 0xe1cbcb4f7f79a901ull,
       // batched stacked-levels f64: interleaved off/on x threshold 256/24
-      0x0a2613872249f815ull, 0xba01cb312a537431ull,
-      0xcca1c05405f696c0ull, 0x285b9e9bf381d969ull,
+      0x672d9d0bd1b3752aull, 0x333044e5717efdcbull,
+      0xe01164fc87db03ddull, 0xc7ebcfda4a9d3ef9ull,
       // batched stacked-levels f32: interleaved off/on x threshold 256/24
-      0x4fab66b50c431fecull, 0xc9d2a2aa60381856ull,
-      0xa9a1de737bd86e77ull, 0x9e8851c5bcf8cd91ull,
+      0xc8170a1aa71a9b71ull, 0x96f75fd171ec25ccull,
+      0x34419789203c42c2ull, 0x800f58b38212689bull,
       // batched stacked-levels adaptive: interleaved off/on x threshold 256/24
-      0x318a41938835625aull, 0x8f68c2c2b2b512fdull,
-      0xdb9132ad87aa0abeull, 0xb29f6cf66063132cull,
+      0xdf8d467856ffd957ull, 0xa534b9c58687646aull,
+      0x58e7c4448bb7bf3dull, 0x8ba929321127cc89ull,
   };
   ASSERT_EQ(configs.size(), std::size(golden));
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const Config& c = configs[i];
-    std::ostringstream name;
-    name << to_string(c.engine) << " memory=" << static_cast<int>(c.memory)
-         << " precision=" << to_string(c.precision)
-         << " interleaved=" << c.interleaved << " threshold=" << c.threshold;
-    SCOPED_TRACE(name.str());
-    SolverOptions opts;
-    opts.nd.leaf_size = 16;
-    opts.factor.engine = c.engine;
-    opts.factor.memory = c.memory;
-    opts.factor.precision = c.precision;
-    opts.factor.interleaved.enabled = c.interleaved;
-    opts.factor.interleaved.max_class_dim = 32;
-    opts.factor.hybrid_gemm_threshold = c.threshold;
+    const FactorConfig& c = configs[i];
+    SCOPED_TRACE(config_name(c));
     irrlu::trace::Tracer tracer;  // outlives the device's last free
     Device dev(DeviceModel::a100());
     dev.set_tracer(&tracer);
-    SparseDirectSolver solver(opts);
+    SparseDirectSolver solver(config_options(c));
     solver.analyze(a);
     Fnv1a h;
     solver.factor(dev);
@@ -966,6 +1034,91 @@ TEST(FactorSchedule, UnchangedFromParent) {
     hash_factor(h, solver.numeric());
     hash_trace(h, tracer);
     EXPECT_EQ(h.value(), golden[i])
+        << "config " << i << " digest 0x" << std::hex << h.value();
+  }
+}
+
+// ------------------------------------------------------ factor bits goldens
+//
+// The numbers of a factorization are a contract too: a change that only
+// regrids kernels or moves the simulated schedule must leave every factor
+// entry, pivot, diagnostic and solution bit where it was. This matrix has
+// FactorSchedule's pattern but unsymmetric random values, so partial
+// pivoting swaps rows and the row-swap kernels move data. The bits depend
+// on the build: the packed micro-kernel rounds differently with fused
+// multiply-adds (native builds on FMA hosts) than without (portable
+// builds), so each of the two has its own goldens.
+
+namespace {
+
+/// Every number one factorization produced (no schedule fields).
+void hash_factor_bits(Fnv1a& h, const MultifrontalFactor& f) {
+  h.word(f.factor_elems());
+  for (std::size_t i = 0; i < f.factor_elems(); ++i)
+    h.real(f.factor_data()[i]);
+  h.word(f.factor_elems_f32());
+  for (std::size_t i = 0; i < f.factor_elems_f32(); ++i)
+    h.word(std::bit_cast<std::uint32_t>(f.factor_data_f32()[i]));
+  h.word(f.pivot_count());
+  for (std::size_t i = 0; i < f.pivot_count(); ++i)
+    h.word(static_cast<std::uint32_t>(f.pivot_data()[i]));
+  h.real(f.report().pivot_growth);
+  h.word(static_cast<std::uint64_t>(f.report().boosted_pivots));
+}
+
+void hash_solve(Fnv1a& h, const SolveReport& r) {
+  h.doubles(r.x);
+  h.word(static_cast<std::uint64_t>(r.status));
+  h.real(r.berr);
+  h.word(static_cast<std::uint64_t>(r.refine_steps));
+  h.word(r.refactored_fp64 ? 1 : 0);
+  h.doubles(r.berr_history);
+}
+
+/// Pivots of `f` that move a row (ipiv[r] != r within each front).
+int row_swaps(const MultifrontalFactor& f, const SymbolicAnalysis& sym) {
+  int swaps = 0;
+  const int* piv = f.pivot_data();
+  for (const Front& fr : sym.fronts)
+    for (int r = 0; r < fr.s(); ++r) swaps += *piv++ != r;
+  return swaps;
+}
+
+}  // namespace
+
+TEST(FactorBits, UnchangedFromParent) {
+  const CsrMatrix a = random_values(pivot_free_matrix(12, 10, 9), 2024);
+  const std::vector<double> b = random_rhs(a.rows(), 7);
+  std::vector<std::vector<double>> bs;
+  for (unsigned k = 0; k < 3; ++k) bs.push_back(random_rhs(a.rows(), 11 + k));
+  // Every engine, memory mode, routing and threshold gives the bits of
+  // its precision policy: one digest per policy, [0] for a micro-kernel
+  // without fused multiply-adds and [1] for one with them.
+  const std::map<PrecisionPolicy, std::uint64_t> golden[2] = {
+      {{PrecisionPolicy::kF64, 0xd850ef2b0efff46full},
+       {PrecisionPolicy::kF32, 0xaa77de131bb3564cull},
+       {PrecisionPolicy::kAdaptive, 0xdaf85092bad83c9full}},
+      {{PrecisionPolicy::kF64, 0x60b5438e8ce9f71dull},
+       {PrecisionPolicy::kF32, 0xade227d573ca1570ull},
+       {PrecisionPolicy::kAdaptive, 0x3213e1df362b74d3ull}},
+  };
+  const bool fma = irrlu::la::mk::fused_multiply_add();
+  const std::vector<FactorConfig> configs = golden_factor_configs();
+  ASSERT_EQ(configs.size(), 27u);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const FactorConfig& c = configs[i];
+    SCOPED_TRACE(config_name(c));
+    Device dev(DeviceModel::a100());
+    SparseDirectSolver solver(config_options(c));
+    solver.analyze(a);
+    solver.factor(dev);
+    Fnv1a h;
+    hash_factor_bits(h, solver.numeric());
+    // The pivoting exercises the row swaps inside and outside the panels.
+    EXPECT_GT(row_swaps(solver.numeric(), solver.symbolic()), 0);
+    hash_solve(h, solver.solve_report(b));
+    for (const SolveReport& r : solver.solve_report_many(bs)) hash_solve(h, r);
+    EXPECT_EQ(h.value(), golden[fma].at(c.precision))
         << "config " << i << " digest 0x" << std::hex << h.value();
   }
 }
