@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -62,21 +61,6 @@ struct ConfigResult {
   double residual = 0;
 };
 
-/// One side of the interleaved-routing A/B (DESIGN.md §12).
-struct IlvConfig {
-  bool enabled = false;
-  double factor_s = 0, refactor_median_s = 0;
-  double factor_sim_s = 0;
-  long launches = 0;
-};
-
-/// The interleaved experiment of one mesh point: routing on vs off (both
-/// with the pool) and the factor-bits identity between the two sides.
-struct IlvExperiment {
-  IlvConfig cfg[2];  // [0] = routing on, [1] = routing off
-  bool bits_identical = false;
-};
-
 /// One side of the mixed-precision A/B (DESIGN.md §14): the same system
 /// factored under one precision policy, then solved with the LU-IR
 /// refinement loop.
@@ -109,9 +93,6 @@ int main(int argc, char** argv) {
   const std::string device = args.get_string("device", "a100");
   const std::string out_path = args.get_string("out", "BENCH_factor.json");
   const double omega = args.get_double("omega", 16.0);
-  // Interleaved-routing class-dim cap for the A/B below; 0 keeps the
-  // library default (see InterleavedOptions::max_class_dim).
-  const int ilv_cap = args.get_int("ilv_cap", 0);
   // Precision policy of the pool experiment's solvers ("f64" | "f32" |
   // "adaptive"). The mixed-precision A/B below always runs f32 vs f64
   // regardless of this flag; the default keeps the committed artifact on
@@ -127,9 +108,7 @@ int main(int argc, char** argv) {
   // (ntheta, ncross) torus resolutions; edge-element counts grow with
   // ntheta * ncross^2. --quick keeps the smoke target in ctest seconds.
   // The ncross = 2 points are thin tubes whose assembly trees consist
-  // entirely of small fronts — the paper's deep-level regime, where the
-  // interleaved leaf routing has material coverage; on the fat 3D points
-  // nearly every front exceeds the routable class sizes.
+  // entirely of small fronts — the paper's deep-level regime.
   std::vector<std::pair<int, int>> family;
   if (quick)
     family = {{8, 4}, {48, 2}};
@@ -143,8 +122,6 @@ int main(int argc, char** argv) {
               device.c_str(), repeats);
   TextTable table({"point", "N", "pool", "factor (ms)", "refactor med (ms)",
                    "host allocs", "pool hits", "hit rate"});
-  TextTable ilv_table({"point", "N", "refactor strided (ms)",
-                       "refactor ilv (ms)", "wall speedup", "sim speedup"});
   TextTable prec_table({"point", "N", "f64 sim (ms)", "f32 sim (ms)",
                         "sim speedup", "f32 status", "f32 steps",
                         "f32 berr"});
@@ -153,7 +130,6 @@ int main(int argc, char** argv) {
     int ntheta, ncross, n;
     long nnz;
     ConfigResult cfg[2];  // [0] = pool on, [1] = pool off
-    IlvExperiment ilv;
     PrecExperiment prec;
   };
   std::vector<PointResult> points;
@@ -351,80 +327,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    // Interleaved leaf-routing A/B (DESIGN.md §12): same solver, pool on
-    // both sides, SoA leaf routing on vs off, with the same A/B pairing as
-    // the pool experiment. The factor bits are asserted identical between
-    // the two sides.
-    {
-      std::vector<double> ifactor_t[2], irefactor_t[2];
-      std::unique_ptr<gpusim::Device> idevs[2];
-      std::unique_ptr<trace::TraceSession> isessions[2];
-      std::unique_ptr<sparse::SparseDirectSolver> isolvers[2];
-      for (int k = 0; k < repeats; ++k)
-        for (int i = 0; i < 2; ++i) {
-          const bool ilv_on = i == 0;
-          isolvers[i].reset();
-          isessions[i].reset();
-          idevs[i] = std::make_unique<gpusim::Device>(model_by_name(device));
-          isessions[i] = make_trace_session(
-              *idevs[i], args,
-              "N" + std::to_string(pt.n) +
-                  (ilv_on ? ".ilv-on" : ".ilv-off"));
-          sparse::SolverOptions opts;
-          opts.nd.leaf_size = 16;
-          opts.factor.interleaved.enabled = ilv_on;
-          if (ilv_cap > 0) opts.factor.interleaved.max_class_dim = ilv_cap;
-          isolvers[i] = std::make_unique<sparse::SparseDirectSolver>(opts);
-          isolvers[i]->analyze(sys.a);
-          ifactor_t[i].push_back(
-              wall_s([&] { isolvers[i]->factor(*idevs[i]); }));
-        }
-      IlvExperiment& ex = pt.ilv;
-      for (int k = 0; k < repeats; ++k)
-        for (int i = 0; i < 2; ++i)
-          irefactor_t[i].push_back(
-              wall_s([&] { isolvers[i]->refactor(*idevs[i], sys.a); }));
-      for (int i = 0; i < 2; ++i) {
-        IlvConfig& r = ex.cfg[i];
-        r.enabled = i == 0;
-        r.factor_s = median(ifactor_t[i]);
-        r.refactor_median_s = median(irefactor_t[i]);
-        r.factor_sim_s = isolvers[i]->numeric().factor_seconds();
-        r.launches = idevs[i]->launch_count();
-      }
-      const auto& f_on = isolvers[0]->numeric();
-      const auto& f_off = isolvers[1]->numeric();
-      ex.bits_identical =
-          f_on.factor_elems() == f_off.factor_elems() &&
-          std::memcmp(f_on.factor_data(), f_off.factor_data(),
-                      f_on.factor_elems() * sizeof(double)) == 0;
-      if (!ex.bits_identical) {
-        std::fprintf(stderr,
-                     "FAIL: N=%d interleaved factor bits differ from the "
-                     "strided path\n",
-                     pt.n);
-        ok = false;
-      }
-      ilv_table.add_row(
-          "torus " + std::to_string(nt) + "x" + std::to_string(nc), pt.n,
-          TextTable::fmt(ex.cfg[1].refactor_median_s * 1e3, 2),
-          TextTable::fmt(ex.cfg[0].refactor_median_s * 1e3, 2),
-          TextTable::fmt(ex.cfg[0].refactor_median_s > 0
-                             ? ex.cfg[1].refactor_median_s /
-                                   ex.cfg[0].refactor_median_s
-                             : 0.0,
-                         2),
-          TextTable::fmt(ex.cfg[0].factor_sim_s > 0
-                             ? ex.cfg[1].factor_sim_s / ex.cfg[0].factor_sim_s
-                             : 0.0,
-                         2));
-      for (int i = 0; i < 2; ++i) {
-        isolvers[i].reset();
-        isessions[i].reset();
-        idevs[i].reset();
-      }
-    }
-
     pt.prec = run_prec_ab(sys, b, nt, nc);
     points.push_back(pt);
   }
@@ -434,9 +336,9 @@ int main(int argc, char** argv) {
   // per-launch and per-block overheads are precision-independent), so the
   // FP32 policy gains little there — the fat 3D points are where halved
   // bytes and the doubled microkernel rate have compute to win back.
-  // The anchors run the precision A/B only (no pool / interleaved
-  // experiments), keeping the added bench runtime bounded; --quick skips
-  // them along with the family-wide assertion below.
+  // The anchors run the precision A/B only (no pool experiment), keeping
+  // the added bench runtime bounded; --quick skips them along with the
+  // family-wide assertion below.
   if (!quick) {
     const std::vector<std::pair<int, int>> anchors = {{48, 12}, {64, 16}};
     for (const auto& [nt, nc] : anchors) {
@@ -454,8 +356,6 @@ int main(int argc, char** argv) {
   }
 
   table.print();
-  std::printf("\ninterleaved leaf routing (pool on, strided vs SoA):\n");
-  ilv_table.print();
   std::printf("\nmixed precision (FP32 LU-IR vs FP64 reference):\n");
   prec_table.print();
 
@@ -562,33 +462,6 @@ int main(int argc, char** argv) {
                    static_cast<double>(pt.cfg[1].host_allocs)
              : 0.0,
          "%.6f");
-    w.key("interleaved");
-    w.begin_object();
-    w.key("configs");
-    w.begin_array();
-    for (const IlvConfig& r : pt.ilv.cfg) {
-      w.begin_object(/*compact=*/true);
-      w.kv_bool("enabled", r.enabled);
-      w.kv("factor_wall_s", r.factor_s, "%.6e");
-      w.kv("refactor_wall_median_s", r.refactor_median_s, "%.6e");
-      w.kv("factor_sim_s", r.factor_sim_s, "%.17g");
-      w.kv_int("launches", r.launches);
-      w.end_object();
-    }
-    w.end_array();
-    w.kv("refactor_speedup",
-         pt.ilv.cfg[0].refactor_median_s > 0
-             ? pt.ilv.cfg[1].refactor_median_s /
-                   pt.ilv.cfg[0].refactor_median_s
-             : 0.0,
-         "%.4f");
-    w.kv("sim_speedup",
-         pt.ilv.cfg[0].factor_sim_s > 0
-             ? pt.ilv.cfg[1].factor_sim_s / pt.ilv.cfg[0].factor_sim_s
-             : 0.0,
-         "%.4f");
-    w.kv_bool("factor_bits_identical", pt.ilv.bits_identical);
-    w.end_object();
     w.key("precision");
     w.begin_object();
     write_prec(pt.prec);
@@ -619,9 +492,8 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s\n", out_path.c_str());
   if (ok) {
     std::printf("pool on/off simulated timelines identical; host mallocs "
-                "strictly lower with the pool; interleaved factor bits "
-                "identical to strided; FP32 LU-IR converged wherever FP64 "
-                "does");
+                "strictly lower with the pool; FP32 LU-IR converged "
+                "wherever FP64 does");
     if (quick)
       std::printf(" (family sim speedup %.2fx; the >= 1.5x assertion "
                   "needs the full family's fat anchors).\n",

@@ -250,12 +250,12 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 // at ld 35; "_batch" rows time 999 / 1024 independent calls of the shape):
 //
 //   name             "gemm_nn_mid", "trsm_ll_root", ... (stable key)
-//   op               "gemm" | "trsm" | "getf2"
+//   op               "gemm" | "trsm"
 //   transa, transb   "N" | "T"       (gemm; "N"/"N" placeholders for trsm)
 //   side, uplo       "L"/"R", "L"/"U" (trsm; placeholders for gemm)
-//   m, n, k          problem extents (k is 0 for trsm/getf2)
-//   ld               leading-dimension floor of the strided rows (0:
-//                    tight; every operand's ld is max(rows, ld))
+//   m, n, k          problem extents (k is 0 for trsm)
+//   ld               leading-dimension floor (0: tight; every operand's
+//                    ld is max(rows, ld))
 //   flops            operation count for one timed call (la::*_flops,
 //                    times batch)
 //   engine_median_ns median wall-clock ns per call through la::gemm/la::trsm
@@ -263,24 +263,13 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                    engine algorithms, compiled with project-default flags)
 //   engine_gflops, naive_gflops    flops / median_ns
 //   speedup          naive_median_ns / engine_median_ns
-//   layout           "strided" | "interleaved"
-//   batch            matrices per timed call (lanes for the interleaved
-//                    rows; 1 except the gemm_odd_*_batch strided rows)
+//   batch            matrices per timed call (1 except the
+//                    gemm_odd_*_batch rows)
 //   prec             "f64" | "f32" — element type of both sides of the
 //                    row. Every class has an f32 twin ("_f32" suffix,
 //                    DESIGN.md §14) in single precision; the ns ratio
 //                    f64-row / f32-row is the throughput win the FP32
 //                    multifrontal levels inherit
-//
-// The interleaved_* rows (layout "interleaved", DESIGN.md §12) time one
-// whole batch of `batch` same-shape leaf-class matrices per call: the
-// contender ("engine") is the SoA launch (irr_*_ilv, one make_* kernel
-// handle per call), the baseline ("naive") is the strided engine batch path
-// (irr_gemm/irr_trsm/irr_getrf) on the same simulated device — i.e. what
-// the multifrontal leaf levels would otherwise run. The medians cover the
-// batch, so ns and gflops compare directly row-to-row; speedup is the SoA
-// win over the strided layout at that shape. getf2 rows carry the batched
-// boosted factorization of m x n panels.
 //
 // Medians are taken over a work-scaled, odd repetition count after a
 // wall-time-bounded warm-up (a few ms of sustained work, so microsecond-
@@ -330,18 +319,6 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //   refactor_speedup  pool-off / pool-on refactor medians (wall clock,
 //                     machine-dependent — report, do not gate on it)
 //   host_alloc_ratio  pool-on / pool-off host mallocs (deterministic)
-//   interleaved       SoA leaf-routing A/B on the same point (pool on both
-//                     sides; DESIGN.md §12):
-//     configs                  two entries, routing on first:
-//       enabled                    true | false
-//       factor_wall_s              first numeric factorization, host s
-//       refactor_wall_median_s     median same-pattern refactor, host s
-//       factor_sim_s               simulated device seconds
-//       launches                   device launch count
-//     refactor_speedup         routing-off / routing-on refactor medians
-//                              (wall clock — report, do not gate)
-//     sim_speedup              routing-off / routing-on factor_sim_s
-//     factor_bits_identical    routing-on factor bytes == routing-off
 //   precision         FP32-vs-FP64 LU-IR A/B on the same point
 //                     (DESIGN.md §14; fresh solver per config, pool on):
 //     configs                  two entries, f32 first:
@@ -360,8 +337,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //
 //   precision_anchor_points   [ { ntheta, ncross, n, precision }, ... ] —
 //                             two large meshes ({48,12}, {64,16}) run for
-//                             the precision A/B only (no pool/interleaved
-//                             columns; they would dominate the runtime)
+//                             the precision A/B only (no pool columns;
+//                             they would dominate the runtime)
 //   precision_family_sim_speedup
 //                             work-weighted family aggregate: sum of f64
 //                             factor_sim_s over points + anchors divided
@@ -372,17 +349,13 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                             fallback
 //
 // The torus family mixes fat 3D points (ntheta x ncross x ncross with
-// ncross >= 6), whose fronts exceed the routable class sizes — the
-// interleaved columns are neutral there and no ilv_* kernel launches —
-// with thin-tube points (ncross == 2) whose assembly trees consist
-// entirely of small fronts, the paper's deep-level regime where the SoA
-// routing has material coverage.
+// ncross >= 6) with thin-tube points (ncross == 2) whose assembly trees
+// consist entirely of small fronts, the paper's deep-level regime.
 //
 // The driver itself exits nonzero when any deterministic invariant fails
-// (sim time / launches / allocs / peak differ between pool configs, the
-// pool does not reduce host_allocs, or the interleaved factor bits differ
-// from strided), and on the precision conditions above; ctest runs it as
-// bench_factor_smoke.
+// (sim time / launches / allocs / peak differ between pool configs, or
+// the pool does not reduce host_allocs), and on the precision conditions
+// above; ctest runs it as bench_factor_smoke.
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------

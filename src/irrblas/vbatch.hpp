@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -116,65 +115,6 @@ class VBatch {
   gpusim::DeviceBuffer<T> storage_;
   gpusim::DeviceBuffer<T*> ptrs_;
   gpusim::DeviceBuffer<int> lda_, dm_, dn_;
-};
-
-/// Non-owning view of an interleaved (SoA) size class: element (r, c) of
-/// lane (matrix) i sits at data[(c*ld + r)*batch + i], so a sweep over
-/// lanes is unit stride — coalesced on the simulated device, vectorizable
-/// on the host (DESIGN.md §12). `batch` is the lane stride, which stays
-/// the full class size even for sub-views. T is the lane element type
-/// (double or float — the mixed-precision fronts route float classes).
-template <typename T>
-struct IlvViewT {
-  T* data = nullptr;
-  int ld = 0;     ///< allocated rows per column (the class m)
-  int batch = 0;  ///< lane stride
-  /// Base pointer of the (r0, c0) submatrix, lane 0.
-  T* sub(int r0, int c0) const {
-    return data + (static_cast<std::ptrdiff_t>(c0) * ld + r0) * batch;
-  }
-  IlvViewT subview(int r0, int c0) const { return {sub(r0, c0), ld, batch}; }
-};
-
-using IlvView = IlvViewT<double>;
-
-/// Owner of one *uniform* interleaved size class: `batch` matrices of
-/// identical shape m x n in a single SoA device buffer (layout above).
-/// Contrast VBatch: that one holds a non-uniform batch as consecutive
-/// column-major matrices; this one holds a same-shape class transposed
-/// batch-innermost, the storage mode the dispatch-cached leaf kernels
-/// (irrblas/interleaved.hpp) consume.
-template <typename T>
-class InterleavedBatch {
- public:
-  InterleavedBatch(gpusim::Device& dev, int m, int n, int batch)
-      : m_(m), n_(n), batch_(batch) {
-    IRRLU_CHECK(m >= 0 && n >= 0 && batch >= 0);
-    storage_ = dev.alloc<T>(static_cast<std::size_t>(m) * n * batch);
-  }
-
-  int m() const { return m_; }
-  int n() const { return n_; }
-  int batch_size() const { return batch_; }
-  T* data() const { return storage_.data(); }
-
-  /// Element (r, c) of lane i (host-visible, tests and verification).
-  T& at(int r, int c, int i) const {
-    IRRLU_DEBUG_ASSERT(r >= 0 && r < m_ && c >= 0 && c < n_ && i >= 0 &&
-                       i < batch_);
-    return storage_[(static_cast<std::size_t>(c) * m_ + r) * batch_ + i];
-  }
-
-  /// Kernel-facing view (dispatch keys carry the matching precision).
-  IlvViewT<T> view() const {
-    static_assert(std::is_same_v<T, double> || std::is_same_v<T, float>,
-                  "interleaved kernels operate on double or float batches");
-    return IlvViewT<T>{storage_.data(), m_, batch_};
-  }
-
- private:
-  int m_, n_, batch_;
-  gpusim::DeviceBuffer<T> storage_;
 };
 
 /// Per-matrix scalar-factor storage (tau for QR): tau_array[i] points to

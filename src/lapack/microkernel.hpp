@@ -33,8 +33,7 @@
 // k-ascending `acc += a * b` chain per KC block and one `c += alpha *
 // acc` writeback, so MR, NR, MC and NC never change a result bit. Under
 // -march=native the compiler fuses those multiply-adds wherever the ISA
-// has FMA (the portable build has none), the same contraction the
-// interleaved kernels of microkernel_ilv.cpp get from the same flags.
+// has FMA (the portable build has none).
 //
 // None of this changes simulated device time: the gpusim cost model is
 // driven exclusively by LaunchConfig and BlockCtx::record(), never by how

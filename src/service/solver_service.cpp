@@ -1,6 +1,5 @@
 #include "service/solver_service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -294,41 +293,33 @@ std::vector<SolveResponse> SolverService::flush() {
         sess->factored = true;
       }
 
-      // Interleaved many-RHS solve over the run, split by max_batch_rhs.
-      const std::size_t cap =
-          opts_.max_batch_rhs > 0
-              ? static_cast<std::size_t>(opts_.max_batch_rhs)
-              : run.idx.size();
-      for (std::size_t lo = 0; lo < run.idx.size(); lo += cap) {
-        const std::size_t hi = std::min(run.idx.size(), lo + cap);
-        std::vector<std::vector<double>> bs;
-        bs.reserve(hi - lo);
-        for (std::size_t k = lo; k < hi; ++k)
-          bs.push_back(reqs[run.idx[k]].b);
-        const double ts0 = dev_.host_time();
-        std::vector<sparse::SolveReport> reports =
-            sess->solver->solve_report_many(bs);
-        const double batch_s = dev_.host_time() - ts0;
-        if (auto* t = dev_.tracer()) t->observe("service.solve_s", batch_s);
-        ++stats_.batches;
-        stats_.batched_rhs += static_cast<long>(bs.size());
-        bump("service.batches", 1);
-        bump("service.batched_rhs", static_cast<double>(bs.size()));
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::size_t i = run.idx[k];
-          const bool reused = factor_reused(i);
-          out[i].report = std::move(reports[k - lo]);
-          out[i].symbolic_cache_hit = symbolic_hit(i);
-          out[i].factor_reused = reused;
-          out[i].batch_width = static_cast<int>(hi - lo);
-          account(reqs[i].tenant, out[i]);
-          // Per-tenant latency: this request's share of simulated device
-          // time — the batch it rode, plus the factorization if it was
-          // the request that paid for one.
-          if (auto* t = dev_.tracer())
-            t->observe("service.tenant." + reqs[i].tenant + ".latency_s",
-                       batch_s + (reused ? 0.0 : run_factor_s));
-        }
+      // One interleaved many-RHS solve over the whole run.
+      std::vector<std::vector<double>> bs;
+      bs.reserve(run.idx.size());
+      for (std::size_t i : run.idx) bs.push_back(reqs[i].b);
+      const double ts0 = dev_.host_time();
+      std::vector<sparse::SolveReport> reports =
+          sess->solver->solve_report_many(bs);
+      const double batch_s = dev_.host_time() - ts0;
+      if (auto* t = dev_.tracer()) t->observe("service.solve_s", batch_s);
+      ++stats_.batches;
+      stats_.batched_rhs += static_cast<long>(bs.size());
+      bump("service.batches", 1);
+      bump("service.batched_rhs", static_cast<double>(bs.size()));
+      for (std::size_t k = 0; k < run.idx.size(); ++k) {
+        const std::size_t i = run.idx[k];
+        const bool reused = factor_reused(i);
+        out[i].report = std::move(reports[k]);
+        out[i].symbolic_cache_hit = symbolic_hit(i);
+        out[i].factor_reused = reused;
+        out[i].batch_width = static_cast<int>(bs.size());
+        account(reqs[i].tenant, out[i]);
+        // Per-tenant latency: this request's share of simulated device
+        // time — the batch it rode, plus the factorization if it was the
+        // request that paid for one.
+        if (auto* t = dev_.tracer())
+          t->observe("service.tenant." + reqs[i].tenant + ".latency_s",
+                     batch_s + (reused ? 0.0 : run_factor_s));
       }
       sess->tick = ++lru_tick_;
     }

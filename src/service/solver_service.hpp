@@ -54,9 +54,6 @@ struct ServiceOptions {
   /// budget alone is rejected (Admission::kRejectedMemory) without
   /// touching the device. 0 = unlimited.
   std::size_t memory_budget_bytes = 0;
-  /// Cap on the width of one interleaved solve batch (RHS per
-  /// solve_report_many call); wider groups are split. 0 = unlimited.
-  int max_batch_rhs = 0;
 };
 
 /// Admission-control verdict attached to every response.

@@ -6,13 +6,11 @@
 #include <cstddef>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <type_traits>
 #include <variant>
 
-#include "irrblas/interleaved.hpp"
 #include "lapack/blas.hpp"
 #include "lapack/flops.hpp"
 #include "lapack/lapack.hpp"
@@ -341,18 +339,14 @@ void trace_counters(trace::Tracer& tr, const FactorReport& r) {
   }
 }
 
-/// Fronts of one level routed to the interleaved layout, bucketed by exact
-/// (s, u) class; std::map keys give a deterministic class order.
-using IlvBuckets = std::map<std::pair<int, int>, std::vector<int>>;
-
 }  // namespace
 
 // ---- the factorization pipeline -----------------------------------------
 //
 // One factorization's device state and the stages the engine drivers
 // compose. The constructor is the setup stage (owner map, assembly
-// triples, scatter maps, workspaces); the five named stages are
-// assemble, extend_add, factor_group, factor_interleaved and extract.
+// triples, scatter maps, workspaces); the four named stages are
+// assemble, extend_add, factor_group and extract.
 // Every stage that touches front values picks its element type through
 // with_type(). Member order is allocation order, so destruction frees the
 // device buffers in reverse: descriptor groups first, working fronts last.
@@ -376,7 +370,6 @@ class MultifrontalFactor::Pipeline {
   void assemble(const std::vector<int>& ids);
   void extend_add(const std::vector<int>& ids);
   void factor_group(const FrontGroup& g);
-  void factor_interleaved(const IlvBuckets& buckets, Precision prec);
   void extract(const std::vector<int>& ids);
 
   FrontGroup& make_group(const std::vector<int>& ids, int looped_gemms = 0);
@@ -396,12 +389,6 @@ class MultifrontalFactor::Pipeline {
   gpusim::Stream& stream_;
   const SymbolicAnalysis& sym_;
   const FactorOptions& opts_;
-  /// Interleaved routing (batched engine only). The cap is clamped to 32:
-  /// above it the strided path switches to blocked panels / recursive
-  /// TRSM whose operation order the interleaved kernels do not mirror
-  /// (see InterleavedOptions::max_class_dim).
-  const bool use_ilv_;
-  const int ilv_cap_;
   /// Front f's assembly triples are [asm_start_[f], asm_start_[f + 1]) of
   /// d_rows_/d_cols_/d_aidx_; its scatter map into the parent starts at
   /// d_scat_[scat_start_[f]].
@@ -423,8 +410,6 @@ MultifrontalFactor::Pipeline::Pipeline(MultifrontalFactor& mf,
       stream_(mf.dev_.stream()),
       sym_(mf.sym_),
       opts_(opts),
-      use_ilv_(opts.interleaved.enabled && opts.engine == Engine::kBatched),
-      ilv_cap_(std::min(opts.interleaved.max_class_dim, 32)),
       storage_(mf.dev_, mf.sym_, mode, mf.level_prec_) {
   const auto nf = sym_.fronts.size();
   const int n = a.rows();
@@ -583,32 +568,18 @@ void MultifrontalFactor::Pipeline::run_batched() {
     storage_.ensure_level(lvl);
     assemble(ids);
     extend_add(ids);
-    // Interleaved routing takes every front whose separator AND update
-    // extents fit the SoA classes; the rest run strided.
-    IlvBuckets buckets;
-    std::vector<int> strided;
-    for (int id : ids) {
-      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-      if (use_ilv_ && fr.s() <= ilv_cap_ && fr.u() <= ilv_cap_)
-        buckets[{fr.s(), fr.u()}].push_back(id);
-      else
-        strided.push_back(id);
-    }
-    factor_interleaved(buckets, prec_of(ids[0]));
-    if (!strided.empty()) {
-      // Figure-14 hybrid: fronts above the threshold go last, and only
-      // their Schur GEMM leaves the batch (FrontGroup::lead). Which fronts
-      // share a batch does not depend on the threshold, so neither do the
-      // factor bits.
-      const auto looped = std::stable_partition(
-          strided.begin(), strided.end(), [&](int id) {
-            return opts_.hybrid_gemm_threshold <= 0 ||
-                   sym_.fronts[static_cast<std::size_t>(id)].dim() <=
-                       opts_.hybrid_gemm_threshold;
-          });
-      factor_group(make_group(
-          strided, static_cast<int>(strided.end() - looped)));
-    }
+    // Figure-14 hybrid: fronts above the threshold go last, and only
+    // their Schur GEMM leaves the batch (FrontGroup::lead). Which fronts
+    // share a batch does not depend on the threshold, so neither do the
+    // factor bits.
+    std::vector<int> group = ids;
+    const auto looped =
+        std::stable_partition(group.begin(), group.end(), [&](int id) {
+          return opts_.hybrid_gemm_threshold <= 0 ||
+                 sym_.fronts[static_cast<std::size_t>(id)].dim() <=
+                     opts_.hybrid_gemm_threshold;
+        });
+    factor_group(make_group(group, static_cast<int>(group.end() - looped)));
     extract(ids);
     if (lvl < deepest) storage_.release_level(lvl + 1);
   }
@@ -901,125 +872,6 @@ void MultifrontalFactor::Pipeline::factor_group(const FrontGroup& g) {
     // Post-elimination extremum: gmax / anorm is the per-front growth.
     if (opts_.pivot_tau > 0)
       front_absmax<T>(g, g.gmax.data(), "mf_front_growth");
-  });
-}
-
-/// Factors one level's routed fronts through the interleaved pipeline
-/// (DESIGN.md §12): each (s, u) class is packed into an SoA slab of the
-/// shared level workspace, then the whole level runs as ONE launch per
-/// stage — getf2, row swaps, the two TRSMs, the Schur GEMM — with every
-/// kernel vectorizing across the batch index. Per-lane operation
-/// sequences replicate the strided kernels, so the unpacked factors match
-/// the strided schedule's (DESIGN.md §12 states the build condition).
-void MultifrontalFactor::Pipeline::factor_interleaved(
-    const IlvBuckets& buckets, Precision prec) {
-  if (buckets.empty()) return;
-  with_type(prec, [&]<typename T>(T) {
-    struct Slab {
-      int s = 0, u = 0;
-      int count = 0;  ///< lanes (fronts) in this class
-      int base = 0;   ///< offset of the class within the level group
-      batch::IlvViewT<T> view{nullptr, 1, 0};
-    };
-    std::vector<Slab> slabs;
-    std::vector<int> routed;
-    std::size_t total = 0;
-    int smax = 0;
-    for (const auto& [su, bids] : buckets) {
-      const int d = su.first + su.second;
-      slabs.push_back({su.first, su.second, static_cast<int>(bids.size()),
-                       static_cast<int>(routed.size())});
-      total += static_cast<std::size_t>(d) * d * bids.size();
-      smax = std::max(smax, su.first);
-      routed.insert(routed.end(), bids.begin(), bids.end());
-    }
-    IRRLU_TRACE_SCOPE(dev_.tracer(),
-                      dev_.tracer() ? front_class(routed, sym_) : "");
-    // ONE descriptor group for the whole level's routed fronts, in bucket
-    // order: every class addresses a contiguous subrange at its `base`, so
-    // a level pays one set of descriptor allocations instead of one per
-    // class (device allocations carry simulated cost; a deep tree has many
-    // single-front classes).
-    const FrontGroup& g = make_group(routed);
-    // Distinct workspace slabs per element type, so a mixed-policy tree
-    // never aliases float lanes over double ones.
-    T* ws = dev_.workspace<T>(
-        std::is_same_v<T, float> ? "mf.ilv.packf" : "mf.ilv.pack",
-        std::max<std::size_t>(total, 1));
-    for (auto& sl : slabs) {
-      const int d = sl.s + sl.u;
-      sl.view = batch::IlvViewT<T>{ws, d > 0 ? d : 1, sl.count};
-      ws += static_cast<std::size_t>(d) * d *
-            static_cast<std::size_t>(sl.count);
-    }
-    // Norm/growth harvest mirrors the strided group guard (count == 0 ||
-    // smax == 0 -> no diagnostics), applied to the routed collection.
-    const bool norms = opts_.pivot_tau > 0 && smax > 0;
-    auto at = [&](auto* v, const Slab& sl) {
-      return norms ? v + sl.base : nullptr;
-    };
-    // Strided <-> SoA copies of every class, fused with the norm (pack) or
-    // growth (unpack) extremum.
-    auto copies = [&](double* absmax) {
-      std::vector<batch::IlvPackDescT<T>> descs;
-      for (const auto& sl : slabs) {
-        batch::IlvPackDescT<T> d;
-        d.dst = sl.view;
-        d.m = d.n = sl.s + sl.u;
-        d.lanes = sl.count;
-        d.src = g.ptr<T>().f.data() + sl.base;
-        d.src_ld = g.ld.data() + sl.base;
-        d.absmax = at(absmax, sl);
-        descs.push_back(d);
-      }
-      return descs;
-    };
-    // One fused launch of a compute stage over the classes that have it:
-    // getf2 needs s > 0, the update-block stages also u > 0.
-    auto stage = [&](const char* name, bool update, auto op) {
-      std::vector<batch::IlvOpDesc> descs;
-      for (const auto& sl : slabs)
-        if (sl.s > 0 && (!update || sl.u > 0)) descs.push_back(op(sl));
-      batch::ilv_launch(dev_, stream_, name, std::move(descs));
-    };
-    batch::ilv_pack<T>(dev_, stream_, copies(g.anorm.data()));
-    stage("ilv_getf2", false, [&](const Slab& sl) {
-      return batch::ilv_getf2_op(
-          sl.view, sl.s, sl.s, sl.count, g.ipiv.data() + sl.base,
-          g.info.data() + sl.base, norms ? opts_.pivot_tau : 0.0,
-          at(g.anorm.data(), sl), at(g.boost.data(), sl));
-    });
-    {
-      std::vector<batch::IlvLaswpDescT<T>> descs;
-      for (const auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvLaswpDescT<T> d;
-        d.view = sl.view.subview(0, sl.s);
-        d.rows = sl.s;
-        d.width = sl.u;
-        d.lanes = sl.count;
-        d.ipiv = g.ipiv.data() + sl.base;
-        descs.push_back(d);
-      }
-      batch::ilv_laswp<T>(dev_, stream_, std::move(descs));
-    }
-    stage("ilv_trsm_l", true, [&](const Slab& sl) {
-      return batch::ilv_trsm_op(la::Side::Left, la::Uplo::Lower,
-                                la::Diag::Unit, sl.s, sl.u, 1.0, sl.view,
-                                sl.view.subview(0, sl.s), sl.count);
-    });
-    stage("ilv_trsm_r", true, [&](const Slab& sl) {
-      return batch::ilv_trsm_op(la::Side::Right, la::Uplo::Upper,
-                                la::Diag::NonUnit, sl.u, sl.s, 1.0, sl.view,
-                                sl.view.subview(sl.s, 0), sl.count);
-    });
-    stage("ilv_schur", true, [&](const Slab& sl) {
-      return batch::ilv_gemm_op(sl.u, sl.u, sl.s, -1.0,
-                                sl.view.subview(sl.s, 0),
-                                sl.view.subview(0, sl.s), 1.0,
-                                sl.view.subview(sl.s, sl.s), sl.count);
-    });
-    batch::ilv_unpack<T>(dev_, stream_, copies(g.gmax.data()));
   });
 }
 

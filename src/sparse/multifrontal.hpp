@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "gpusim/device.hpp"
-#include "irrblas/interleaved.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "sparse/precision.hpp"
 #include "sparse/symbolic.hpp"
@@ -51,8 +50,7 @@ struct FactorOptions {
   /// their level's batch for the norm, irrLU, row swaps, both TRSMs and
   /// the growth scan; only their Schur GEMM leaves the batch, as one
   /// launch per front. A GEMM-schedule knob only: factor bits are the same
-  /// for every value. Interleaved-routed fronts are never looped. 0
-  /// disables.
+  /// for every value. 0 disables.
   int hybrid_gemm_threshold = 256;
   /// Small-pivot recovery threshold: during the panel factorization a pivot
   /// with magnitude below pivot_tau * ||F||_max (per front, where ||F||_max
@@ -63,16 +61,6 @@ struct FactorOptions {
   /// reported through FactorReport. <= 0 disables recovery (and the norm /
   /// growth launches) entirely.
   double pivot_tau = 1e-10;
-  /// Interleaved (SoA) leaf routing (DESIGN.md §12): with enabled = true,
-  /// the batched engine packs each level's small fronts into
-  /// per-(s, u)-class SoA buffers and factors them with the batch-axis-
-  /// vectorized kernels — one launch per pipeline stage for the whole
-  /// level, coalesced row swaps. Factor bits are identical to the
-  /// strided path in both precisions and in native and portable builds
-  /// (DESIGN.md §12); simulated time and traffic differ (that is the
-  /// point), so the default is off and the default output stays
-  /// byte-identical.
-  batch::InterleavedOptions interleaved;
   /// Front-factorization precision policy (classic LU-IR, DESIGN.md §14):
   /// kF64 factors every level in double — bit-identical to the
   /// pre-precision code path; kF32 factors every level in single (half the

@@ -432,15 +432,9 @@ void fill_streams(Analysis& a, const Tracer& t, const Baseline& b) {
 
 }  // namespace
 
-AnalysisOptions analysis_options_from_env() {
-  AnalysisOptions opts;
-  if (const char* v = std::getenv("IRRLU_TRACE_ANALYSIS"))
-    opts.enabled = std::string_view(v) != "0";
-  if (const char* v = std::getenv("IRRLU_TRACE_WHATIF"))
-    opts.whatif_speedup = std::atof(v);
-  if (const char* v = std::getenv("IRRLU_TRACE_TOPK"))
-    opts.top_k = std::max(1, std::atoi(v));
-  return opts;
+bool analysis_enabled_from_env() {
+  const char* v = std::getenv("IRRLU_TRACE_ANALYSIS");
+  return v == nullptr || std::string_view(v) != "0";
 }
 
 ReplayResult replay_scaled(const Tracer& tracer,
@@ -461,8 +455,8 @@ ReplayResult replay_scaled(const Tracer& tracer,
   return out;
 }
 
-Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
-                       const AnalysisOptions& opts) {
+Analysis analyze_trace(const Tracer& tracer,
+                       const gpusim::DeviceModel& model) {
   Analysis a;
   const auto& L = tracer.launches();
   for (const LaunchRecord& r : L) a.makespan = std::max(a.makespan, r.sim_end);
@@ -499,7 +493,6 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
   a.kernels = sorted_rows(std::move(kern));
   a.scopes = sorted_rows(std::move(scop));
 
-  if (opts.whatif_speedup <= 1.0) return a;
   std::vector<std::string> scope_paths;  // per scope id, cached
   scope_paths.reserve(tracer.scopes().size());
   for (std::size_t s = 0; s < tracer.scopes().size(); ++s)
@@ -522,7 +515,7 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
                                sp[target.size()] == '/');
       }
       if (hit) {
-        scale[i] = 1.0 / opts.whatif_speedup;
+        scale[i] = 1.0 / kWhatIfSpeedup;
         zero[i] = 0.0;
         any = true;
       }
@@ -531,7 +524,7 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
     WhatIf wi;
     wi.kind = kind;
     wi.target = target;
-    wi.speedup_k = opts.whatif_speedup;
+    wi.speedup_k = kWhatIfSpeedup;
     wi.projected_seconds = run_scaled(tracer, model, b, scale);
     wi.speedup =
         wi.projected_seconds > 0 ? a.makespan / wi.projected_seconds : 0.0;
@@ -541,13 +534,13 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
   };
   int n = 0;
   for (const PathContribution& c : a.kernels) {
-    if (n >= opts.top_k || c.seconds <= 0) break;
+    if (n >= kTopContributors || c.seconds <= 0) break;
     project(WhatIf::Kind::kKernel, c.name);
     ++n;
   }
   n = 0;
   for (const PathContribution& c : a.scopes) {
-    if (n >= opts.top_k || c.seconds <= 0) break;
+    if (n >= kTopContributors || c.seconds <= 0) break;
     if (c.name == "(none)") continue;
     project(WhatIf::Kind::kScope, c.name);
     ++n;
@@ -558,7 +551,7 @@ Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
 // ---------------------------------------------------------------------------
 // Exporters.
 
-void print_analysis_report(std::ostream& out, const Analysis& a, int top_k) {
+void print_analysis_report(std::ostream& out, const Analysis& a) {
   out << "\ncritical path: "
       << TextTable::fmt(a.critical_path_seconds * 1e3, 3) << " ms over "
       << a.path.size() << " nodes (makespan "
@@ -572,7 +565,7 @@ void print_analysis_report(std::ostream& out, const Analysis& a, int top_k) {
                        "launches"});
       int n = 0;
       for (const PathContribution& c : cs) {
-        if (n++ >= top_k) break;
+        if (n++ >= kTopContributors) break;
         table.add_row(c.name, TextTable::fmt(c.seconds * 1e3, 3),
                       TextTable::fmt(c.run_seconds * 1e3, 3),
                       TextTable::fmt(c.stall_seconds * 1e3, 3),

@@ -138,29 +138,20 @@ struct Analysis {
   std::vector<WhatIf> what_ifs;
 };
 
-struct AnalysisOptions {
-  /// Master switch: when false, reports and summaries skip the analysis
-  /// pass entirely (the "analysis" object is absent from the JSON).
-  bool enabled = true;
-  /// k for the automatic what-if projections over the top contributors;
-  /// <= 1 skips the replays.
-  double whatif_speedup = 2.0;
-  /// How many top kernels/scopes get what-if projections (and how many
-  /// rows the text report prints).
-  int top_k = 3;
-};
+/// k of the automatic what-if projections: each replays the trace with
+/// one top contributor k times faster.
+inline constexpr double kWhatIfSpeedup = 2.0;
+/// How many top kernels/scopes get what-if projections (and how many rows
+/// the text report prints).
+inline constexpr int kTopContributors = 3;
 
-/// Environment overrides for the options (all optional):
-///   IRRLU_TRACE_ANALYSIS=0   disable the analysis pass
-///   IRRLU_TRACE_WHATIF=<k>   what-if speedup hypothesis (default 2);
-///                            <= 1 disables the what-if replays
-///   IRRLU_TRACE_TOPK=<n>     contributors projected/printed (default 3)
-AnalysisOptions analysis_options_from_env();
+/// False when IRRLU_TRACE_ANALYSIS=0: reports and summaries then skip the
+/// analysis pass entirely (the "analysis" object is absent from the JSON).
+bool analysis_enabled_from_env();
 
 /// Runs the full analysis. Stream utilization is filled even when the
 /// fidelity check fails; path/contributions/what-ifs require `valid`.
-Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model,
-                       const AnalysisOptions& opts = {});
+Analysis analyze_trace(const Tracer& tracer, const gpusim::DeviceModel& model);
 
 /// Result of one DAG replay with scaled durations.
 struct ReplayResult {
@@ -180,8 +171,7 @@ ReplayResult replay_scaled(const Tracer& tracer,
 
 /// Critical-path text report (appended to print_report when launches
 /// were recorded).
-void print_analysis_report(std::ostream& out, const Analysis& a,
-                           int top_k = 3);
+void print_analysis_report(std::ostream& out, const Analysis& a);
 
 /// Writes the "analysis" object value (the caller emits the key).
 void write_analysis_json(json::Writer& w, const Analysis& a);

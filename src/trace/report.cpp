@@ -97,10 +97,8 @@ void print_report(std::ostream& out, const Tracer& tracer,
   }
   if (!tracer.mem_events().empty() || !tracer.mem_tags().empty())
     print_memory_report(out, tracer);
-  const AnalysisOptions opts = analysis_options_from_env();
-  if (opts.enabled && !tracer.launches().empty())
-    print_analysis_report(out, analyze_trace(tracer, model, opts),
-                          opts.top_k);
+  if (analysis_enabled_from_env() && !tracer.launches().empty())
+    print_analysis_report(out, analyze_trace(tracer, model));
   if (!tracer.histograms().empty()) print_histogram_report(out, tracer);
 }
 
@@ -130,10 +128,9 @@ void write_summary_json(const std::string& path, const Tracer& tracer,
     w.key("memory");
     write_memory_json(w, tracer);
   }
-  const AnalysisOptions opts = analysis_options_from_env();
-  if (opts.enabled && !tracer.launches().empty()) {
+  if (analysis_enabled_from_env() && !tracer.launches().empty()) {
     w.key("analysis");
-    write_analysis_json(w, analyze_trace(tracer, model, opts));
+    write_analysis_json(w, analyze_trace(tracer, model));
   }
   if (!tracer.histograms().empty()) {
     w.key("histograms");

@@ -201,9 +201,7 @@ TEST(Analysis, WhatIfProjectionsBracketTheMakespan) {
   dev.set_tracer(&tracer);
   run_dag(dev);
 
-  AnalysisOptions opts;
-  opts.whatif_speedup = 2.0;
-  const Analysis a = analyze_trace(tracer, dev.model(), opts);
+  const Analysis a = analyze_trace(tracer, dev.model());
   ASSERT_TRUE(a.valid);
   ASSERT_FALSE(a.what_ifs.empty());
   for (const WhatIf& wi : a.what_ifs) {

@@ -421,7 +421,6 @@ TEST_P(FactorIdentity, FactorSolveAndTimelineMatchOneThread) {
       break;
     case 2:
       opts.factor.precision = sparse::PrecisionPolicy::kAdaptive;
-      opts.factor.interleaved.enabled = true;
       break;
     case 3:  // 512 B of shared memory fits no panel: column-wise panels
       opts.factor.memory = sparse::MemoryMode::kStackedLevels;

@@ -356,25 +356,6 @@ TEST(Service, ResponsesInSubmissionOrderAcrossInterleavedPatterns) {
 // Batching
 // ---------------------------------------------------------------------------
 
-TEST(Service, BatchWidthRespectsCap) {
-  Device dev(DeviceModel::a100());
-  ServiceOptions opts;
-  opts.max_batch_rhs = 2;
-  SolverService svc(dev, opts);
-  const CsrMatrix a = laplacian2d(7, 7);
-  std::vector<SolveRequest> reqs;
-  for (unsigned s = 0; s < 5; ++s) reqs.push_back(make_req("t", a, s));
-  const auto out = svc.solve(std::move(reqs));
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[0].batch_width, 2);
-  EXPECT_EQ(out[1].batch_width, 2);
-  EXPECT_EQ(out[2].batch_width, 2);
-  EXPECT_EQ(out[3].batch_width, 2);
-  EXPECT_EQ(out[4].batch_width, 1);
-  EXPECT_EQ(svc.stats().batches, 3);
-  EXPECT_EQ(svc.stats().batched_rhs, 5);
-}
-
 TEST(Service, OneFlushOneBatchManyRhs) {
   Device dev(DeviceModel::a100());
   SolverService svc(dev, {});

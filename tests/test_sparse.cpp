@@ -820,12 +820,9 @@ TEST(Hybrid, ThresholdIsGemmScheduleKnobOnly) {
   struct Config {
     const char* name;
     PrecisionPolicy precision;
-    bool interleaved;
   };
-  for (const Config& cfg :
-       {Config{"fp64", PrecisionPolicy::kF64, false},
-        Config{"fp32", PrecisionPolicy::kF32, false},
-        Config{"interleaved", PrecisionPolicy::kF64, true}}) {
+  for (const Config& cfg : {Config{"fp64", PrecisionPolicy::kF64},
+                            Config{"fp32", PrecisionPolicy::kF32}}) {
     SCOPED_TRACE(cfg.name);
     std::unique_ptr<Device> devs[2];
     std::unique_ptr<SparseDirectSolver> solvers[2];
@@ -835,7 +832,6 @@ TEST(Hybrid, ThresholdIsGemmScheduleKnobOnly) {
       opts.nd.leaf_size = 16;
       opts.factor.hybrid_gemm_threshold = thresholds[i];
       opts.factor.precision = cfg.precision;
-      opts.factor.interleaved.enabled = cfg.interleaved;
       devs[i] = std::make_unique<Device>(DeviceModel::a100());
       solvers[i] = std::make_unique<SparseDirectSolver>(opts);
       solvers[i]->analyze(a);
@@ -943,14 +939,13 @@ void hash_trace(Fnv1a& h, const irrlu::trace::Tracer& tr) {
   }
 }
 
-/// The 27 factor configurations both golden tests cover: the three
+/// The 15 factor configurations both golden tests cover: the three
 /// baseline engines, then the batched engine over memory mode x precision
-/// policy x interleaved routing x Figure-14 threshold.
+/// policy x Figure-14 threshold.
 struct FactorConfig {
   Engine engine;
   MemoryMode memory;
   PrecisionPolicy precision;
-  bool interleaved;
   int threshold;
 };
 
@@ -959,13 +954,12 @@ std::vector<FactorConfig> golden_factor_configs() {
   for (Engine e : {Engine::kLooped, Engine::kLegacySmallBatch,
                    Engine::kRightLooking})
     configs.push_back(
-        {e, MemoryMode::kAllUpfront, PrecisionPolicy::kF64, false, 256});
+        {e, MemoryMode::kAllUpfront, PrecisionPolicy::kF64, 256});
   for (MemoryMode m : {MemoryMode::kAllUpfront, MemoryMode::kStackedLevels})
     for (PrecisionPolicy p : {PrecisionPolicy::kF64, PrecisionPolicy::kF32,
                               PrecisionPolicy::kAdaptive})
-      for (bool ilv : {false, true})
-        for (int threshold : {256, 24})
-          configs.push_back({Engine::kBatched, m, p, ilv, threshold});
+      for (int threshold : {256, 24})
+        configs.push_back({Engine::kBatched, m, p, threshold});
   return configs;
 }
 
@@ -973,7 +967,7 @@ std::string config_name(const FactorConfig& c) {
   std::ostringstream name;
   name << to_string(c.engine) << " memory=" << static_cast<int>(c.memory)
        << " precision=" << to_string(c.precision)
-       << " interleaved=" << c.interleaved << " threshold=" << c.threshold;
+       << " threshold=" << c.threshold;
   return name.str();
 }
 
@@ -983,8 +977,6 @@ SolverOptions config_options(const FactorConfig& c) {
   opts.factor.engine = c.engine;
   opts.factor.memory = c.memory;
   opts.factor.precision = c.precision;
-  opts.factor.interleaved.enabled = c.interleaved;
-  opts.factor.interleaved.max_class_dim = 32;
   opts.factor.hybrid_gemm_threshold = c.threshold;
   return opts;
 }
@@ -997,24 +989,18 @@ TEST(FactorSchedule, UnchangedFromParent) {
   const std::uint64_t golden[] = {
       // looped, legacy-small-batch, right-looking
       0xc3a04e0f8a1a54f1ull, 0x945078f95271b1abull, 0x25da5e04905875d2ull,
-      // batched all-upfront f64: interleaved off/on x threshold 256/24
+      // batched all-upfront f64: threshold 256/24
       0xdc8c650205f86371ull, 0x57a6b1d930f090f0ull,
-      0x70ff49dc277bc88cull, 0x518049a5c5e9af1cull,
-      // batched all-upfront f32: interleaved off/on x threshold 256/24
+      // batched all-upfront f32: threshold 256/24
       0x6118851863cb8baaull, 0xf73cd81e4f5071c5ull,
-      0xa74864a3bba59688ull, 0xce8f00c5c42d83d2ull,
-      // batched all-upfront adaptive: interleaved off/on x threshold 256/24
+      // batched all-upfront adaptive: threshold 256/24
       0x28c66c1ebd3f6a92ull, 0xa2ced221ad7ced52ull,
-      0xe05044617051ef82ull, 0xe1cbcb4f7f79a901ull,
-      // batched stacked-levels f64: interleaved off/on x threshold 256/24
+      // batched stacked-levels f64: threshold 256/24
       0x672d9d0bd1b3752aull, 0x333044e5717efdcbull,
-      0xe01164fc87db03ddull, 0xc7ebcfda4a9d3ef9ull,
-      // batched stacked-levels f32: interleaved off/on x threshold 256/24
+      // batched stacked-levels f32: threshold 256/24
       0xc8170a1aa71a9b71ull, 0x96f75fd171ec25ccull,
-      0x34419789203c42c2ull, 0x800f58b38212689bull,
-      // batched stacked-levels adaptive: interleaved off/on x threshold 256/24
+      // batched stacked-levels adaptive: threshold 256/24
       0xdf8d467856ffd957ull, 0xa534b9c58687646aull,
-      0x58e7c4448bb7bf3dull, 0x8ba929321127cc89ull,
   };
   ASSERT_EQ(configs.size(), std::size(golden));
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -1028,8 +1014,6 @@ TEST(FactorSchedule, UnchangedFromParent) {
     Fnv1a h;
     solver.factor(dev);
     hash_factor(h, solver.numeric());
-    // The interleaved configurations do route fronts.
-    EXPECT_EQ(dev.profile().count("ilv_getf2") > 0, c.interleaved);
     solver.refactor(dev, a);  // same pattern
     hash_factor(h, solver.numeric());
     hash_trace(h, tracer);
@@ -1091,7 +1075,7 @@ TEST(FactorBits, UnchangedFromParent) {
   const std::vector<double> b = random_rhs(a.rows(), 7);
   std::vector<std::vector<double>> bs;
   for (unsigned k = 0; k < 3; ++k) bs.push_back(random_rhs(a.rows(), 11 + k));
-  // Every engine, memory mode, routing and threshold gives the bits of
+  // Every engine, memory mode and threshold gives the bits of
   // its precision policy: one digest per policy, [0] for a micro-kernel
   // without fused multiply-adds and [1] for one with them.
   const std::map<PrecisionPolicy, std::uint64_t> golden[2] = {
@@ -1104,7 +1088,7 @@ TEST(FactorBits, UnchangedFromParent) {
   };
   const bool fma = irrlu::la::mk::fused_multiply_add();
   const std::vector<FactorConfig> configs = golden_factor_configs();
-  ASSERT_EQ(configs.size(), 27u);
+  ASSERT_EQ(configs.size(), 15u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const FactorConfig& c = configs[i];
     SCOPED_TRACE(config_name(c));
